@@ -26,7 +26,7 @@ from .pool import load_pool
 from .pso import sample_grid_hyperparams
 from .remote import RemoteEvaluator, StubServer
 from .rng import RngFactory
-from .utilities import build_utility
+from .utilities import build_utility, exact_match, load_dataset
 
 ENDPOINT_ENV = "DAGSWARM_ENDPOINT"
 
@@ -139,39 +139,24 @@ def cmd_evaluate(args) -> int:
     remote = evaluator is not None
     if evaluator is None:
         evaluator = AffineEvaluator()
-    items = []
-    with open(args.dataset, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                items.append(json.loads(line))
+    items = load_dataset(args.dataset)
     if not items:
         raise ValueError("dataset is empty")
     results = []
-    correct = 0
-    scored = 0
     for item in items:
-        if remote:
-            task = Message(str(item["input"]))
-        else:
-            task = Message(np.asarray(item["input"], dtype=float))
-        output = execute(dag, assignment, experts, task, evaluator).payload
-        entry: dict = {"input": item["input"]}
-        if remote:
-            entry["output"] = str(output)
-            if "answer" in item:
-                entry["correct"] = str(output).strip() == str(item["answer"]).strip()
-        else:
-            entry["output"] = [float(x) for x in np.atleast_1d(output)]
-            if "answer" in item:
-                expected = np.asarray(item["answer"], dtype=float)
-                entry["correct"] = bool(np.allclose(expected, np.atleast_1d(output), atol=1e-9))
-        if "correct" in entry:
-            scored += 1
-            correct += int(entry["correct"])
+        task = str(item["input"]) if remote else np.asarray(item["input"], dtype=float)
+        output = execute(dag, assignment, experts, Message(task), evaluator).payload
+        entry: dict = {"input": item["input"], "output": str(output) if remote else np.atleast_1d(output).tolist()}
+        if "answer" in item and remote:
+            entry["correct"] = exact_match(output, item["answer"])
+        elif "answer" in item:
+            expected = np.asarray(item["answer"], dtype=float)
+            entry["correct"] = bool(np.allclose(expected, np.atleast_1d(output), atol=1e-9))
         results.append(entry)
+    scored = [entry["correct"] for entry in results if "correct" in entry]
     payload = {
         "format_version": 1,
-        "accuracy": correct / scored if scored else None,
+        "accuracy": sum(scored) / len(scored) if scored else None,
         "results": results,
     }
     text = json.dumps(payload, sort_keys=True, indent=2)
@@ -189,11 +174,7 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     if args.trace:
-        rows = []
-        with open(args.trace, encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    rows.append(TraceRow(**json.loads(line)))
+        rows = [TraceRow(**record) for record in load_dataset(args.trace)]
         (out / "metrics.csv").write_text(trace_csv(RunTrace(rows)))
     print(
         json.dumps({"collaborative_gain": report["collaborative_gain"], "out": str(out)}, sort_keys=True),

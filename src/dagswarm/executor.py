@@ -3,7 +3,8 @@
 Nodes run in topological order; each node sees the task input plus the
 outputs of its predecessors and produces one message. The end node's
 message is the system output. Payloads are real vectors in synthetic mode
-and text in remote mode, homogeneous within one execution.
+and text in remote mode, homogeneous within one execution; a (k, d) array
+carries k dataset items, and each node counts k evaluator calls for it.
 """
 from __future__ import annotations
 
@@ -45,15 +46,19 @@ class Assignment:
 class NodeEvaluator:
     """Maps (role, expert parameters or handle, inputs, task input, node) to a message.
 
-    Subclasses count their own invocations in ``calls`` so optimization
-    budgets can be audited.
+    Invocations are counted in ``calls``, one per dataset item, so budgets
+    can be audited. Evaluators whose experts never see the parameter vectors
+    set ``uses_expert_params`` to False.
     """
+
+    uses_expert_params = True
 
     def __init__(self):
         self.calls = 0
 
     def __call__(self, role, params, inputs, task_input, node) -> Message:
-        self.calls += 1
+        payload = task_input.payload
+        self.calls += len(payload) if isinstance(payload, np.ndarray) and payload.ndim == 2 else 1
         return self.evaluate(role, params, inputs, task_input, node)
 
     def evaluate(self, role, params, inputs, task_input, node) -> Message:
@@ -64,12 +69,13 @@ class AffineEvaluator(NodeEvaluator):
     """Synthetic expert: output = W @ mean(task and inputs) + b.
 
     Expert parameters pack a d x d matrix row-major followed by a length-d
-    bias. Deterministic; the role is ignored.
+    bias. Payloads have shape (d,) for one item or (k, d) for k items.
+    Deterministic; the role is ignored.
     """
 
     def evaluate(self, role, params, inputs, task_input, node) -> Message:
         x = np.asarray(task_input.payload, dtype=float)
-        d = x.shape[0]
+        d = x.shape[-1]
         params = np.asarray(params, dtype=float)
         if params.shape != (d * d + d,):
             raise ValueError(f"expected {d * d + d} parameters for dimension {d}, got {params.shape}")
@@ -77,7 +83,9 @@ class AffineEvaluator(NodeEvaluator):
         mean = np.mean(stacked, axis=0)
         W = params[: d * d].reshape(d, d)
         b = params[d * d :]
-        return Message(W @ mean + b, origin=node)
+        # One matrix-vector product per item: unlike mean @ W.T, this keeps
+        # every row bit-identical to W @ mean on that item alone.
+        return Message(np.matmul(W, mean[..., None])[..., 0] + b, origin=node)
 
 
 class ExecutionError(RuntimeError):
@@ -110,14 +118,10 @@ def execute(
     if any(s >= len(pool) for s in assignment.slots):
         raise ValueError("assignment references an expert outside the pool")
 
-    predecessors: dict[int, list[int]] = {v: [] for v in dag.topo_order}
-    for u, v in dag.edges:
-        predecessors[v].append(u)
-    position = {node: k for k, node in enumerate(dag.topo_order)}
-
+    predecessors = dag.predecessor_lists
     outputs: dict[int, Message] = {}
     for v in dag.topo_order:
-        preds = sorted(predecessors[v], key=position.get)
+        preds = predecessors[v]
         inputs = [outputs[u] for u in preds]
         role = node_role(dag, v, len(preds))
         try:

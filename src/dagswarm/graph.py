@@ -9,6 +9,7 @@ coin flips, so every decode is a valid DAG with a single sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,9 +66,14 @@ class DagStructure:
     edges: frozenset[tuple[int, int]]
     topo_order: tuple[int, ...]
 
-    def predecessors(self, v: int) -> list[int]:
+    @cached_property
+    def predecessor_lists(self) -> dict[int, tuple[int, ...]]:
+        """Each node's predecessors in topological order, built once per DAG."""
         pos = {node: k for k, node in enumerate(self.topo_order)}
-        return sorted((u for u, w in self.edges if w == v), key=pos.get)
+        return {v: tuple(sorted((u for u, w in self.edges if w == v), key=pos.get)) for v in self.topo_order}
+
+    def predecessors(self, v: int) -> list[int]:
+        return list(self.predecessor_lists[v])
 
     def validate(self) -> None:
         if sorted(self.topo_order) != list(range(self.n)):
@@ -87,14 +93,11 @@ class DagStructure:
             if node != self.end_node and out_degree[node] == 0:
                 raise ValueError(f"non-end node {node} has out-degree 0")
         # Every node must reach the end node along directed edges.
-        incoming: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v in self.edges:
-            incoming[v].append(u)
         seen = {self.end_node}
         frontier = [self.end_node]
         while frontier:
             v = frontier.pop()
-            for u in incoming[v]:
+            for u in self.predecessor_lists[v]:
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)

@@ -10,6 +10,7 @@ n * (N + M) * |f| budget.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 from .executor import Assignment
 from .graph import DagStructure, decode_dag, init_adjacency_swarm
-from .pool import ExpertPool
+from .pool import ExpertPool, build_pool
 from .pso import Particle, PsoHyperparams, SwarmState
 from .rng import RngFactory
 from .role_step import RoleRecord, SparsityConfig, Swarm, role_step
@@ -26,7 +27,7 @@ from .utilities import UtilityFunction
 from .weight_step import weight_step
 
 MODES = ("full", "role_only", "weight_only")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -185,9 +186,7 @@ class OptimizedSystem:
 
 def _initial_expert_positions(cfg: RunConfig, pool, rng: RngFactory) -> list[np.ndarray]:
     if pool is None:
-        stream = rng.stream("init_experts")
-        bases = [stream.uniform(-cfg.expert_scale, cfg.expert_scale, cfg.expert_dim) for _ in range(cfg.distinct)]
-        return [bases[k].copy() for k in range(cfg.distinct) for _ in range(cfg.pool_repeats)]
+        pool = build_pool(cfg.distinct, cfg.pool_repeats, cfg.expert_dim, rng.stream("init_experts"), cfg.expert_scale)
     params = pool.as_list() if isinstance(pool, ExpertPool) else [np.asarray(v, dtype=float) for v in pool]
     if len(params) != cfg.n_experts:
         raise ValueError(f"pool size {len(params)} != n_experts {cfg.n_experts}")
@@ -236,7 +235,11 @@ def _deserialize_swarm(data: dict) -> Swarm:
 
 
 def save_checkpoint(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    """Write atomically: a failed write leaves the previous checkpoint in place."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    partial.write_text(json.dumps(payload, sort_keys=True))
+    os.replace(partial, path)
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -244,6 +247,13 @@ def load_checkpoint(path: str | Path) -> dict:
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')}")
     return payload
+
+
+def _check_resume_config(stored: dict, cfg: RunConfig) -> None:
+    """A resume must replay the checkpointed run; only the fields that decide when it stops may change."""
+    for name, value in json.loads(json.dumps(asdict(cfg))).items():
+        if name not in ("max_iterations", "patience") and stored.get(name) != value:
+            raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
 
 
 def optimize(
@@ -258,8 +268,13 @@ def optimize(
     ``pool`` may be an ExpertPool, a list of parameter vectors, or None to
     draw a fresh pool from the config's pool spec. The returned system is
     the recorded best DAG (frozen, never re-decoded) instantiated with the
-    final expert parameters under the identity assignment.
+    final expert parameters under the identity assignment. Modes that search
+    expert parameters are rejected for evaluators that never use them, and a
+    resume is rejected if the config differs from the checkpointed one in
+    anything but ``max_iterations`` and ``patience``.
     """
+    if cfg.mode != "role_only" and not getattr(utility.evaluator, "uses_expert_params", True):
+        raise ValueError(f"mode {cfg.mode!r} searches expert parameters, which this evaluator ignores; use role_only")
     n = cfg.n_experts
     rng = RngFactory(cfg.seed)
     identity = Assignment.identity(n)
@@ -267,6 +282,7 @@ def optimize(
 
     if resume_from is not None:
         payload = load_checkpoint(resume_from)
+        _check_resume_config(payload["config"], cfg)
         start_iteration = payload["iteration"]
         stall = payload["stall"]
         best_utility = payload["best_utility"]
@@ -351,8 +367,7 @@ def optimize(
                 {
                     "format_version": CHECKPOINT_VERSION,
                     "iteration": t + 1,
-                    "seed": cfg.seed,
-                    "mode": cfg.mode,
+                    "config": asdict(cfg),
                     "stall": stall,
                     "best_utility": float(best_utility),
                     "record": None

@@ -47,6 +47,8 @@ class RemoteEvaluator(NodeEvaluator):
     optimization over remote experts is rejected upstream for that reason.
     """
 
+    uses_expert_params = False
+
     def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 0):
         super().__init__()
         self.endpoint = endpoint

@@ -18,9 +18,6 @@ from .pso import Particle, PsoHyperparams, SwarmState, pso_step
 from .rng import RngFactory
 from .utilities import UtilityFunction
 
-TAU_PRESETS = (0.05, 0.1, 0.2)
-L1_PRESETS = (0.01, 0.05, 0.1)
-
 SPARSITY_MODES = ("none", "threshold", "l1")
 
 

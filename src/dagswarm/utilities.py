@@ -80,21 +80,23 @@ class DagRecoveryUtility(UtilityFunction):
 
 
 class AffineTargetUtility(UtilityFunction):
-    """Negative mean squared error of system outputs against target vectors."""
+    """Negative mean squared error against target vectors; one execution runs all (k, d) stacked items."""
 
-    def __init__(self, inputs: list[np.ndarray], targets: list[np.ndarray]):
-        if len(inputs) != len(targets) or not inputs:
-            raise ValueError("inputs and targets must be non-empty and equal length")
-        self.inputs = [np.asarray(x, dtype=float) for x in inputs]
-        self.targets = [np.asarray(y, dtype=float) for y in targets]
-        self.dataset_size = len(inputs)
+    def __init__(self, inputs, targets):
+        self.inputs = np.asarray(inputs, dtype=float)
+        self.targets = np.asarray(targets, dtype=float)
+        if self.inputs.ndim != 2 or self.inputs.shape != self.targets.shape or not len(self.inputs):
+            raise ValueError("inputs and targets must be non-empty (k, d) arrays of equal shape")
+        self.dataset_size = len(self.inputs)
         self.evaluator = AffineEvaluator()
 
     def evaluate(self, dag, assignment, pool) -> float:
+        out = execute(dag, assignment, pool, Message(self.inputs), self.evaluator)
+        # Per-item errors added in item order: a single np.sum would pair
+        # them up differently and change the last bits of the score.
         error = 0.0
-        for x, y in zip(self.inputs, self.targets):
-            out = execute(dag, assignment, pool, Message(x), self.evaluator)
-            error += float(np.sum((out.payload - y) ** 2))
+        for item_error in np.sum((out.payload - self.targets) ** 2, axis=1):
+            error += float(item_error)
         return -error / self.dataset_size
 
 
@@ -117,15 +119,9 @@ def make_affine_task(
         structure = chain_dag(n)
     shared = rng.uniform(-scale, scale, dim * dim + dim)
     hidden_pool = [shared] * structure.n
-    evaluator = AffineEvaluator()
-    inputs = [rng.uniform(-1, 1, dim) for _ in range(points)]
-    targets = [
-        np.asarray(
-            execute(structure, Assignment.identity(structure.n), hidden_pool, Message(x), evaluator).payload
-        )
-        for x in inputs
-    ]
-    return AffineTargetUtility(inputs, targets)
+    inputs = rng.uniform(-1, 1, (points, dim))  # the same draws as one row at a time
+    hidden = execute(structure, Assignment.identity(structure.n), hidden_pool, Message(inputs), AffineEvaluator())
+    return AffineTargetUtility(inputs, hidden.payload)
 
 
 class DatasetUtility(UtilityFunction):
@@ -145,18 +141,19 @@ class DatasetUtility(UtilityFunction):
         correct = 0
         for item in self.items:
             out = execute(dag, assignment, pool, Message(str(item["input"])), self.evaluator)
-            correct += int(str(out.payload).strip() == str(item["answer"]).strip())
+            correct += int(exact_match(out.payload, item["answer"]))
         return correct / self.dataset_size
 
 
+def exact_match(output, answer) -> bool:
+    """Text answers match when equal after stripping surrounding whitespace."""
+    return str(output).strip() == str(answer).strip()
+
+
 def load_dataset(path: str | Path) -> list[dict]:
-    items = []
+    """One JSON object per non-blank line."""
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                items.append(json.loads(line))
-    return items
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 _TARGET_BUILDERS = {"chain": chain_dag, "star": star_dag}

@@ -134,3 +134,57 @@ def test_topological_safety_fuzz():
             seen.add(node)
         assert evaluator.visits[-1][0] == dag.end_node
         assert out.origin == dag.end_node
+
+
+def reference_execute(dag, assignment, pool, x):
+    """Per-item affine execution as a straight loop: one item, one W @ mean + b per node."""
+    predecessors = {v: [] for v in dag.topo_order}
+    for u, v in dag.edges:
+        predecessors[v].append(u)
+    position = {node: k for k, node in enumerate(dag.topo_order)}
+    d = x.shape[0]
+    outputs = {}
+    for v in dag.topo_order:
+        preds = sorted(predecessors[v], key=position.get)
+        mean = np.mean([x] + [outputs[u] for u in preds], axis=0)
+        params = pool[assignment.slots[v]]
+        outputs[v] = params[: d * d].reshape(d, d) @ mean + params[d * d :]
+    return outputs[dag.end_node]
+
+
+def decoded_cases():
+    """Decoded DAGs with random pools, assignments and stacked inputs over n, d and k."""
+    rng = RngFactory(31)
+    gen = rng.stream("init_matrices")
+    for n in (1, 4, 10):
+        for d in (1, 2, 3):
+            for k in (1, 5, 16):
+                dag = decode_dag(gen.uniform(0, 1, (n, n)), 0.8, rng.stream("decode", n, d * 100 + k))
+                pool = [gen.uniform(-1, 1, d * d + d) for _ in range(n)]
+                assignment = Assignment(tuple(int(s) for s in gen.integers(n, size=n)))
+                yield dag, assignment, pool, gen.uniform(-1, 1, (k, d))
+
+
+def test_batched_execute_matches_per_item_loop():
+    for dag, assignment, pool, inputs in decoded_cases():
+        batched = execute(dag, assignment, pool, Message(inputs), AffineEvaluator()).payload
+        reference = np.stack([reference_execute(dag, assignment, pool, x) for x in inputs])
+        assert batched.shape == inputs.shape
+        assert np.array_equal(batched, reference)
+
+
+def test_batched_payload_counts_one_call_per_item_and_node():
+    for dag, assignment, pool, inputs in decoded_cases():
+        evaluator = AffineEvaluator()
+        evaluator.calls = 7
+        execute(dag, assignment, pool, Message(inputs), evaluator)
+        assert evaluator.calls == 7 + dag.n * len(inputs)
+
+
+def test_predecessors_match_rebuilt_lists():
+    for dag, _, _, _ in decoded_cases():
+        position = {node: k for k, node in enumerate(dag.topo_order)}
+        for v in range(dag.n):
+            expected = sorted((u for u, w in dag.edges if w == v), key=position.get)
+            assert dag.predecessors(v) == expected
+            assert dag.predecessor_lists[v] == tuple(expected)

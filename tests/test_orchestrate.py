@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from dagswarm import (
     build_utility,
     config_from_dict,
     dropout_gate,
+    load_checkpoint,
     optimize,
 )
+from dagswarm.orchestrate import save_checkpoint
 
 
 def small_cfg(**overrides):
@@ -201,13 +204,44 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     # phase one stops after 3 iterations, writing checkpoints
     run(replace(cfg, max_iterations=3), checkpoint_path=ck)
     payload = json.loads(ck.read_text())
-    assert payload["format_version"] == 1 and payload["iteration"] == 3
+    assert payload["format_version"] == 2 and payload["iteration"] == 3
+    assert payload["config"]["seed"] == 5
 
     # phase two resumes and finishes
     system_resumed, trace_resumed = run(cfg, resume_from=ck)
     assert system_resumed.to_json() == system_full.to_json()
     tail = trace_full.to_jsonl().splitlines()[3:]
     assert trace_resumed.to_jsonl().splitlines() == tail
+
+
+def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    ck = tmp_path / "checkpoint.json"
+    run(small_cfg(max_iterations=2, patience=2), checkpoint_path=ck)
+    before = load_checkpoint(ck)
+
+    def write_half_then_fail(self, text, *args, **kwargs):
+        with open(self, "w") as handle:
+            handle.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError):
+        save_checkpoint(ck, {**before, "iteration": 99})
+    monkeypatch.undo()
+    assert load_checkpoint(ck) == before
+
+
+def test_resume_with_changed_config_fails(tmp_path):
+    cfg = small_cfg(max_iterations=2, patience=2, seed=5)
+    ck = tmp_path / "checkpoint.json"
+    run(cfg, checkpoint_path=ck)
+    with pytest.raises(ValueError, match="'seed'"):
+        run(replace(cfg, seed=6, max_iterations=4), resume_from=ck)
+    with pytest.raises(ValueError, match="'role_hp'"):
+        run(replace(cfg, role_hp=replace(cfg.role_hp, inertia=0.3)), resume_from=ck)
+    # the stopping rule alone may change
+    _, trace = run(replace(cfg, max_iterations=4, patience=4), resume_from=ck)
+    assert [row.iteration for row in trace.rows] == [2, 3]
 
 
 def test_run_with_dropout_still_monotone():

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dagswarm import (
     Assignment,
     DagStructure,
+    DatasetUtility,
     ExecutionError,
     Message,
     PROMPT_PREAMBLES,
     RemoteEvaluator,
+    RunConfig,
     build_prompt,
     chain_dag,
     execute,
+    optimize,
 )
 
 ENTRY = "Please answer the following question."
@@ -98,3 +103,15 @@ def test_non_text_payload_rejected(clean_stub):
     evaluator = RemoteEvaluator(clean_stub.endpoint)
     with pytest.raises(ExecutionError):
         execute(dag, Assignment.identity(2), [np.zeros(1)] * 2, Message(np.zeros(2)), evaluator)
+
+
+@pytest.mark.parametrize("mode", ["full", "weight_only"])
+def test_parameter_search_over_remote_experts_rejected(clean_stub, mode):
+    utility = DatasetUtility([{"input": "2+2", "answer": "4"}], RemoteEvaluator(clean_stub.endpoint))
+    cfg = RunConfig(n_experts=2, matrix_swarm_size=2, assignments_per_step=2, max_iterations=2, mode=mode)
+    with pytest.raises(ValueError, match="expert parameters"):
+        optimize(cfg, None, utility)
+    assert clean_stub.requests == []
+    assert utility.evaluator_calls == 0
+    _, trace = optimize(replace(cfg, mode="role_only"), None, utility)
+    assert len(clean_stub.requests) == trace.total_evaluator_calls > 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dagswarm import (
+    AffineEvaluator,
     Assignment,
     DagStructure,
     DatasetUtility,
@@ -14,8 +15,10 @@ from dagswarm import (
     RngFactory,
     build_utility,
     chain_dag,
+    decode_dag,
     diamond_dag,
     edit_distance,
+    execute,
     load_dataset,
     make_affine_task,
     normalized_edit_distance,
@@ -75,6 +78,24 @@ def test_affine_task_zero_error_at_hidden_system():
     # a perturbed system scores strictly worse
     worse = utility.evaluate(chain_dag(4), Assignment.identity(4), [shared + 0.3] * 4)
     assert worse < value
+
+
+def test_affine_score_matches_per_item_loop():
+    # the stacked evaluation must score exactly as one execution per item
+    # with the squared errors added in item order
+    rng = RngFactory(9)
+    for seed, (n, dim, points) in enumerate([(1, 1, 1), (4, 2, 5), (10, 2, 16), (6, 3, 16)]):
+        utility = make_affine_task(rng.stream("task", seed), n=n, dim=dim, points=points)
+        gen = rng.stream("init_matrices", seed)
+        dag = decode_dag(gen.uniform(0, 1, (n, n)), 0.8, rng.stream("decode", seed))
+        pool = [gen.uniform(-1, 1, dim * dim + dim) for _ in range(n)]
+        error = 0.0
+        for x, y in zip(utility.inputs, utility.targets):
+            out = execute(dag, Assignment.identity(n), pool, Message(x), AffineEvaluator())
+            error += float(np.sum((out.payload - y) ** 2))
+        calls = utility.evaluator_calls
+        assert utility.evaluate(dag, Assignment.identity(n), pool) == -error / points
+        assert utility.evaluator_calls - calls == n * points
 
 
 class CannedEvaluator(NodeEvaluator):
