@@ -8,8 +8,10 @@ coin flips, so every decode is a valid DAG with a single sink.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,6 +28,30 @@ def init_adjacency_swarm(n: int, count: int, rng: np.random.Generator) -> list[n
     return [rng.random((n, n)) for _ in range(count)]
 
 
+def _np_sum(xs: list[float]) -> float:
+    """``float(np.sum(xs))`` bit for bit: numpy's pairwise order for contiguous float64.
+
+    Below 8 items numpy adds in order; up to 128 it keeps 8 running lanes,
+    combines them pairwise and adds the tail in order; above 128 it splits
+    in halves rounded down to a multiple of 8.
+    """
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _np_sum(xs[:half]) + _np_sum(xs[half:])
+    total = 0.0
+    tail = 0
+    if n >= 8:
+        tail = n - n % 8
+        lanes = xs[:8]
+        for i in range(8, tail, 8):
+            lanes = [a + b for a, b in zip(lanes, xs[i : i + 8])]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    for x in xs[tail:]:
+        total += x
+    return total
+
+
 def top_p_sample(scores, p: float, rng: np.random.Generator) -> int:
     """Nucleus sampling over non-negative scores.
 
@@ -37,20 +63,26 @@ def top_p_sample(scores, p: float, rng: np.random.Generator) -> int:
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a non-empty 1-d sequence")
-    if np.any(s < 0):
+    return _top_p(s.tolist(), p, rng)
+
+
+def _top_p(scores: list[float], p: float, rng: np.random.Generator) -> int:
+    """``top_p_sample`` on a non-empty list of floats, in numpy's rounding and draws."""
+    if any(x < 0.0 for x in scores):
         raise ValueError("scores must be non-negative")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
-    total = s.sum()
+    total = _np_sum(scores)
     if total <= 0.0:
-        return int(rng.integers(s.size))
-    probs = s / total
-    order = np.argsort(-probs, kind="stable")
-    cutoff = int(np.searchsorted(np.cumsum(probs[order]), p)) + 1
-    kept = order[:cutoff]
-    cdf = np.cumsum(probs[kept])
-    draw = rng.random() * cdf[-1]
-    return int(kept[min(int(np.searchsorted(cdf, draw, side="right")), cutoff - 1)])
+        return int(rng.integers(len(scores)))
+    probs = [x / total for x in scores]
+    order = sorted(range(len(probs)), key=lambda i: -probs[i])
+    cdf = list(accumulate(probs[i] for i in order))
+    # An unreached p keeps every index, as numpy's searchsorted past the end does.
+    cutoff = bisect_left(cdf, p) + 1
+    kept = min(cutoff, len(cdf))
+    draw = rng.random() * cdf[kept - 1]
+    return order[min(bisect_right(cdf, draw, 0, kept), cutoff - 1)]
 
 
 @dataclass(frozen=True)
@@ -143,25 +175,24 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     if n == 1:
         return DagStructure(1, 0, frozenset(), (0,))
 
-    out_sums = A.sum(axis=1) - np.diagonal(A)
-    end = top_p_sample(1.0 / (out_sums + DEGREE_EPS), p, rng)
+    # Python floats from here on; numpy only for exp, the row sums and the draws.
+    rows = A.tolist()
+    exp_rows = np.exp(A).tolist()
+    out_sums = (A.sum(axis=1) - np.diagonal(A)).tolist()
+    end = _top_p([1.0 / (s + DEGREE_EPS) for s in out_sums], p, rng)
 
     placed = [end]
     remaining = [v for v in range(n) if v != end]
     edges: list[tuple[int, int]] = []
     while remaining:
-        u = remaining.pop(top_p_sample(out_sums[remaining], p, rng))
-        placed_arr = np.asarray(placed)
-        row = A[u, placed_arr]
-        weights = np.exp(row)
-        probs = weights / weights.sum()
-        hits = (rng.random(len(placed)) < probs) & (row > 0.0)
-        if hits.any():
-            edges.extend((u, int(v)) for v in placed_arr[hits])
-        else:
-            candidates = sorted(placed)
-            forced = candidates[int(np.argmax(A[u, candidates]))]
-            edges.append((u, forced))
+        u = remaining.pop(_top_p([out_sums[v] for v in remaining], p, rng))
+        row, exp_row = rows[u], exp_rows[u]
+        weights = [exp_row[v] for v in placed]
+        total = _np_sum(weights)
+        draws = rng.random(len(placed)).tolist()
+        hits = [(u, v) for v, w, d in zip(placed, weights, draws) if d < w / total and row[v] > 0.0]
+        # No hit: the first largest entry in index order, as np.argmax picks it.
+        edges.extend(hits or [(u, max(sorted(placed), key=row.__getitem__))])
         placed.append(u)
 
     return DagStructure(n, end, frozenset(edges), tuple(reversed(placed)))

@@ -1,0 +1,70 @@
+"""Pinned output bytes for three small runs.
+
+c11 checks that two runs of the same code agree; these digests check that
+the bytes of ``trace.jsonl`` and ``best_system.json`` do not move between
+versions of the code. A change that alters output bytes on purpose updates
+the digests here and says why.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from dagswarm import RngFactory, build_utility, config_from_dict, optimize
+
+GOLDEN = {
+    "role_only_hidden_dag_threshold": (
+        {
+            "mode": "role_only",
+            "n_experts": 6,
+            "matrix_swarm_size": 8,
+            "max_iterations": 8,
+            "patience": 8,
+            "sparsity": {"mode": "threshold", "tau": 0.5},
+            "seed": 3,
+            "utility_spec": {"name": "hidden_dag", "target": "chain", "n": 6},
+        },
+        "99078325b30af2dbc75eed9a0af390eafd1b4a65798117187d48da1f3c531d61",
+    ),
+    "full_affine_chain_n10": (
+        {
+            "mode": "full",
+            "n_experts": 10,
+            "matrix_swarm_size": 6,
+            "assignments_per_step": 6,
+            "max_iterations": 5,
+            "patience": 5,
+            "seed": 5,
+            "utility_spec": {"name": "affine_target", "target": "chain", "n": 10, "dim": 2, "points": 4},
+        },
+        "aee43a87b76c2b471fd8585aafc6442302507f017179c064c233ace79f4b70b0",
+    ),
+    "weight_only_affine_dim3": (
+        {
+            "mode": "weight_only",
+            "n_experts": 4,
+            "matrix_swarm_size": 6,
+            "assignments_per_step": 6,
+            "max_iterations": 6,
+            "patience": 6,
+            "expert_dim": 12,
+            "seed": 7,
+            "utility_spec": {"name": "affine_target", "target": "chain", "n": 4, "dim": 3, "points": 4},
+        },
+        "cb3af263d5a25971c5d9d9954a9672b585a1978171f3343264ed42dbf74a0b21",
+    ),
+}
+
+
+def run_digest(config: dict) -> str:
+    cfg = config_from_dict(config)
+    utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"))
+    system, trace = optimize(cfg, None, utility)
+    return hashlib.sha256((trace.to_jsonl() + system.to_json()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_golden_digest(name):
+    config, digest = GOLDEN[name]
+    assert run_digest(config) == digest

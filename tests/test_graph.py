@@ -11,6 +11,7 @@ from dagswarm import (
     prune_threshold,
     top_p_sample,
 )
+from dagswarm.graph import DEGREE_EPS, _np_sum
 
 
 def test_init_swarm_degenerate_and_errors():
@@ -75,6 +76,16 @@ def test_top_p_validation():
         top_p_sample([0.2], 0.0, rng)
     with pytest.raises(ValueError):
         top_p_sample([0.2], 1.5, rng)
+    with pytest.raises(ValueError):
+        top_p_sample([[0.1, 0.2]], 0.5, rng)
+
+
+def test_top_p_array_and_list_draw_alike():
+    scores = [0.3, 0.1, 0.4, 0.2]
+    for seed in range(20):
+        from_list = top_p_sample(scores, 0.9, RngFactory(seed).stream("decode", 0, 0))
+        from_array = top_p_sample(np.array(scores), 0.9, RngFactory(seed).stream("decode", 0, 0))
+        assert from_array == from_list
 
 
 def test_decode_single_node():
@@ -152,3 +163,150 @@ def test_dag_validation_rejects_broken_structures():
     with pytest.raises(ValueError):
         # topo order not a permutation
         DagStructure(3, 2, frozenset({(0, 2), (1, 2)}), (0, 0, 2)).validate()
+
+
+# Reference decode: the numpy implementation the list-based one replaced.
+# The fast path must reproduce its DAGs and its generator state exactly.
+
+
+def reference_top_p_sample(scores, p, rng):
+    s = np.asarray(scores, dtype=float)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("scores must be a non-empty 1-d sequence")
+    if np.any(s < 0):
+        raise ValueError("scores must be non-negative")
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must be in (0, 1]")
+    total = s.sum()
+    if total <= 0.0:
+        return int(rng.integers(s.size))
+    probs = s / total
+    order = np.argsort(-probs, kind="stable")
+    cutoff = int(np.searchsorted(np.cumsum(probs[order]), p)) + 1
+    kept = order[:cutoff]
+    cdf = np.cumsum(probs[kept])
+    draw = rng.random() * cdf[-1]
+    return int(kept[min(int(np.searchsorted(cdf, draw, side="right")), cutoff - 1)])
+
+
+def reference_decode_dag(A, p, rng):
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("adjacency matrix must be square")
+    n = A.shape[0]
+    if n == 1:
+        return DagStructure(1, 0, frozenset(), (0,))
+
+    out_sums = A.sum(axis=1) - np.diagonal(A)
+    end = reference_top_p_sample(1.0 / (out_sums + DEGREE_EPS), p, rng)
+
+    placed = [end]
+    remaining = [v for v in range(n) if v != end]
+    edges = []
+    while remaining:
+        u = remaining.pop(reference_top_p_sample(out_sums[remaining], p, rng))
+        placed_arr = np.asarray(placed)
+        row = A[u, placed_arr]
+        weights = np.exp(row)
+        probs = weights / weights.sum()
+        hits = (rng.random(len(placed)) < probs) & (row > 0.0)
+        if hits.any():
+            edges.extend((u, int(v)) for v in placed_arr[hits])
+        else:
+            candidates = sorted(placed)
+            forced = candidates[int(np.argmax(A[u, candidates]))]
+            edges.append((u, forced))
+        placed.append(u)
+
+    return DagStructure(n, end, frozenset(edges), tuple(reversed(placed)))
+
+
+def random_p(gen, case):
+    return (0.3, 0.8, 1.0)[case % 4] if case % 4 < 3 else float(gen.uniform(0.01, 1.0))
+
+
+def random_matrix(gen, n):
+    """Uniform entries, thresholded zeros, rounded ties or entries above 1."""
+    A = gen.random((n, n))
+    kind = int(gen.integers(4))
+    if kind == 1:
+        A = prune_threshold(A, float(gen.random()))
+    elif kind == 2:
+        A = np.round(A, 1)
+    elif kind == 3:
+        A = A * gen.uniform(1.0, 4.0)
+    return A
+
+
+def test_decode_matches_numpy_reference():
+    gen = np.random.default_rng(2024)
+    for case in range(5000):
+        A = random_matrix(gen, int(gen.integers(1, 16)))
+        p = random_p(gen, case)
+        fast, ref = np.random.default_rng(case), np.random.default_rng(case)
+        assert decode_dag(A, p, fast).to_dict() == reference_decode_dag(A, p, ref).to_dict(), (case, p)
+        assert fast.bit_generator.state == ref.bit_generator.state, case
+
+
+class ScriptedRng:
+    """Generator stand-in: scalar draws return 0.5, vector draws pop the scripted arrays."""
+
+    def __init__(self, vectors):
+        self.vectors = list(vectors)
+
+    def random(self, size=None):
+        return 0.5 if size is None else self.vectors.pop(0)
+
+    def integers(self, high):
+        return 0
+
+
+def test_decode_edge_draws_on_the_rounding_boundary():
+    # At p = 1e-12 every top-p draw is an argmax (lowest index on ties), so
+    # the placement order is known in advance. Each edge draw then sits on
+    # the reference's probability or one ulp below it, so a last-bit change
+    # in exp or in the softmax sum flips an edge.
+    gen = np.random.default_rng(11)
+    for case in range(300):
+        n = int(gen.integers(3, 16))
+        A = random_matrix(gen, n)
+        out_sums = A.sum(axis=1) - np.diagonal(A)
+        placed = [int(np.argmax(1.0 / (out_sums + DEGREE_EPS)))]
+        remaining = [v for v in range(n) if v != placed[0]]
+        vectors = []
+        while remaining:
+            u = remaining.pop(int(np.argmax(out_sums[remaining])))
+            weights = np.exp(A[u, placed])
+            probs = weights / weights.sum()
+            vectors.append(np.where(gen.random(len(placed)) < 0.5, probs, np.nextafter(probs, 0.0)))
+            placed.append(u)
+        fast = decode_dag(A, 1e-12, ScriptedRng(vectors))
+        assert fast.to_dict() == reference_decode_dag(A, 1e-12, ScriptedRng(vectors)).to_dict(), case
+
+
+def test_top_p_matches_numpy_reference():
+    gen = np.random.default_rng(99)
+    for case in range(5000):
+        k = int(gen.integers(1, 16))
+        scores = gen.random(k)
+        kind = case // 4 % 5
+        if kind == 0:
+            scores = np.zeros(k)
+        elif kind == 1:
+            scores = np.round(np.where(gen.random(k) < 0.5, 0.0, scores), 1)
+        elif kind == 2:
+            scores = scores * 1e-8
+        elif kind == 3:
+            scores = scores * 1e8
+        p = random_p(gen, case)
+        fast, ref = np.random.default_rng(case), np.random.default_rng(case)
+        assert top_p_sample(scores, p, fast) == reference_top_p_sample(scores, p, ref), (case, p)
+        assert fast.bit_generator.state == ref.bit_generator.state, case
+
+
+def test_np_sum_matches_numpy_bit_for_bit():
+    gen = np.random.default_rng(5)
+    for n in range(301):
+        for _ in range(5):
+            xs = (gen.random(n) * 10.0 ** gen.uniform(-6, 6, n) * gen.choice([-1.0, 1.0], n)).tolist()
+            assert _np_sum(xs) == float(np.sum(np.asarray(xs, dtype=float))), n
