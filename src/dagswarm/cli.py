@@ -59,11 +59,12 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _node_evaluator():
+def _node_evaluator(jobs: int | None = None):
+    """The remote evaluator when an endpoint is set; ``jobs`` None keeps its default."""
     endpoint = os.environ.get(ENDPOINT_ENV)
-    if endpoint:
-        return RemoteEvaluator(endpoint)
-    return None
+    if not endpoint:
+        return None
+    return RemoteEvaluator(endpoint) if jobs is None else RemoteEvaluator(endpoint, jobs=jobs)
 
 
 def _out_dir(args) -> Path:
@@ -93,7 +94,7 @@ def _load_system(path: str) -> tuple[DagStructure, Assignment, list[np.ndarray]]
 def cmd_optimize(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     rng = RngFactory(cfg.seed)
-    utility = build_utility(cfg.utility_spec, rng.stream("task"), _node_evaluator())
+    utility = build_utility(cfg.utility_spec, rng.stream("task"), _node_evaluator(args.jobs))
     pool = load_pool(args.pool) if args.pool else None
     system, trace = optimize(
         cfg, pool, utility, checkpoint_path=args.checkpoint, resume_from=args.resume
@@ -186,7 +187,7 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     rng = RngFactory(cfg.seed)
-    evaluator = _node_evaluator()
+    evaluator = _node_evaluator(args.jobs)
     entries = []
     for run in range(args.runs):
         hp = sample_grid_hyperparams(rng.stream("sweep", run))
@@ -233,16 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dagswarm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode=False):
+    def common(p, search=False):
         p.add_argument("--config", help="JSON config file (empty file = defaults)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="evaluation worker limit (current evaluators run sequentially)")
         p.add_argument("--out", default=".", help="output directory")
-        if mode:
+        if search:
             p.add_argument("--mode", choices=("full", "role_only", "weight_only"), default=None)
+            p.add_argument("--jobs", type=int, default=None, help="dataset items in flight at once at a remote endpoint")
 
     p = sub.add_parser("optimize", help="run the alternating optimization loop")
-    common(p, mode=True)
+    common(p, search=True)
     p.add_argument("--pool", help="expert pool directory (manifest.json + expert files)")
     p.add_argument("--checkpoint", help="file to write a resumable checkpoint to each iteration")
     p.add_argument("--resume", help="checkpoint file to resume from")
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("sweep", help="random hyperparameter draws from the preset grid")
-    common(p, mode=True)
+    common(p, search=True)
     p.add_argument("--runs", type=int, default=50)
     p.set_defaults(handler=cmd_sweep)
 
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
         print(json.dumps({"error": {"type": "UsageError", "message": "--jobs must be >= 1"}}), file=sys.stderr)
         return 2
     try:

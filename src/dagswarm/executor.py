@@ -8,6 +8,7 @@ carries k dataset items, and each node counts k evaluator calls for it.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +48,23 @@ class NodeEvaluator:
     """Maps (role, expert parameters or handle, inputs, task input, node) to a message.
 
     Invocations are counted in ``calls``, one per dataset item, so budgets
-    can be audited. Evaluators whose experts never see the parameter vectors
-    set ``uses_expert_params`` to False.
+    can be audited; the count is exact when threads share the evaluator.
+    Evaluators whose experts never see the parameter vectors set
+    ``uses_expert_params`` to False. ``jobs`` is how many dataset items a
+    utility may run through the evaluator at once.
     """
 
     uses_expert_params = True
+    jobs = 1
 
     def __init__(self):
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def __call__(self, role, params, inputs, task_input, node) -> Message:
         payload = task_input.payload
-        self.calls += len(payload) if isinstance(payload, np.ndarray) and payload.ndim == 2 else 1
+        with self._calls_lock:
+            self.calls += len(payload) if isinstance(payload, np.ndarray) and payload.ndim == 2 else 1
         return self.evaluate(role, params, inputs, task_input, node)
 
     def evaluate(self, role, params, inputs, task_input, node) -> Message:

@@ -12,11 +12,11 @@ text and predecessor responses (in topological order) are appended.
 """
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-import requests
+from urllib.parse import urlsplit
 
 from .executor import Message, NodeEvaluator, ROLE_END, ROLE_ENTRY, ROLE_MIDDLE
 
@@ -45,15 +45,27 @@ class RemoteEvaluator(NodeEvaluator):
 
     Expert parameters are not transmitted; the endpoint is the model. Weight
     optimization over remote experts is rejected upstream for that reason.
+    Each request has a connection of its own, and up to ``jobs`` dataset items
+    are in flight at once. Transport errors and 5xx replies are retried up to
+    ``retries`` times; any other bad reply fails at once.
     """
 
     uses_expert_params = False
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 0):
+    def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 0, jobs: int = 4):
         super().__init__()
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http(s) URL, got {endpoint!r}")
+        if jobs < 1 or retries < 0:
+            raise ValueError("jobs must be >= 1 and retries >= 0")
+        self._connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        self._address = (url.hostname, url.port)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries
+        self.jobs = jobs
 
     def evaluate(self, role, params, inputs, task_input, node) -> Message:
         if not isinstance(task_input.payload, str):
@@ -66,18 +78,30 @@ class RemoteEvaluator(NodeEvaluator):
             "prior": prior,
             "prompt": build_prompt(role, task_input.payload, prior),
         }
-        last_error: Exception | None = None
+        body = json.dumps(request).encode()
         for _ in range(self.retries + 1):
+            connection = self._connection(*self._address, timeout=self.timeout)
             try:
-                response = requests.post(self.endpoint, json=request, timeout=self.timeout)
-                response.raise_for_status()
-                text = response.json()["text"]
-                if not isinstance(text, str):
-                    raise ValueError("endpoint returned a non-string 'text'")
-                return Message(text, origin=node)
-            except (requests.RequestException, ValueError, KeyError) as exc:
-                last_error = exc
-        raise RuntimeError(f"remote evaluation failed at {self.endpoint}: {last_error}")
+                connection.request("POST", self._path, body, {"Content-Type": "application/json", "Connection": "close"})
+                response = connection.getresponse()
+                status, data = response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                error = exc
+                continue
+            finally:
+                connection.close()
+            error = f"HTTP status {status}"
+            if status < 400:
+                try:
+                    text = json.loads(data)["text"]
+                except (ValueError, KeyError, TypeError):
+                    text = None
+                if isinstance(text, str):
+                    return Message(text, origin=node)
+                error = "reply is not a JSON object with a string 'text'"
+            if status < 500:
+                break
+        raise RuntimeError(f"remote evaluation failed at {self.endpoint}: {error}")
 
 
 class _StubHandler(BaseHTTPRequestHandler):

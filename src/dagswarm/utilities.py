@@ -9,6 +9,7 @@ and text datasets scored by exact match (remote mode).
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,10 @@ def make_affine_task(
 
 
 class DatasetUtility(UtilityFunction):
-    """Exact-match accuracy over text items (remote mode)."""
+    """Exact-match accuracy over text items (remote mode); up to ``evaluator.jobs`` items run at once.
+
+    Scores are gathered in item order, and the first failing item in that order raises.
+    """
 
     def __init__(self, items: list[dict], evaluator: NodeEvaluator):
         if not items:
@@ -138,11 +142,19 @@ class DatasetUtility(UtilityFunction):
         self.evaluator = evaluator
 
     def evaluate(self, dag, assignment, pool) -> float:
-        correct = 0
-        for item in self.items:
+        def score(item) -> int:
             out = execute(dag, assignment, pool, Message(str(item["input"])), self.evaluator)
-            correct += int(exact_match(out.payload, item["answer"]))
-        return correct / self.dataset_size
+            return int(exact_match(out.payload, item["answer"]))
+
+        jobs = min(self.evaluator.jobs, len(self.items))
+        if jobs == 1:
+            return sum(map(score, self.items)) / self.dataset_size
+        workers = ThreadPoolExecutor(jobs)
+        try:
+            scores = [future.result() for future in [workers.submit(score, item) for item in self.items]]
+        finally:
+            workers.shutdown(cancel_futures=True)  # after a failure, items not yet started never run
+        return sum(scores) / self.dataset_size
 
 
 def exact_match(output, answer) -> bool:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dagswarm import RemoteEvaluator, cli
 from dagswarm.cli import ENDPOINT_ENV, parse_config, run_cli
 
 
@@ -98,6 +99,43 @@ def test_usage_error_is_json_with_exit_2(capsys):
 def test_jobs_validation(capsys):
     assert run_cli(["optimize", "--jobs", "0", "--out", "unused"]) == 2
     capsys.readouterr()
+
+
+def test_analyze_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["analyze", "--jobs", "2", "--correctness", "unused.json"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+
+
+def test_optimize_jobs_reach_the_remote_evaluator(tmp_path, capsys, monkeypatch, clean_stub):
+    built = []
+
+    class Recording(RemoteEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.jobs)
+
+    monkeypatch.setattr(cli, "RemoteEvaluator", Recording)
+    monkeypatch.setenv(ENDPOINT_ENV, clean_stub.endpoint)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("".join(json.dumps({"input": f"{k}+{k}", "answer": str(2 * k)}) + "\n" for k in range(3)))
+    cfg = write(
+        tmp_path / "cfg.json",
+        {
+            "n_experts": 2,
+            "matrix_swarm_size": 2,
+            "max_iterations": 1,
+            "patience": 1,
+            "mode": "role_only",
+            "utility_spec": {"name": "dataset", "path": str(dataset)},
+        },
+    )
+    assert run_cli(["optimize", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert run_cli(["optimize", "--config", cfg, "--jobs", "2", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert built == [4, 2]
+    assert len(clean_stub.requests) == 2 * 2 * 2 * 3
 
 
 def test_analyze_writes_report_and_csv(tmp_path, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -115,3 +117,118 @@ def test_parameter_search_over_remote_experts_rejected(clean_stub, mode):
     assert utility.evaluator_calls == 0
     _, trace = optimize(replace(cfg, mode="role_only"), None, utility)
     assert len(clean_stub.requests) == trace.total_evaluator_calls > 0
+
+
+def test_role_only_search_identical_across_jobs(clean_stub):
+    # The stub echoes prompts, so an answer equal to the end prompt of a star
+    # (two entry nodes feeding node 2) makes the score depend on the decoded
+    # structure and on pairing each reply with its own item.
+    items = []
+    for k in range(8):
+        question = f"What is {k} + {k}?"
+        entry = build_prompt("entry", question, [])
+        prior = [{"node": node, "text": entry} for node in ((1, 0) if k % 2 else (0, 1))]
+        items.append({"input": question, "answer": build_prompt("end", question, prior)})
+    cfg = RunConfig(n_experts=3, matrix_swarm_size=3, max_iterations=2, patience=2, mode="role_only", seed=5)
+    outputs = set()
+    for jobs in (1, 2, 4):
+        clean_stub.requests.clear()
+        utility = DatasetUtility(items, RemoteEvaluator(clean_stub.endpoint, jobs=jobs))
+        system, trace = optimize(cfg, None, utility)
+        assert utility.evaluator_calls == len(clean_stub.requests) == trace.total_evaluator_calls
+        assert system.best_utility > 0
+        outputs.add(trace.to_jsonl() + system.to_json())
+    assert len(outputs) == 1
+
+
+def test_unreachable_endpoint_fails_alike_for_every_jobs():
+    items = [{"input": f"q{k}", "answer": "a"} for k in range(6)]
+    errors = []
+    for jobs in (1, 4):
+        utility = DatasetUtility(items, RemoteEvaluator("http://127.0.0.1:9/", timeout=0.2, jobs=jobs))
+        with pytest.raises(ExecutionError) as err:
+            utility.evaluate(chain_dag(2), Assignment.identity(2), [np.zeros(1)] * 2)
+        errors.append((err.value.node, str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 0
+
+
+@pytest.mark.parametrize("endpoint", ["ftp://x", "localhost:8000", "http://", "not a url"])
+def test_endpoint_must_be_http_url(endpoint):
+    with pytest.raises(ValueError, match="http"):
+        RemoteEvaluator(endpoint)
+
+
+def test_jobs_and_retries_validated():
+    with pytest.raises(ValueError):
+        RemoteEvaluator("http://127.0.0.1:9/", jobs=0)
+    with pytest.raises(ValueError):
+        RemoteEvaluator("http://127.0.0.1:9/", retries=-1)
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the server's next scripted (status, body); None drops the connection."""
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.posts += 1
+        reply = self.server.replies.pop(0)
+        if reply is None:
+            self.close_connection = True
+            return
+        status, body = reply
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def scripted():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.replies, server.posts = [], 0
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _ask(server, retries):
+    host, port = server.server_address[:2]
+    evaluator = RemoteEvaluator(f"http://{host}:{port}/", timeout=5, retries=retries)
+    return evaluator("end", None, [], Message("q"), 0)
+
+
+OK = (200, b'{"text": "ok"}')
+
+
+@pytest.mark.parametrize("first", [(503, b""), (500, b'{"text": "x"}'), None], ids=["503", "500", "dropped"])
+def test_transport_errors_and_5xx_are_retried(scripted, first):
+    scripted.replies = [first, OK]
+    assert _ask(scripted, retries=2).payload == "ok"
+    assert scripted.posts == 2
+
+
+def test_retries_run_out(scripted):
+    scripted.replies = [(503, b"")] * 3
+    with pytest.raises(RuntimeError, match="HTTP status 503"):
+        _ask(scripted, retries=2)
+    assert scripted.posts == 3
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [(400, b'{"text": "x"}'), (404, b""), (200, b"not json"), (200, b"{}"), (200, b'{"text": 5}'), (200, b'["text"]')],
+    ids=["400", "404", "non-json", "no-text", "non-string-text", "not-an-object"],
+)
+def test_other_bad_replies_fail_at_once(scripted, reply):
+    scripted.replies = [reply, OK, OK]
+    with pytest.raises(RuntimeError, match="remote evaluation failed"):
+        _ask(scripted, retries=2)
+    assert scripted.posts == 1

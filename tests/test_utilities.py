@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from dagswarm import (
     Assignment,
     DagStructure,
     DatasetUtility,
+    ExecutionError,
     Message,
     NodeEvaluator,
     RngFactory,
@@ -119,6 +123,96 @@ def test_dataset_utility_exact_match(tmp_path):
     dag = DagStructure(1, 0, frozenset(), (0,))
     assert utility.evaluate(dag, Assignment.identity(1), [np.zeros(1)]) == 0.5
     assert utility.dataset_size == 2
+
+
+class SlowEvaluator(CannedEvaluator):
+    """Canned replies after a short wait, recording the threads and inputs it saw."""
+
+    jobs = 4
+
+    def __init__(self, replies, failures=(), delays=None):
+        super().__init__(replies)
+        self.failures = failures
+        self.delays = delays or {}
+        self.threads = set()
+        self.started = []
+
+    def evaluate(self, role, params, inputs, task_input, node):
+        text = str(task_input.payload)
+        self.threads.add(threading.get_ident())
+        self.started.append(text)
+        time.sleep(self.delays.get(text, 0.002))
+        if text in self.failures:
+            raise ValueError(f"no reply for {text}")
+        return super().evaluate(role, params, inputs, task_input, node)
+
+
+DAG1 = DagStructure(1, 0, frozenset(), (0,))
+
+
+def test_dataset_items_run_on_worker_threads_with_the_same_score():
+    items = [{"input": f"{k}+{k}", "answer": str(2 * k)} for k in range(12)]
+    replies = {f"{k}+{k}": str(2 * k) for k in range(0, 12, 3)}
+    sequential = DatasetUtility(items, CannedEvaluator(replies))
+    threaded = DatasetUtility(items, SlowEvaluator(replies))
+    expected = sequential.evaluate(DAG1, Assignment.identity(1), [np.zeros(1)])
+    assert expected == 4 / 12
+    assert threaded.evaluate(DAG1, Assignment.identity(1), [np.zeros(1)]) == expected
+    assert len(threaded.evaluator.threads) > 1
+    assert threading.get_ident() not in threaded.evaluator.threads
+    assert threaded.evaluator_calls == sequential.evaluator_calls == 12
+
+
+def test_first_failing_item_in_order_raises():
+    # Item 3 fails at once; item 1 fails later but comes first, as in a sequential loop.
+    items = [{"input": str(k), "answer": "x"} for k in range(8)]
+    evaluator = SlowEvaluator({}, failures={"1", "3"}, delays={"1": 0.05, "3": 0.0})
+    with pytest.raises(ExecutionError, match="no reply for 1"):
+        DatasetUtility(items, evaluator).evaluate(DAG1, Assignment.identity(1), [np.zeros(1)])
+
+
+def test_items_not_started_are_cancelled_after_a_failure():
+    items = [{"input": str(k), "answer": "x"} for k in range(40)]
+    evaluator = SlowEvaluator({}, failures={"0"}, delays={"0": 0.0})
+    evaluator.jobs = 2
+    with pytest.raises(ExecutionError, match="no reply for 0"):
+        DatasetUtility(items, evaluator).evaluate(DAG1, Assignment.identity(1), [np.zeros(1)])
+    assert len(evaluator.started) < len(items) // 2
+
+
+class PropertyCountEvaluator(CannedEvaluator):
+    """Reads and writes ``calls`` through Python code, so a thread switch can fall between the two."""
+
+    @property
+    def calls(self):
+        return self._count
+
+    @calls.setter
+    def calls(self, value):
+        self._count = value
+
+
+@pytest.mark.parametrize("evaluator_type", [CannedEvaluator, PropertyCountEvaluator])
+def test_evaluator_calls_exact_under_threads(evaluator_type):
+    evaluator = evaluator_type({})
+    task, rounds, threads = Message("q"), 20_000, 8
+
+    def hammer():
+        for _ in range(rounds):
+            evaluator("end", None, [], task, 0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert evaluator.calls == rounds * threads
 
 
 def test_dataset_utility_validation():
