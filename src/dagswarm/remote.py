@@ -57,10 +57,12 @@ class RemoteEvaluator(NodeEvaluator):
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http(s) URL, got {endpoint!r}")
+        if url.username is not None or url.password is not None:
+            raise ValueError("endpoint must not carry credentials")
         if jobs < 1 or retries < 0:
             raise ValueError("jobs must be >= 1 and retries >= 0")
         self._connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-        self._address = (url.hostname, url.port)
+        self._address = (url.hostname, url.port or self._connection.default_port)
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self.endpoint = endpoint
         self.timeout = timeout

@@ -146,10 +146,7 @@ class DatasetUtility(UtilityFunction):
             out = execute(dag, assignment, pool, Message(str(item["input"])), self.evaluator)
             return int(exact_match(out.payload, item["answer"]))
 
-        jobs = min(self.evaluator.jobs, len(self.items))
-        if jobs == 1:
-            return sum(map(score, self.items)) / self.dataset_size
-        workers = ThreadPoolExecutor(jobs)
+        workers = ThreadPoolExecutor(min(self.evaluator.jobs, len(self.items)))
         try:
             scores = [future.result() for future in [workers.submit(score, item) for item in self.items]]
         finally:

@@ -159,6 +159,27 @@ def test_endpoint_must_be_http_url(endpoint):
         RemoteEvaluator(endpoint)
 
 
+@pytest.mark.parametrize("endpoint", ["http://user:pw@127.0.0.1:9/", "https://user@example.com/"])
+def test_endpoint_credentials_rejected(endpoint):
+    with pytest.raises(ValueError, match="credentials"):
+        RemoteEvaluator(endpoint)
+
+
+@pytest.mark.parametrize(
+    "endpoint, address",
+    [
+        ("http://[::1]/", ("::1", 80)),
+        ("https://[::1]/", ("::1", 443)),
+        ("http://[::1]:8099/x", ("::1", 8099)),
+        ("http://localhost/", ("localhost", 80)),
+        ("http://127.0.0.1:8099", ("127.0.0.1", 8099)),
+    ],
+)
+def test_endpoint_address_has_an_explicit_port(endpoint, address):
+    # http.client splits a port-less host at its last ':', which breaks IPv6 literals.
+    assert RemoteEvaluator(endpoint)._address == address
+
+
 def test_jobs_and_retries_validated():
     with pytest.raises(ValueError):
         RemoteEvaluator("http://127.0.0.1:9/", jobs=0)
