@@ -10,6 +10,7 @@ import pytest
 from dagswarm import (
     RngFactory,
     RunConfig,
+    SparsityConfig,
     build_pool,
     build_utility,
     config_from_dict,
@@ -212,6 +213,32 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     assert system_resumed.to_json() == system_full.to_json()
     tail = trace_full.to_jsonl().splitlines()[3:]
     assert trace_resumed.to_jsonl().splitlines() == tail
+
+
+RESUME_VARIANTS = {
+    "plain": {},
+    "dropout": {"dropout_role": 0.3, "dropout_weight": 0.3},
+    "l1": {"sparsity": SparsityConfig("l1", l1_coeff=0.05), "top_p": 0.3},
+}
+
+
+@pytest.mark.parametrize("mode", ["full", "role_only", "weight_only"])
+def test_resume_at_any_stop_point_replays_the_uninterrupted_run(mode, tmp_path):
+    ck = tmp_path / "checkpoint.json"
+    for variant, overrides in RESUME_VARIANTS.items():
+        for seed in (0, 1):
+            cfg = small_cfg(
+                mode=mode, max_iterations=6, patience=6, seed=seed,
+                utility_spec={"name": "affine_target", "n": 4, "points": 4}, **overrides,
+            )
+            system_full, trace_full = run(cfg)
+            lines_full = trace_full.to_jsonl().splitlines()
+            for stop in (1, 3, 5):
+                run(replace(cfg, max_iterations=stop), checkpoint_path=ck)
+                system, trace = run(cfg, resume_from=ck)
+                where = f"{mode}/{variant} seed {seed} stop {stop}"
+                assert system.to_json() == system_full.to_json(), where
+                assert trace.to_jsonl().splitlines() == lines_full[stop:], where
 
 
 def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
