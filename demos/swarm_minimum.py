@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dagswarm import Particle, PsoHyperparams, RngFactory, SwarmState, pso_step
+from dagswarm import PsoHyperparams, RngFactory, Swarm, pso_step
 
 CENTER = np.array([0.62, 0.31])
 
@@ -19,22 +19,19 @@ def bowl(x: np.ndarray) -> float:
 
 def main() -> None:
     rng = RngFactory(seed=1)
-    particles = [Particle.at(p) for p in rng.stream("init_matrices").uniform(0, 1, (8, 2))]
-    state = SwarmState.empty()
+    swarm = Swarm.from_positions(rng.stream("init_matrices").uniform(0, 1, (8, 2)))
 
     print(f"target {CENTER.tolist()}, 8 particles, 60 steps")
     for t in range(60):
-        scores = [bowl(p.position) for p in particles]
-        particles, state, best = pso_step(
-            particles, scores, state, PsoHyperparams(), rng.stream("role_pso", t)
-        )
+        scores = [bowl(x) for x in swarm.positions]
+        swarm = pso_step(swarm, scores, PsoHyperparams(), rng.stream("role_pso", t))
         if t % 10 == 0:
             print(
-                f"step {t:2d}  best particle {best}  "
-                f"record {state.global_best_score:+.6f}  worst {state.global_worst_score:+.6f}"
+                f"step {t:2d}  best particle {int(np.argmax(scores))}  "
+                f"record {swarm.global_best_score:+.6f}  worst {swarm.global_worst_score:+.6f}"
             )
 
-    print(f"final record {state.global_best_score:+.6f} at {state.global_best.round(4).tolist()}")
+    print(f"final record {swarm.global_best_score:+.6f} at {swarm.global_best.round(4).tolist()}")
     print("the record only tightens; the worst-seen score anchors the repulsion term")
 
 

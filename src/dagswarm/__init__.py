@@ -38,17 +38,10 @@ from .orchestrate import (
     optimize,
 )
 from .pool import ExpertPool, build_pool, load_pool, save_pool
-from .pso import (
-    GRID,
-    Particle,
-    PsoHyperparams,
-    SwarmState,
-    pso_step,
-    sample_grid_hyperparams,
-)
+from .pso import GRID, PsoHyperparams, Swarm, pso_step, sample_grid_hyperparams
 from .remote import PROMPT_PREAMBLES, RemoteEvaluator, StubServer, build_prompt
 from .rng import RngFactory
-from .role_step import RoleRecord, SparsityConfig, Swarm, role_step, shaped_utility
+from .role_step import RoleRecord, SparsityConfig, role_step, shaped_utility
 from .utilities import (
     AffineTargetUtility,
     ConstantUtility,
@@ -91,7 +84,6 @@ __all__ = [
     "NodeEvaluator",
     "OptimizedSystem",
     "PROMPT_PREAMBLES",
-    "Particle",
     "PsoHyperparams",
     "RemoteEvaluator",
     "RngFactory",
@@ -101,7 +93,6 @@ __all__ = [
     "SparsityConfig",
     "StubServer",
     "Swarm",
-    "SwarmState",
     "TraceRow",
     "UtilityFunction",
     "ablation_consistent",

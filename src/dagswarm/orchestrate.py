@@ -9,6 +9,7 @@ n * (N + M) * |f| budget.
 """
 from __future__ import annotations
 
+import base64
 import json
 import os
 import time
@@ -20,14 +21,14 @@ import numpy as np
 from .executor import Assignment
 from .graph import DagStructure, decode_dag, init_adjacency_swarm
 from .pool import ExpertPool, build_pool
-from .pso import Particle, PsoHyperparams, SwarmState
+from .pso import PsoHyperparams, Swarm
 from .rng import RngFactory
-from .role_step import RoleRecord, SparsityConfig, Swarm, role_step
+from .role_step import RoleRecord, SparsityConfig, role_step
 from .utilities import UtilityFunction
 from .weight_step import weight_step
 
 MODES = ("full", "role_only", "weight_only")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -193,45 +194,31 @@ def _initial_expert_positions(cfg: RunConfig, pool, rng: RngFactory) -> list[np.
     return params
 
 
-def _serialize_swarm(swarm: Swarm) -> dict:
-    state = swarm.state
-    return {
-        "particles": [
-            {
-                "position": p.position.tolist(),
-                "velocity": p.velocity.tolist(),
-                "personal_best": p.personal_best.tolist(),
-                "personal_best_score": float(p.personal_best_score),
-            }
-            for p in swarm.particles
-        ],
-        "state": {
-            "global_best": None if state.global_best is None else state.global_best.tolist(),
-            "global_best_score": float(state.global_best_score),
-            "global_worst": None if state.global_worst is None else state.global_worst.tolist(),
-            "global_worst_score": float(state.global_worst_score),
-        },
-    }
+def _pack(value):
+    """An array becomes ``{"shape", "f8"}``: its little-endian float64 bytes in base64."""
+    if isinstance(value, np.ndarray):
+        raw = np.ascontiguousarray(value, dtype="<f8").tobytes()
+        return {"shape": list(value.shape), "f8": base64.b64encode(raw).decode("ascii")}
+    return value
 
 
-def _deserialize_swarm(data: dict) -> Swarm:
-    particles = [
-        Particle(
-            np.asarray(p["position"], dtype=float),
-            np.asarray(p["velocity"], dtype=float),
-            np.asarray(p["personal_best"], dtype=float),
-            float(p["personal_best_score"]),
-        )
-        for p in data["particles"]
-    ]
-    s = data["state"]
-    state = SwarmState(
-        None if s["global_best"] is None else np.asarray(s["global_best"], dtype=float),
-        float(s["global_best_score"]),
-        None if s["global_worst"] is None else np.asarray(s["global_worst"], dtype=float),
-        float(s["global_worst_score"]),
-    )
-    return Swarm(particles, state)
+def _unpack(value):
+    """Inverse of ``_pack``: a writable float array, or the value unchanged.
+
+    Bytes that do not fill ``shape`` exactly raise numpy's ``ValueError``.
+    """
+    if not (isinstance(value, dict) and "f8" in value):
+        return value
+    raw = np.frombuffer(base64.b64decode(value["f8"]), dtype="<f8")
+    return raw.reshape(value["shape"]).astype(float)
+
+
+def _pack_swarm(swarm: Swarm) -> dict:
+    return {name: _pack(value) for name, value in vars(swarm).items()}
+
+
+def _unpack_swarm(data: dict) -> Swarm:
+    return Swarm(**{name: _unpack(value) for name, value in data.items()})
 
 
 def save_checkpoint(path: str | Path, payload: dict) -> None:
@@ -286,12 +273,12 @@ def optimize(
         start_iteration = payload["iteration"]
         stall = payload["stall"]
         best_utility = payload["best_utility"]
-        matrices = _deserialize_swarm(payload["matrix_swarm"])
-        experts = _deserialize_swarm(payload["expert_swarm"])
+        matrices = _unpack_swarm(payload["matrix_swarm"])
+        experts = _unpack_swarm(payload["expert_swarm"])
         record = None
         if payload["record"] is not None:
             record = RoleRecord(
-                np.asarray(payload["record"]["matrix"], dtype=float),
+                _unpack(payload["record"]["matrix"]),
                 DagStructure.from_dict(payload["record"]["dag"]),
                 float(payload["record"]["utility"]),
             )
@@ -305,12 +292,11 @@ def optimize(
         record = None
         if cfg.mode == "weight_only":
             # Freeze the structure to the best of the initial random decodes.
-            expert_positions = [p.position for p in experts.particles]
-            for i, particle in enumerate(matrices.particles):
-                dag = decode_dag(particle.position, cfg.top_p, rng.stream("decode", 0, i))
-                raw = float(utility.evaluate(dag, identity, expert_positions))
+            for i, matrix in enumerate(matrices.positions):
+                dag = decode_dag(matrix, cfg.top_p, rng.stream("decode", 0, i))
+                raw = float(utility.evaluate(dag, identity, experts.positions))
                 if record is None or raw > record.utility:
-                    record = RoleRecord(particle.position.copy(), dag, raw)
+                    record = RoleRecord(matrix.copy(), dag, raw)
 
     trace = RunTrace()
     for t in range(start_iteration, cfg.max_iterations):
@@ -331,14 +317,13 @@ def optimize(
 
         best_contribution = None
         if run_role:
-            expert_positions = [p.position for p in experts.particles]
             matrices, record = role_step(
-                matrices, expert_positions, identity, utility,
+                matrices, experts.positions, identity, utility,
                 cfg.sparsity, cfg.role_hp, cfg.top_p, rng, t, record,
             )
             best_utility = max(best_utility, record.utility)
         if run_weight and record is not None:
-            experts, _, report = weight_step(
+            experts, report = weight_step(
                 experts, record.dag, utility, cfg.weight_hp, cfg.assignments_per_step, rng, t
             )
             best_contribution = float(np.max(report.scores))
@@ -373,12 +358,12 @@ def optimize(
                     "record": None
                     if record is None
                     else {
-                        "matrix": record.matrix.tolist(),
+                        "matrix": _pack(record.matrix),
                         "dag": record.dag.to_dict(),
                         "utility": float(record.utility),
                     },
-                    "matrix_swarm": _serialize_swarm(matrices),
-                    "expert_swarm": _serialize_swarm(experts),
+                    "matrix_swarm": _pack_swarm(matrices),
+                    "expert_swarm": _pack_swarm(experts),
                 },
             )
 
@@ -390,7 +375,7 @@ def optimize(
     system = OptimizedSystem(
         dag=record.dag,
         assignment=identity,
-        expert_params=[p.position.copy() for p in experts.particles],
+        expert_params=[p.copy() for p in experts.positions],
         best_utility=float(best_utility),
         best_role_utility=float(record.utility),
     )

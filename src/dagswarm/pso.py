@@ -8,7 +8,7 @@ length ``step_length`` along the blended velocity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,28 +58,31 @@ def sample_grid_hyperparams(rng: np.random.Generator) -> PsoHyperparams:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
+class Swarm:
+    """N particles as stacked arrays: row i of every array belongs to particle i.
+
+    ``positions``, ``velocities`` and ``personal_best`` have shape
+    ``(N, *shape)`` and ``personal_best_scores`` has shape ``(N,)``. The
+    global best and worst stay ``None`` until a score first sets them.
+    """
+
+    positions: np.ndarray
+    velocities: np.ndarray
     personal_best: np.ndarray
-    personal_best_score: float = -np.inf
-
-    @classmethod
-    def at(cls, position: np.ndarray) -> "Particle":
-        pos = np.asarray(position, dtype=float)
-        return cls(pos.copy(), np.zeros_like(pos), pos.copy())
-
-
-@dataclass
-class SwarmState:
+    personal_best_scores: np.ndarray
     global_best: np.ndarray | None = None
     global_best_score: float = -np.inf
     global_worst: np.ndarray | None = None
     global_worst_score: float = np.inf
 
     @classmethod
-    def empty(cls) -> "SwarmState":
-        return cls()
+    def from_positions(cls, positions) -> "Swarm":
+        """Particles at rest at ``positions``; a ragged list raises ``ValueError``."""
+        pos = np.array(positions, dtype=float)
+        return cls(pos, np.zeros_like(pos), pos.copy(), np.full(len(pos), -np.inf))
+
+    def __len__(self) -> int:
+        return len(self.positions)
 
 
 def _draw_coefficients(hp: PsoHyperparams, rng) -> tuple[float, float, float, float, float]:
@@ -96,61 +99,63 @@ def _draw_coefficients(hp: PsoHyperparams, rng) -> tuple[float, float, float, fl
     raise ArithmeticError("pso coefficient draw degenerate: C == 0 after retries")
 
 
-def pso_step(
-    particles: list[Particle],
-    scores: list[float],
-    state: SwarmState,
-    hp: PsoHyperparams,
-    rng: np.random.Generator,
-) -> tuple[list[Particle], SwarmState, int]:
-    """Advance every particle once.
+def _coefficients(hp: PsoHyperparams, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Per-particle pull weights ``(n, 4)`` and their sums ``(n,)``.
 
-    ``scores[i]`` is the utility of ``particles[i].position`` as passed in.
-    Personal and global records are updated from those scored positions
-    first; all particles then move in parallel from a snapshot of the
-    global best and worst. Returns the updated swarm, the updated state and
-    the index of the best input score (ties to the lowest index).
+    One draw call serves the whole swarm. If any row sums to zero, the
+    generator is rewound and the rows are drawn one at a time with retries,
+    so the draws match a particle-by-particle loop in every case.
     """
-    if len(scores) != len(particles):
+    state = rng.bit_generator.state
+    a = rng.random((n, 4)) * np.array([hp.inertia, hp.cognitive, hp.social, hp.repel])
+    c = a[:, 0] + a[:, 1] + a[:, 2] + a[:, 3]
+    if np.all(c > 0.0):
+        return a, c
+    rng.bit_generator.state = state
+    rows = np.array([_draw_coefficients(hp, rng) for _ in range(n)])
+    return rows[:, :4], rows[:, 4]
+
+
+def pso_step(swarm: Swarm, scores, hp: PsoHyperparams, rng: np.random.Generator) -> Swarm:
+    """Advance every particle once; the input swarm is left unchanged.
+
+    ``scores[i]`` is the utility of ``swarm.positions[i]``. Personal and
+    global records are updated from those scored positions first (strictly
+    better only, NaN never wins, ties go to the lowest index); all particles
+    then move in parallel from the updated global best and worst.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != (len(swarm),):
         raise ValueError("scores and particles length mismatch")
-    if not particles:
+    if not len(swarm):
         raise ValueError("empty swarm")
-    shape = particles[0].position.shape
-    for part in particles:
-        if part.position.shape != shape or part.velocity.shape != shape:
-            raise ValueError("inhomogeneous particle shapes")
+    x = swarm.positions
 
-    updated = []
-    best = state.global_best
-    best_score = state.global_best_score
-    worst = state.global_worst
-    worst_score = state.global_worst_score
-    for part, score in zip(particles, scores):
-        score = float(score)
-        if score > part.personal_best_score:
-            part = replace(part, personal_best=part.position.copy(), personal_best_score=score)
-        if score > best_score:
-            best_score = score
-            best = part.position.copy()
-        if score < worst_score:
-            worst_score = score
-            worst = part.position.copy()
-        updated.append(part)
+    improved = scores > swarm.personal_best_scores
+    personal_best = swarm.personal_best.copy()
+    personal_best[improved] = x[improved]
+    personal_best_scores = np.where(improved, scores, swarm.personal_best_scores)
 
-    new_state = SwarmState(best, best_score, worst, worst_score)
-    g = best
-    g_w = worst
-    moved = []
-    for part in updated:
-        a_v, a_p, a_g, a_w, c = _draw_coefficients(hp, rng)
-        velocity = (
-            a_v * part.velocity
-            + a_p * (part.personal_best - part.position)
-            + a_g * (g - part.position)
-            - a_w * (g_w - part.position)
-        ) / c
-        position = part.position + hp.step_length * velocity
-        moved.append(replace(part, position=position, velocity=velocity))
+    best, best_score = swarm.global_best, swarm.global_best_score
+    worst, worst_score = swarm.global_worst, swarm.global_worst_score
+    nan = np.isnan(scores)
+    top = int(np.argmax(np.where(nan, -np.inf, scores)))
+    if scores[top] > best_score:
+        best, best_score = x[top].copy(), float(scores[top])
+    bottom = int(np.argmin(np.where(nan, np.inf, scores)))
+    if scores[bottom] < worst_score:
+        worst, worst_score = x[bottom].copy(), float(scores[bottom])
 
-    best_index = int(np.argmax(scores))
-    return moved, new_state, best_index
+    a, c = _coefficients(hp, len(swarm), rng)
+    a_v, a_p, a_g, a_w, c = (col.reshape((-1,) + (1,) * (x.ndim - 1)) for col in (*a.T, c))
+    velocities = (
+        a_v * swarm.velocities
+        + a_p * (personal_best - x)
+        + a_g * (best - x)
+        - a_w * (worst - x)
+    ) / c
+    positions = x + hp.step_length * velocities
+    return Swarm(
+        positions, velocities, personal_best, personal_best_scores,
+        best, best_score, worst, worst_score,
+    )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .executor import Assignment
 from .graph import DagStructure, decode_dag, prune_threshold
-from .pso import Particle, PsoHyperparams, SwarmState, pso_step
+from .pso import PsoHyperparams, Swarm, pso_step
 from .rng import RngFactory
 from .utilities import UtilityFunction
 
@@ -52,16 +52,6 @@ class RoleRecord:
     utility: float
 
 
-@dataclass
-class Swarm:
-    particles: list[Particle]
-    state: SwarmState
-
-    @classmethod
-    def from_positions(cls, positions) -> "Swarm":
-        return cls([Particle.at(p) for p in positions], SwarmState.empty())
-
-
 def role_step(
     swarm: Swarm,
     pool,
@@ -81,26 +71,20 @@ def role_step(
     evaluated. Threshold pruning applies to a decode-time view only; stored
     matrices are never mutated by it.
     """
-    if not swarm.particles:
+    if not len(swarm):
         raise ValueError("empty matrix swarm")
-    raw_scores = []
     shaped_scores = []
-    for i, particle in enumerate(swarm.particles):
-        matrix = particle.position
+    for i, matrix in enumerate(swarm.positions):
         view = prune_threshold(matrix, sparsity.tau) if sparsity.mode == "threshold" else matrix
         dag = decode_dag(view, top_p, rng.stream("decode", iteration, i))
         try:
             raw = float(utility.evaluate(dag, assignment, pool))
         except Exception as exc:  # noqa: BLE001 - annotate with the particle
             raise RuntimeError(f"utility evaluation failed for particle {i}") from exc
-        raw_scores.append(raw)
         shaped_scores.append(shaped_utility(raw, matrix, sparsity))
         if record is None or raw > record.utility:
             record = RoleRecord(matrix.copy(), dag, raw)
 
-    particles, state, _ = pso_step(
-        swarm.particles, shaped_scores, swarm.state, hp, rng.stream("role_pso", iteration)
-    )
-    for particle in particles:
-        np.clip(particle.position, 0.0, 1.0, out=particle.position)
-    return Swarm(particles, state), record
+    swarm = pso_step(swarm, shaped_scores, hp, rng.stream("role_pso", iteration))
+    np.clip(swarm.positions, 0.0, 1.0, out=swarm.positions)
+    return swarm, record

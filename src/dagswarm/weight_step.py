@@ -13,9 +13,8 @@ import numpy as np
 
 from .executor import Assignment
 from .graph import DagStructure
-from .pso import PsoHyperparams, pso_step
+from .pso import PsoHyperparams, Swarm, pso_step
 from .rng import RngFactory
-from .role_step import Swarm
 from .utilities import UtilityFunction
 
 _REPAIR_PASSES = 8
@@ -79,14 +78,6 @@ class ContributionReport:
     counts: np.ndarray
     scores: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "assignments": [list(a.slots) for a in self.assignments],
-            "utilities": list(self.utilities),
-            "counts": self.counts.tolist(),
-            "scores": self.scores.tolist(),
-        }
-
 
 def weight_step(
     experts: Swarm,
@@ -96,9 +87,9 @@ def weight_step(
     M: int,
     rng: RngFactory,
     iteration: int = 0,
-) -> tuple[Swarm, int, ContributionReport]:
+) -> tuple[Swarm, ContributionReport]:
     """Score experts by contribution on the best DAG, then advance them."""
-    pool = [particle.position for particle in experts.particles]
+    pool = experts.positions
     assignments = sample_assignments(dag_best, len(pool), M, rng.stream("assignments", iteration))
     utilities = []
     for j, assignment in enumerate(assignments):
@@ -107,8 +98,5 @@ def weight_step(
         except Exception as exc:  # noqa: BLE001 - annotate with the assignment
             raise RuntimeError(f"utility evaluation failed for assignment {j}") from exc
     scores, counts = contribution_scores(assignments, utilities, len(pool))
-    particles, state, best_index = pso_step(
-        experts.particles, list(scores), experts.state, hp, rng.stream("weight_pso", iteration)
-    )
-    report = ContributionReport(assignments, utilities, counts, scores)
-    return Swarm(particles, state), best_index, report
+    experts = pso_step(experts, scores, hp, rng.stream("weight_pso", iteration))
+    return experts, ContributionReport(assignments, utilities, counts, scores)

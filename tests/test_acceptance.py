@@ -20,12 +20,11 @@ from dagswarm import (
     Assignment,
     BucketTable,
     Message,
-    Particle,
     PsoHyperparams,
     RemoteEvaluator,
     RngFactory,
     RunConfig,
-    SwarmState,
+    Swarm,
     bucketize,
     build_utility,
     collaborative_gain,
@@ -144,16 +143,11 @@ def test_c03_pso_sphere_benchmark():
     for seed in range(10):
         rng = RngFactory(seed)
         center = rng.stream("task").uniform(0.0, 1.0, 10)
-        particles = [
-            Particle.at(p) for p in rng.stream("init_matrices").uniform(0.0, 1.0, (10, 10))
-        ]
-        state = SwarmState.empty()
+        swarm = Swarm.from_positions(rng.stream("init_matrices").uniform(0.0, 1.0, (10, 10)))
         for t in range(200):
-            scores = [-float(np.sum((q.position - center) ** 2)) for q in particles]
-            particles, state, _ = pso_step(
-                particles, scores, state, PsoHyperparams(), rng.stream("role_pso", t)
-            )
-        best_per_seed.append(state.global_best_score)
+            scores = [-float(np.sum((x - center) ** 2)) for x in swarm.positions]
+            swarm = pso_step(swarm, scores, PsoHyperparams(), rng.stream("role_pso", t))
+        best_per_seed.append(swarm.global_best_score)
     assert time.monotonic() - started < 5.0
     wins = sum(best >= -1e-3 for best in best_per_seed)
     assert wins >= 9, (

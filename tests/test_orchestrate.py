@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from dagswarm import (
     RngFactory,
     RunConfig,
     SparsityConfig,
+    Swarm,
     build_pool,
     build_utility,
     config_from_dict,
@@ -18,7 +20,7 @@ from dagswarm import (
     load_checkpoint,
     optimize,
 )
-from dagswarm.orchestrate import save_checkpoint
+from dagswarm.orchestrate import _pack_swarm, _unpack_swarm, save_checkpoint
 
 
 def small_cfg(**overrides):
@@ -205,7 +207,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     # phase one stops after 3 iterations, writing checkpoints
     run(replace(cfg, max_iterations=3), checkpoint_path=ck)
     payload = json.loads(ck.read_text())
-    assert payload["format_version"] == 2 and payload["iteration"] == 3
+    assert payload["format_version"] == 3 and payload["iteration"] == 3
     assert payload["config"]["seed"] == 5
 
     # phase two resumes and finishes
@@ -239,6 +241,73 @@ def test_resume_at_any_stop_point_replays_the_uninterrupted_run(mode, tmp_path):
                 where = f"{mode}/{variant} seed {seed} stop {stop}"
                 assert system.to_json() == system_full.to_json(), where
                 assert trace.to_jsonl().splitlines() == lines_full[stop:], where
+
+
+def test_weight_only_checkpoint_round_trips_an_unmoved_matrix_swarm(tmp_path):
+    ck = tmp_path / "checkpoint.json"
+    run(small_cfg(mode="weight_only", max_iterations=2, patience=2), checkpoint_path=ck)
+    payload = load_checkpoint(ck)
+    matrices = _unpack_swarm(payload["matrix_swarm"])
+    assert matrices.positions.shape == (4, 4, 4)
+    assert matrices.global_best is None and matrices.global_worst is None
+    assert np.all(matrices.personal_best_scores == -np.inf)
+    for key in ("matrix_swarm", "expert_swarm"):
+        assert _pack_swarm(_unpack_swarm(payload[key])) == payload[key]
+
+
+def test_matrix_swarm_round_trips_bit_for_bit():
+    stream = RngFactory(8).stream("task")
+    positions = stream.uniform(0, 1, (5, 4, 4))
+    positions[0, :, 0] = [-0.0, np.inf, -np.inf, 5e-324]
+    positions[1, 1, 1] = np.nan
+    swarm = Swarm(
+        positions, stream.normal(size=(5, 4, 4)), stream.uniform(0, 1, (5, 4, 4)),
+        np.array([0.1, -np.inf, np.inf, -0.0, 1 / 3]),
+        stream.uniform(0, 1, (4, 4)), 0.7, stream.uniform(0, 1, (4, 4)), -0.2,
+    )
+    back = _unpack_swarm(json.loads(json.dumps(_pack_swarm(swarm))))
+    for name, value in vars(swarm).items():
+        restored = getattr(back, name)
+        if isinstance(value, np.ndarray):
+            assert restored.shape == value.shape and restored.tobytes() == value.tobytes(), name
+            assert restored.flags.writeable, name
+        else:
+            assert restored == value, name
+
+
+def test_resume_from_format_2_checkpoint_names_the_version(tmp_path):
+    cfg = small_cfg()
+    particle = {
+        "position": [[0.5] * 4] * 4,
+        "velocity": [[0.0] * 4] * 4,
+        "personal_best": [[0.5] * 4] * 4,
+        "personal_best_score": -1.0,
+    }
+    swarm = {
+        "particles": [particle] * 4,
+        "state": {"global_best": None, "global_best_score": -np.inf, "global_worst": None, "global_worst_score": np.inf},
+    }
+    ck = tmp_path / "checkpoint.json"
+    ck.write_text(json.dumps({
+        "format_version": 2, "iteration": 1, "config": asdict(cfg), "stall": 0, "best_utility": -1.0,
+        "record": None, "matrix_swarm": swarm, "expert_swarm": swarm,
+    }))
+    with pytest.raises(ValueError, match="version: 2"):
+        run(cfg, resume_from=ck)
+
+
+@pytest.mark.parametrize("damage", ["shape", "bytes"])
+def test_checkpoint_array_whose_bytes_disagree_with_its_shape_rejected(tmp_path, damage):
+    ck = tmp_path / "checkpoint.json"
+    run(small_cfg(max_iterations=2, patience=2), checkpoint_path=ck)
+    payload = load_checkpoint(ck)
+    positions = payload["matrix_swarm"]["positions"]
+    if damage == "shape":
+        positions["shape"] = [4, 4, 5]
+    else:
+        positions["f8"] = base64.b64encode(base64.b64decode(positions["f8"])[:-4]).decode("ascii")
+    with pytest.raises(ValueError):
+        _unpack_swarm(payload["matrix_swarm"])
 
 
 def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):

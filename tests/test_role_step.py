@@ -45,7 +45,7 @@ def test_single_particle_constant_utility_fixed_point():
         SparsityConfig(), PsoHyperparams(), 0.8, RngFactory(0),
     )
     assert record.utility == 0.25
-    assert np.array_equal(moved.particles[0].position, position)
+    assert np.array_equal(moved.positions[0], position)
 
 
 def test_record_monotone_and_frozen_dag():
@@ -53,7 +53,7 @@ def test_record_monotone_and_frozen_dag():
     target = star_dag(4)
     utility = DagRecoveryUtility(target)
     positions = rng.stream("init_matrices").uniform(0, 1, (6, 4, 4))
-    swarm = Swarm.from_positions(list(positions))
+    swarm = Swarm.from_positions(positions)
     record = None
     last = -np.inf
     for t in range(10):
@@ -66,8 +66,7 @@ def test_record_monotone_and_frozen_dag():
         record.dag.validate()
         # the stored DAG is the one that was scored, not a re-decode
         assert record.utility == utility.evaluate(record.dag, Assignment.identity(4), [])
-        for particle in swarm.particles:
-            assert np.all(particle.position >= 0.0) and np.all(particle.position <= 1.0)
+        assert np.all(swarm.positions >= 0.0) and np.all(swarm.positions <= 1.0)
 
 
 def test_threshold_mode_leaves_matrices_unpruned():
@@ -114,6 +113,6 @@ def test_utility_failure_names_particle():
 def test_empty_swarm_rejected():
     with pytest.raises(ValueError):
         role_step(
-            Swarm([], None), [], Assignment.identity(3), ConstantUtility(),
+            Swarm.from_positions([]), [], Assignment.identity(3), ConstantUtility(),
             SparsityConfig(), PsoHyperparams(), 0.8, RngFactory(0),
         )
