@@ -54,6 +54,21 @@ GOLDEN = {
         },
         "cb3af263d5a25971c5d9d9954a9672b585a1978171f3343264ed42dbf74a0b21",
     ),
+    # A seed above 2**32 spreads the run entropy over several SeedSequence words.
+    "role_only_star_l1_large_seed": (
+        {
+            "mode": "role_only",
+            "n_experts": 5,
+            "matrix_swarm_size": 7,
+            "max_iterations": 6,
+            "patience": 6,
+            "sparsity": {"mode": "l1", "l1_coeff": 0.01},
+            "top_p": 0.3,
+            "seed": 2**40 + 3,
+            "utility_spec": {"name": "hidden_dag", "target": "star", "n": 5},
+        },
+        "a26ef8c9e2c921d1aca09665d1ebda47fbeffb9dbf7a1d14d0a09ee20f14aec5",
+    ),
 }
 
 
