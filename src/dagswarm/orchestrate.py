@@ -292,8 +292,8 @@ def optimize(
         record = None
         if cfg.mode == "weight_only":
             # Freeze the structure to the best of the initial random decodes.
-            for i, matrix in enumerate(matrices.positions):
-                dag = decode_dag(matrix, cfg.top_p, rng.stream("decode", 0, i))
+            for matrix, stream in zip(matrices.positions, rng.streams("decode", 0, count=len(matrices))):
+                dag = decode_dag(matrix, cfg.top_p, stream)
                 raw = float(utility.evaluate(dag, identity, experts.positions))
                 if record is None or raw > record.utility:
                     record = RoleRecord(matrix.copy(), dag, raw)

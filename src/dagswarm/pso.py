@@ -41,15 +41,6 @@ class PsoHyperparams:
         if self.step_length <= 0:
             raise ValueError("step_length must be > 0")
 
-    def in_grid(self) -> bool:
-        return (
-            self.inertia in GRID["inertia"]
-            and self.cognitive in GRID["cognitive"]
-            and self.social in GRID["social"]
-            and self.repel in GRID["repel"]
-            and self.step_length in GRID["step_length"]
-        )
-
 
 def sample_grid_hyperparams(rng: np.random.Generator) -> PsoHyperparams:
     """Uniform draw from the preset grid."""
@@ -145,6 +136,8 @@ def pso_step(swarm: Swarm, scores, hp: PsoHyperparams, rng: np.random.Generator)
     bottom = int(np.argmin(np.where(nan, np.inf, scores)))
     if scores[bottom] < worst_score:
         worst, worst_score = x[bottom].copy(), float(scores[bottom])
+    if best is None or worst is None:
+        raise ValueError("no finite score to set the global best and worst")
 
     a, c = _coefficients(hp, len(swarm), rng)
     a_v, a_p, a_g, a_w, c = (col.reshape((-1,) + (1,) * (x.ndim - 1)) for col in (*a.T, c))

@@ -71,12 +71,10 @@ def role_step(
     evaluated. Threshold pruning applies to a decode-time view only; stored
     matrices are never mutated by it.
     """
-    if not len(swarm):
-        raise ValueError("empty matrix swarm")
     shaped_scores = []
-    for i, matrix in enumerate(swarm.positions):
+    for i, (matrix, stream) in enumerate(zip(swarm.positions, rng.streams("decode", iteration, count=len(swarm)))):
         view = prune_threshold(matrix, sparsity.tau) if sparsity.mode == "threshold" else matrix
-        dag = decode_dag(view, top_p, rng.stream("decode", iteration, i))
+        dag = decode_dag(view, top_p, stream)
         try:
             raw = float(utility.evaluate(dag, assignment, pool))
         except Exception as exc:  # noqa: BLE001 - annotate with the particle

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dagswarm import (
+    GRID,
     RngFactory,
     RunConfig,
     SparsityConfig,
@@ -48,7 +49,8 @@ def test_defaults_match_reference_settings():
     assert cfg.top_p == 0.8
     assert cfg.patience == 6
     assert cfg.max_iterations == 20
-    assert cfg.role_hp.in_grid() and cfg.weight_hp.in_grid()
+    for hp in (cfg.role_hp, cfg.weight_hp):
+        assert all(getattr(hp, name) in values for name, values in GRID.items())
     assert (cfg.dropout_role, cfg.dropout_weight) == (0.0, 0.0)
     assert cfg.mode == "full"
 

@@ -11,6 +11,10 @@ from dagswarm import pso
 from dagswarm.pso import sample_grid_hyperparams
 
 
+def in_grid(hp: PsoHyperparams) -> bool:
+    return all(getattr(hp, name) in values for name, values in GRID.items())
+
+
 class ScriptedRng:
     """Generator stand-in replaying fixed doubles; its bit-generator state is the read position."""
 
@@ -207,7 +211,7 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         PsoHyperparams(step_length=0)
     # defaults are a valid grid point
-    assert PsoHyperparams().in_grid()
+    assert in_grid(PsoHyperparams())
 
 
 def test_grid_membership_all_presets_accepted():
@@ -216,13 +220,13 @@ def test_grid_membership_all_presets_accepted():
     )
     for lam, iv, cg, sc, rp in combos:
         hp = PsoHyperparams(step_length=lam, inertia=iv, cognitive=cg, social=sc, repel=rp)
-        assert hp.in_grid()
+        assert in_grid(hp)
 
 
 def test_grid_sampling_stays_in_grid():
     rng = RngFactory(7).stream("sweep", 0)
     for _ in range(50):
-        assert sample_grid_hyperparams(rng).in_grid()
+        assert in_grid(sample_grid_hyperparams(rng))
 
 
 def test_fixed_point_at_shared_best():
@@ -305,6 +309,21 @@ def test_shape_and_length_validation():
         pso_step(Swarm.from_positions([np.zeros(2)]), [0.0, 1.0], PsoHyperparams(), ScriptedRng(np.ones(4)))
     with pytest.raises(ValueError):
         pso_step(Swarm.from_positions([]), [], PsoHyperparams(), ScriptedRng(np.ones(4)))
+
+
+@pytest.mark.parametrize("scores", [[np.nan, np.nan], [-np.inf, np.nan], [np.inf, np.inf]])
+def test_no_finite_score_without_a_global_record_raises_before_drawing(scores):
+    rng = ScriptedRng(np.ones(8))
+    with pytest.raises(ValueError, match="no finite score to set the global best"):
+        pso_step(Swarm.from_positions([[0.0], [1.0]]), scores, PsoHyperparams(), rng)
+    assert rng.state == 0
+
+
+def test_all_nan_scores_keep_an_existing_global_record():
+    swarm = pso_step(Swarm.from_positions([[0.0], [1.0]]), [1.0, 0.5], PsoHyperparams(), ScriptedRng(np.ones(8)))
+    moved = pso_step(swarm, [np.nan, np.nan], PsoHyperparams(), ScriptedRng(np.ones(8)))
+    assert (moved.global_best_score, moved.global_worst_score) == (1.0, 0.5)
+    assert np.array_equal(moved.global_best, [0.0]) and np.array_equal(moved.global_worst, [1.0])
 
 
 def test_deterministic_trajectories():
