@@ -66,8 +66,8 @@ class RngFactory:
         shared = np.random.SeedSequence(self.seed, spawn_key=key)
         # numpy mixes the shared words; the last, the index i, is mixed in here. A spawn key pads the run
         # entropy to the pool's 4 words, and mixing m words advances the hash constant 4m times.
-        words = [max(-(-value.bit_length() // 32), 1) for value in (self.seed, *key)]
-        start = _INIT_A * pow(_MULT_A, 4 * (max(words[0], 4) + sum(words[1:])), 1 << 32)
+        n_words = [max(-(-value.bit_length() // 32), 1) for value in (self.seed, *key)]
+        start = _INIT_A * pow(_MULT_A, 4 * (max(n_words[0], 4) + sum(n_words[1:])), 1 << 32)
         value = _hash(np.arange(count, dtype=np.uint64), start, _MULT_A, 4)  # rows: the 4 pool words
         pool = (_MIX_L * shared.pool.astype(np.uint64)[:, None] - _MIX_R * value) & _MASK32
         pool ^= pool >> 16
