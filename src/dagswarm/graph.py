@@ -156,17 +156,6 @@ class DagStructure:
         return dag
 
 
-class _Tape:
-    """One ``rng.random(k)`` call's doubles, dealt out in order by ``random()`` and ``random(size)``."""
-
-    def __init__(self, values: np.ndarray):
-        self.values, self.at = values, 0
-
-    def random(self, size=None):
-        self.at += 1 if size is None else size
-        return float(self.values[self.at - 1]) if size is None else self.values[self.at - size : self.at]
-
-
 def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructure:
     """Decode one DAG from a continuous adjacency matrix.
 
@@ -190,9 +179,6 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     rows = A.tolist()
     exp_rows = np.exp(A).tolist()
     out_sums = (A.sum(axis=1) - np.diagonal(A)).tolist()
-    if 0.0 < p <= 1.0 and all(0.0 < s < np.inf for s in out_sums):
-        # No top-p can fall back to rng.integers: fetch all n + n(n-1)/2 doubles in one call.
-        rng = _Tape(rng.random(n + n * (n - 1) // 2))
     end = _top_p([1.0 / (s + DEGREE_EPS) for s in out_sums], p, rng)
 
     placed = [end]

