@@ -37,7 +37,7 @@ from .orchestrate import (
     load_checkpoint,
     optimize,
 )
-from .pool import ExpertPool, build_pool, load_pool, save_pool
+from .pool import build_pool, load_pool, save_pool
 from .pso import GRID, PsoHyperparams, Swarm, pso_step, sample_grid_hyperparams
 from .remote import PROMPT_PREAMBLES, RemoteEvaluator, StubServer, build_prompt
 from .rng import RngFactory
@@ -66,69 +66,3 @@ from .weight_step import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineEvaluator",
-    "AffineTargetUtility",
-    "Assignment",
-    "BucketTable",
-    "ConstantUtility",
-    "ContributionReport",
-    "DagRecoveryUtility",
-    "DagStructure",
-    "DatasetUtility",
-    "ExecutionError",
-    "ExpertPool",
-    "GRID",
-    "Message",
-    "NodeEvaluator",
-    "OptimizedSystem",
-    "PROMPT_PREAMBLES",
-    "PsoHyperparams",
-    "RemoteEvaluator",
-    "RngFactory",
-    "RoleRecord",
-    "RunConfig",
-    "RunTrace",
-    "SparsityConfig",
-    "StubServer",
-    "Swarm",
-    "TraceRow",
-    "UtilityFunction",
-    "ablation_consistent",
-    "analysis_report",
-    "assignment_counts",
-    "bucketize",
-    "build_pool",
-    "build_prompt",
-    "build_utility",
-    "chain_dag",
-    "collaborative_gain",
-    "config_from_dict",
-    "contribution_scores",
-    "decode_dag",
-    "diamond_dag",
-    "dropout_gate",
-    "edit_distance",
-    "execute",
-    "init_adjacency_swarm",
-    "load_checkpoint",
-    "load_dataset",
-    "load_pool",
-    "make_affine_task",
-    "node_role",
-    "normalized_edit_distance",
-    "optimize",
-    "prune_threshold",
-    "pso_step",
-    "role_step",
-    "sample_assignments",
-    "sample_grid_hyperparams",
-    "save_pool",
-    "shaped_utility",
-    "solved_from_zero_rate",
-    "star_dag",
-    "top_p_sample",
-    "trace_csv",
-    "weight_step",
-]

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .pool import load_pool
 from .pso import sample_grid_hyperparams
 from .remote import RemoteEvaluator, StubServer
 from .rng import RngFactory
-from .utilities import build_utility, exact_match, load_dataset
+from .utilities import build_utility, exact_match, load_dataset, run_text_items
 
 ENDPOINT_ENV = "DAGSWARM_ENDPOINT"
 
@@ -83,11 +83,11 @@ def _load_matrix(path: str) -> np.ndarray:
     return matrix
 
 
-def _load_system(path: str) -> tuple[DagStructure, Assignment, list[np.ndarray]]:
+def _load_system(path: str) -> tuple[DagStructure, Assignment, np.ndarray]:
     data = json.loads(Path(path).read_text())
     dag = DagStructure.from_dict(data["dag"])
     assignment = Assignment(tuple(int(s) for s in data["assignment"]))
-    experts = [np.asarray(vec, dtype=float) for vec in data["experts"]]
+    experts = np.array(data["experts"], dtype=float)
     return dag, assignment, experts
 
 
@@ -136,23 +136,26 @@ def cmd_decode(args) -> int:
 
 def cmd_evaluate(args) -> int:
     dag, assignment, experts = _load_system(args.system)
-    evaluator = _node_evaluator()
-    remote = evaluator is not None
-    if evaluator is None:
-        evaluator = AffineEvaluator()
     items = load_dataset(args.dataset)
     if not items:
         raise ValueError("dataset is empty")
+    inputs = [item["input"] for item in items]
+    evaluator = _node_evaluator()
+    if evaluator is not None:
+        outputs = run_text_items(dag, assignment, experts, inputs, evaluator)
+    else:
+        stacked = np.asarray(inputs, dtype=float)
+        if stacked.ndim != 2:
+            raise ValueError("local dataset inputs must be vectors of one length")
+        outputs = execute(dag, assignment, experts, Message(stacked), AffineEvaluator()).payload.tolist()
     results = []
-    for item in items:
-        task = str(item["input"]) if remote else np.asarray(item["input"], dtype=float)
-        output = execute(dag, assignment, experts, Message(task), evaluator).payload
-        entry: dict = {"input": item["input"], "output": str(output) if remote else np.atleast_1d(output).tolist()}
-        if "answer" in item and remote:
+    for item, output in zip(items, outputs):
+        entry: dict = {"input": item["input"], "output": output}
+        if "answer" in item and evaluator is not None:
             entry["correct"] = exact_match(output, item["answer"])
         elif "answer" in item:
             expected = np.asarray(item["answer"], dtype=float)
-            entry["correct"] = bool(np.allclose(expected, np.atleast_1d(output), atol=1e-9))
+            entry["correct"] = bool(np.allclose(expected, output, atol=1e-9))
         results.append(entry)
     scored = [entry["correct"] for entry in results if "correct" in entry]
     payload = {
@@ -198,13 +201,7 @@ def cmd_sweep(args) -> int:
             {
                 "run": run,
                 "seed": run_cfg.seed,
-                "hyperparams": {
-                    "step_length": hp.step_length,
-                    "inertia": hp.inertia,
-                    "cognitive": hp.cognitive,
-                    "social": hp.social,
-                    "repel": hp.repel,
-                },
+                "hyperparams": asdict(hp),
                 "best_utility": system.best_utility,
                 "iterations": len(trace.rows),
             }

@@ -60,6 +60,8 @@ def top_p_sample(scores, p: float, rng: np.random.Generator) -> int:
     mass >= p, renormalized and sampled. All-zero scores fall back to a
     uniform draw over all indices.
     """
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must be in (0, 1]")
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a non-empty 1-d sequence")
@@ -67,11 +69,9 @@ def top_p_sample(scores, p: float, rng: np.random.Generator) -> int:
 
 
 def _top_p(scores: list[float], p: float, rng: np.random.Generator) -> int:
-    """``top_p_sample`` on a non-empty list of floats, in numpy's rounding and draws."""
+    """``top_p_sample`` on a non-empty list of floats, in numpy's rounding and draws; callers check ``p``."""
     if any(x < 0.0 for x in scores):
         raise ValueError("scores must be non-negative")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must be in (0, 1]")
     total = _np_sum(scores)
     if total <= 0.0:
         return int(rng.integers(len(scores)))
@@ -168,6 +168,8 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     that drew no edge is wired to its argmax-entry placed node, so every
     non-end node keeps a path to the end.
     """
+    if not 0.0 < p <= 1.0:
+        raise ValueError("p must be in (0, 1]")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("adjacency matrix must be square")

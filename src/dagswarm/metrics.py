@@ -118,18 +118,11 @@ def analysis_report(table: BucketTable, ablation: dict | None = None) -> dict:
         "solved_from_zero_rate": solved_from_zero_rate(table),
     }
     if ablation is not None:
-        report["ablation"] = {
-            "wo_role": float(ablation["wo_role"]),
-            "wo_weight": float(ablation["wo_weight"]),
-            "role_baseline_avg": float(ablation["role_baseline_avg"]),
-            "weight_baseline_avg": float(ablation["weight_baseline_avg"]),
-            "consistent": ablation_consistent(
-                float(ablation["wo_role"]),
-                float(ablation["wo_weight"]),
-                float(ablation["role_baseline_avg"]),
-                float(ablation["weight_baseline_avg"]),
-            ),
+        values = {
+            key: float(ablation[key])
+            for key in ("wo_role", "wo_weight", "role_baseline_avg", "weight_baseline_avg")
         }
+        report["ablation"] = {**values, "consistent": ablation_consistent(**values)}
     return report
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .executor import Assignment
 from .graph import DagStructure, decode_dag, init_adjacency_swarm
-from .pool import ExpertPool, build_pool
+from .pool import build_pool
 from .pso import PsoHyperparams, Swarm
 from .rng import RngFactory
 from .role_step import RoleRecord, SparsityConfig, role_step
@@ -67,11 +67,10 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.expert_dim < 1:
             raise ValueError("expert_dim must be >= 1")
-        distinct = self.pool_distinct if self.pool_distinct is not None else self.n_experts
-        if distinct * self.pool_repeats != self.n_experts:
+        if self.distinct < 1 or self.pool_repeats < 1 or self.distinct * self.pool_repeats != self.n_experts:
             raise ValueError(
-                f"pool spec mismatch: pool_distinct * pool_repeats = "
-                f"{distinct * self.pool_repeats} != n_experts = {self.n_experts}"
+                f"pool spec: pool_distinct = {self.distinct} and pool_repeats = {self.pool_repeats} "
+                f"must be >= 1 and multiply to n_experts = {self.n_experts}"
             )
 
     @property
@@ -79,30 +78,21 @@ class RunConfig:
         return self.pool_distinct if self.pool_distinct is not None else self.n_experts
 
 
-_HP_KEYS = ("step_length", "inertia", "cognitive", "social", "repel")
-_SPARSITY_KEYS = ("mode", "tau", "l1_coeff")
-
-
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a validated RunConfig; unknown keys are rejected by name."""
-    known = {f for f in RunConfig.__dataclass_fields__}
+    """Build a validated RunConfig; unknown keys, nested ones too, are rejected by name."""
     plain = dict(data)
     for key in plain:
-        if key not in known:
+        if key not in RunConfig.__dataclass_fields__:
             raise ValueError(f"unknown config key: {key!r}")
-    for hp_key in ("role_hp", "weight_hp"):
-        if hp_key in plain:
-            sub = plain[hp_key]
-            for key in sub:
-                if key not in _HP_KEYS:
-                    raise ValueError(f"unknown config key: {hp_key}.{key}")
-            plain[hp_key] = PsoHyperparams(**sub)
-    if "sparsity" in plain:
-        sub = plain["sparsity"]
-        for key in sub:
-            if key not in _SPARSITY_KEYS:
-                raise ValueError(f"unknown config key: sparsity.{key}")
-        plain["sparsity"] = SparsityConfig(**sub)
+    for key, cls in (("role_hp", PsoHyperparams), ("weight_hp", PsoHyperparams), ("sparsity", SparsityConfig)):
+        if key in plain:
+            sub = plain[key]
+            if not isinstance(sub, dict):
+                raise ValueError(f"{key} must be an object")
+            for name in sub:
+                if name not in cls.__dataclass_fields__:
+                    raise ValueError(f"unknown config key: {key}.{name}")
+            plain[key] = cls(**sub)
     if "utility_spec" in plain and not isinstance(plain["utility_spec"], dict):
         raise ValueError("utility_spec must be an object")
     return RunConfig(**plain)
@@ -167,7 +157,7 @@ class RunTrace:
 class OptimizedSystem:
     dag: DagStructure
     assignment: Assignment
-    expert_params: list[np.ndarray]
+    expert_params: np.ndarray
     best_utility: float
     best_role_utility: float
 
@@ -176,22 +166,13 @@ class OptimizedSystem:
             "format_version": 1,
             "dag": self.dag.to_dict(),
             "assignment": list(self.assignment.slots),
-            "experts": [[float(x) for x in vec] for vec in self.expert_params],
+            "experts": self.expert_params.tolist(),
             "best_utility": float(self.best_utility),
             "best_role_utility": float(self.best_role_utility),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def _initial_expert_positions(cfg: RunConfig, pool, rng: RngFactory) -> list[np.ndarray]:
-    if pool is None:
-        pool = build_pool(cfg.distinct, cfg.pool_repeats, cfg.expert_dim, rng.stream("init_experts"), cfg.expert_scale)
-    params = pool.as_list() if isinstance(pool, ExpertPool) else [np.asarray(v, dtype=float) for v in pool]
-    if len(params) != cfg.n_experts:
-        raise ValueError(f"pool size {len(params)} != n_experts {cfg.n_experts}")
-    return params
 
 
 def _pack(value):
@@ -252,10 +233,10 @@ def optimize(
 ) -> tuple[OptimizedSystem, RunTrace]:
     """Run the alternating loop; return the best system and the trace.
 
-    ``pool`` may be an ExpertPool, a list of parameter vectors, or None to
-    draw a fresh pool from the config's pool spec. The returned system is
-    the recorded best DAG (frozen, never re-decoded) instantiated with the
-    final expert parameters under the identity assignment. Modes that search
+    ``pool`` is an ``(n, d)`` array-like of expert parameter vectors, left
+    unchanged, or None to draw one from the config's pool spec. The returned
+    system is the recorded best DAG (frozen, never re-decoded) instantiated
+    with the final expert parameters under the identity assignment. Modes that search
     expert parameters are rejected for evaluators that never use them, and a
     resume is rejected if the config differs from the checkpointed one in
     anything but ``max_iterations`` and ``patience``.
@@ -288,7 +269,11 @@ def optimize(
         best_utility = -np.inf
         positions = init_adjacency_swarm(n, cfg.matrix_swarm_size, rng.stream("init_matrices"))
         matrices = Swarm.from_positions(positions)
-        experts = Swarm.from_positions(_initial_expert_positions(cfg, pool, rng))
+        if pool is None:
+            pool = build_pool(cfg.distinct, cfg.pool_repeats, cfg.expert_dim, rng.stream("init_experts"), cfg.expert_scale)
+        if len(pool) != n:
+            raise ValueError(f"pool size {len(pool)} != n_experts {n}")
+        experts = Swarm.from_positions(pool)
         record = None
         if cfg.mode == "weight_only":
             # Freeze the structure to the best of the initial random decodes.
@@ -375,7 +360,7 @@ def optimize(
     system = OptimizedSystem(
         dag=record.dag,
         assignment=identity,
-        expert_params=[p.copy() for p in experts.positions],
+        expert_params=experts.positions.copy(),
         best_utility=float(best_utility),
         best_role_utility=float(record.utility),
     )

@@ -1,14 +1,13 @@
-"""Expert pools: parameter vectors with a diversity spec.
+"""Expert pools: an ``(n, d)`` array of parameter vectors with a diversity spec.
 
-A pool of ``a`` distinct experts each repeated ``b`` times gives a * b
-slots; repeats start as value copies and drift apart once weight
-optimization moves them. Pools persist as a manifest plus one JSON file per
-expert.
+A pool of ``a`` distinct experts each repeated ``b`` times has a * b rows;
+repeats start as value copies and drift apart once weight optimization
+moves them. Pools persist as a manifest plus one JSON file per expert,
+repeats included.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,69 +16,47 @@ MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
 
 
-@dataclass
-class ExpertPool:
-    params: list[np.ndarray]
-    distinct: int
-    repeats: int
-
-    def __len__(self) -> int:
-        return len(self.params)
-
-    @property
-    def dim(self) -> int:
-        return self.params[0].shape[0]
-
-    def as_list(self) -> list[np.ndarray]:
-        return list(self.params)
-
-
 def build_pool(
     distinct: int,
     repeats: int,
     dim: int,
     rng: np.random.Generator,
     scale: float = 1.0,
-) -> ExpertPool:
-    """``distinct`` vectors drawn uniform(-scale, scale), each repeated ``repeats`` times."""
+) -> np.ndarray:
+    """``distinct`` rows drawn uniform(-scale, scale), each repeated ``repeats`` times in a row."""
     if distinct < 1 or repeats < 1:
         raise ValueError("distinct and repeats must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    bases = [rng.uniform(-scale, scale, dim) for _ in range(distinct)]
-    params = [bases[k].copy() for k in range(distinct) for _ in range(repeats)]
-    return ExpertPool(params, distinct, repeats)
+    return np.repeat(rng.uniform(-scale, scale, (distinct, dim)), repeats, axis=0)
 
 
-def save_pool(pool: ExpertPool, directory: str | Path) -> None:
+def save_pool(pool: np.ndarray, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = []
-    for k, vec in enumerate(pool.params):
+    for k, vec in enumerate(pool):
         name = f"expert_{k:03d}.json"
-        (directory / name).write_text(json.dumps([float(x) for x in vec], sort_keys=True))
+        (directory / name).write_text(json.dumps(vec.tolist(), sort_keys=True))
         files.append(name)
     manifest = {
         "format_version": FORMAT_VERSION,
         "n_experts": len(pool),
-        "dim": pool.dim,
-        "distinct": pool.distinct,
-        "repeats": pool.repeats,
+        "dim": pool.shape[1],
         "files": files,
     }
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def load_pool(directory: str | Path) -> ExpertPool:
+def load_pool(directory: str | Path) -> np.ndarray:
+    """The ``(n, d)`` pool; expert files of different lengths raise ``ValueError``."""
     directory = Path(directory)
     manifest = json.loads((directory / MANIFEST_NAME).read_text())
     if manifest["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported pool format version {manifest['format_version']}")
-    params = [
-        np.asarray(json.loads((directory / name).read_text()), dtype=float)
-        for name in manifest["files"]
-    ]
-    pool = ExpertPool(params, manifest["distinct"], manifest["repeats"])
-    if len(pool) != manifest["n_experts"]:
-        raise ValueError("manifest n_experts does not match expert files")
+    pool = np.array(
+        [json.loads((directory / name).read_text()) for name in manifest["files"]], dtype=float
+    )
+    if pool.ndim != 2 or len(pool) != manifest["n_experts"]:
+        raise ValueError("expert files must hold manifest n_experts vectors of one length")
     return pool

@@ -125,11 +125,22 @@ def make_affine_task(
     return AffineTargetUtility(inputs, hidden.payload)
 
 
-class DatasetUtility(UtilityFunction):
-    """Exact-match accuracy over text items (remote mode); up to ``evaluator.jobs`` items run at once.
+def run_text_items(dag: DagStructure, assignment: Assignment, pool, inputs: list, evaluator: NodeEvaluator) -> list:
+    """End-node payloads of ``inputs``, each run as one text task; up to ``evaluator.jobs`` run at once.
 
-    Scores are gathered in item order, and the first failing item in that order raises.
+    Payloads are gathered in item order, the first failing item in that
+    order raises, and after a failure items not yet started never run.
     """
+    workers = ThreadPoolExecutor(min(evaluator.jobs, len(inputs)))
+    try:
+        futures = [workers.submit(execute, dag, assignment, pool, Message(str(x)), evaluator) for x in inputs]
+        return [future.result().payload for future in futures]
+    finally:
+        workers.shutdown(cancel_futures=True)
+
+
+class DatasetUtility(UtilityFunction):
+    """Exact-match accuracy over text items (remote mode), run through ``run_text_items``."""
 
     def __init__(self, items: list[dict], evaluator: NodeEvaluator):
         if not items:
@@ -142,16 +153,8 @@ class DatasetUtility(UtilityFunction):
         self.evaluator = evaluator
 
     def evaluate(self, dag, assignment, pool) -> float:
-        def score(item) -> int:
-            out = execute(dag, assignment, pool, Message(str(item["input"])), self.evaluator)
-            return int(exact_match(out.payload, item["answer"]))
-
-        workers = ThreadPoolExecutor(min(self.evaluator.jobs, len(self.items)))
-        try:
-            scores = [future.result() for future in [workers.submit(score, item) for item in self.items]]
-        finally:
-            workers.shutdown(cancel_futures=True)  # after a failure, items not yet started never run
-        return sum(scores) / self.dataset_size
+        outputs = run_text_items(dag, assignment, pool, [item["input"] for item in self.items], self.evaluator)
+        return sum(exact_match(out, item["answer"]) for out, item in zip(outputs, self.items)) / self.dataset_size
 
 
 def exact_match(output, answer) -> bool:

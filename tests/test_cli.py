@@ -2,9 +2,20 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from dagswarm import RemoteEvaluator, cli
+from dagswarm import (
+    AffineEvaluator,
+    Assignment,
+    Message,
+    RemoteEvaluator,
+    RngFactory,
+    build_prompt,
+    cli,
+    diamond_dag,
+    execute,
+)
 from dagswarm.cli import ENDPOINT_ENV, parse_config, run_cli
 
 
@@ -40,6 +51,14 @@ def test_decode_accepts_wrapped_matrix_and_writes_file(tmp_path, capsys):
     assert run_cli(["decode", "--matrix", matrix, "--top-p", "0.05", "--out", str(out)]) == 0
     capsys.readouterr()
     assert json.loads(out.read_text())["dag"]["end_node"] == 1
+
+
+def test_decode_rejects_top_p_out_of_range_for_a_single_node(tmp_path, capsys):
+    matrix = write(tmp_path / "m.json", [[0.0]])
+    assert run_cli(["decode", "--matrix", matrix, "--top-p", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ValueError"
 
 
 def test_optimize_constant_utility_stops_after_patience(tmp_path, capsys):
@@ -213,6 +232,65 @@ def test_evaluate_remote_system(tmp_path, capsys, monkeypatch, clean_stub):
     payload = json.loads(capsys.readouterr().out)
     assert payload["accuracy"] == 0.0  # the echo stub answers with the prompt
     assert payload["results"][0]["output"].startswith("Please answer")
+
+
+def write_system(path, dag, experts):
+    system = {
+        "format_version": 1,
+        "dag": dag.to_dict(),
+        "assignment": list(range(dag.n)),
+        "experts": np.asarray(experts).tolist(),
+        "best_utility": 0.0,
+        "best_role_utility": 0.0,
+    }
+    return write(path, system)
+
+
+def test_evaluate_local_items_match_a_per_item_execute(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    rng = RngFactory(3).stream("task")
+    dag = diamond_dag()
+    experts = rng.uniform(-0.9, 0.9, (4, 6))
+    inputs = rng.uniform(-1, 1, (5, 2))
+    expected = [execute(dag, Assignment.identity(4), experts, Message(x), AffineEvaluator()).payload for x in inputs]
+    dataset = tmp_path / "data.jsonl"
+    items = [{"input": x.tolist(), "answer": (y if k % 2 else y + 1).tolist()} for k, (x, y) in enumerate(zip(inputs, expected))]
+    dataset.write_text("".join(json.dumps(item) + "\n" for item in items))
+    system = write_system(tmp_path / "sys.json", dag, experts)
+    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert np.array_equal([entry["output"] for entry in payload["results"]], expected)
+    assert [entry["correct"] for entry in payload["results"]] == [False, True, False, True, False]
+    assert payload["accuracy"] == 2 / 5
+
+
+@pytest.mark.parametrize("inputs", [[[0.1, 0.2], [0.1]], [0.5, 0.7], [[[0.1, 0.2]]]])
+def test_evaluate_local_inputs_must_stack_to_a_matrix(tmp_path, capsys, monkeypatch, inputs):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("".join(json.dumps({"input": x}) + "\n" for x in inputs))
+    system = write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 6)))
+    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ValueError"
+
+
+def test_evaluate_remote_items_come_back_in_item_order(tmp_path, capsys, monkeypatch, clean_stub):
+    monkeypatch.setenv(ENDPOINT_ENV, clean_stub.endpoint)
+    dag = diamond_dag()
+    questions = [f"{k}+{k}" for k in range(7)]
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("".join(json.dumps({"input": q, "answer": "x"}) + "\n" for q in questions))
+    system = write_system(tmp_path / "sys.json", dag, np.zeros((4, 1)))
+    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [entry["input"] for entry in payload["results"]] == questions
+    for entry, question in zip(payload["results"], questions):
+        entry_reply = build_prompt("entry", question, [])
+        middle = [{"node": v, "text": build_prompt("middle", question, [{"node": 0, "text": entry_reply}])} for v in (1, 2)]
+        assert entry["output"] == build_prompt("end", question, middle)
+    assert len(clean_stub.requests) == dag.n * len(questions)
 
 
 def test_sweep_ranks_runs(tmp_path, capsys):

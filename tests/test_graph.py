@@ -119,6 +119,12 @@ def test_decode_validity_small_fuzz():
         assert dag.topo_order[-1] == dag.end_node
 
 
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.5, 5.0, float("nan")])
+def test_decode_rejects_p_out_of_range_even_for_one_node(p):
+    with pytest.raises(ValueError, match="p must be in"):
+        decode_dag(np.zeros((1, 1)), p, RngFactory(0).stream("decode", 0, 0))
+
+
 def test_decode_rejects_non_square():
     with pytest.raises(ValueError):
         decode_dag(np.zeros((2, 3)), 0.8, RngFactory(0).stream("decode", 0, 0))

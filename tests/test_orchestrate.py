@@ -64,6 +64,12 @@ def test_config_rejects_unknown_keys_by_name():
         config_from_dict({"sparsity": {"blur": 1}})
 
 
+@pytest.mark.parametrize("key,value", [("sparsity", "l1"), ("role_hp", 5), ("weight_hp", [0.5]), ("sparsity", None), ("utility_spec", 5)])
+def test_config_rejects_non_object_nested_values_by_name(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an object$"):
+        config_from_dict({key: value})
+
+
 def test_config_range_validation():
     with pytest.raises(ValueError):
         config_from_dict({"sparsity": {"mode": "threshold", "tau": 1.5}})
@@ -78,6 +84,13 @@ def test_config_range_validation():
     # mixed in-range dropout settings are accepted
     cfg = config_from_dict({"dropout_role": 0.5, "dropout_weight": 0.2})
     assert cfg.dropout_role == 0.5
+
+
+@pytest.mark.parametrize("distinct,repeats", [(-2, -2), (-4, -1), (None, 0)])
+def test_pool_spec_factors_must_be_positive(distinct, repeats):
+    # (-2, -2) and (-4, -1) multiply out to n_experts, so only the sign check catches them
+    with pytest.raises(ValueError, match="must be >= 1"):
+        RunConfig(n_experts=4, pool_distinct=distinct, pool_repeats=repeats)
 
 
 def test_config_nested_values_applied():
@@ -155,11 +168,18 @@ def test_trace_best_columns_non_decreasing():
 
 def test_role_only_never_touches_experts():
     pool = build_pool(4, 1, 6, RngFactory(99).stream("init_experts"))
-    originals = [v.copy() for v in pool.params]
+    original = pool.copy()
     cfg = small_cfg(mode="role_only")
     system, _ = run(cfg, pool=pool)
-    for vec, original in zip(system.expert_params, originals):
-        assert np.array_equal(vec, original)
+    assert np.array_equal(system.expert_params, original)
+
+
+def test_optimize_leaves_the_callers_pool_unchanged():
+    pool = build_pool(4, 1, 6, RngFactory(99).stream("init_experts"))
+    original = pool.copy()
+    system, _ = run(small_cfg(mode="full"), pool=pool)
+    assert not np.array_equal(system.expert_params, original)  # the weight step moved the experts
+    assert np.array_equal(pool, original)
 
 
 def test_weight_only_keeps_structure_fixed():

@@ -10,16 +10,25 @@ from dagswarm import RngFactory, build_pool, load_pool, save_pool
 
 def test_build_pool_structure():
     pool = build_pool(3, 2, 4, RngFactory(0).stream("init_experts"), scale=0.5)
-    assert len(pool) == 6
-    assert pool.dim == 4
-    for vec in pool.params:
-        assert np.all(np.abs(vec) <= 0.5)
+    assert pool.shape == (6, 4)
+    assert np.all(np.abs(pool) <= 0.5)
     # repeats are value copies of their base vector
-    assert np.array_equal(pool.params[0], pool.params[1])
-    assert not np.array_equal(pool.params[0], pool.params[2])
+    assert np.array_equal(pool[0], pool[1])
+    assert not np.array_equal(pool[0], pool[2])
     # but independent storage: mutating one must not leak into the other
-    pool.params[0][0] = 99.0
-    assert pool.params[1][0] != 99.0
+    pool[0, 0] = 99.0
+    assert pool[1, 0] != 99.0
+
+
+@pytest.mark.parametrize("distinct,repeats,dim,scale", [(1, 1, 1, 1.0), (3, 2, 4, 0.5), (10, 1, 6, 1.0), (2, 5, 7, 2.5)])
+def test_build_pool_matches_per_row_draws(distinct, repeats, dim, scale):
+    """One (distinct, dim) draw gives the same rows and generator state as one draw per distinct expert."""
+    for seed in range(20):
+        rng, reference_rng = RngFactory(seed).stream("init_experts"), RngFactory(seed).stream("init_experts")
+        bases = [reference_rng.uniform(-scale, scale, dim) for _ in range(distinct)]
+        reference = [bases[k] for k in range(distinct) for _ in range(repeats)]
+        assert np.array_equal(build_pool(distinct, repeats, dim, rng, scale), reference)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_build_pool_validation():
@@ -35,10 +44,15 @@ def test_build_pool_validation():
 def test_save_load_roundtrip(tmp_path):
     pool = build_pool(2, 2, 3, RngFactory(5).stream("init_experts"))
     save_pool(pool, tmp_path / "pool")
-    loaded = load_pool(tmp_path / "pool")
-    assert len(loaded) == 4 and loaded.distinct == 2 and loaded.repeats == 2
-    for a, b in zip(pool.params, loaded.params):
-        assert np.array_equal(a, b)
+    manifest_path = tmp_path / "pool" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert set(manifest) == {"format_version", "n_experts", "dim", "files"}
+    assert manifest["format_version"] == 1 and manifest["dim"] == 3
+    assert len(manifest["files"]) == manifest["n_experts"] == 4  # one file per expert, repeats included
+    assert np.array_equal(load_pool(tmp_path / "pool"), pool)
+    # manifests that still carry the pool spec keys load the same
+    manifest_path.write_text(json.dumps({**manifest, "distinct": 2, "repeats": 2}))
+    assert np.array_equal(load_pool(tmp_path / "pool"), pool)
 
 
 def test_load_rejects_bad_version(tmp_path):
@@ -59,5 +73,14 @@ def test_load_rejects_count_mismatch(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     manifest["n_experts"] = 5
     manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError):
+        load_pool(tmp_path / "pool")
+
+
+@pytest.mark.parametrize("contents", [[[0.1, 0.2], [0.1, 0.2, 0.3]], [0.1, 0.2]])
+def test_load_rejects_expert_files_that_are_not_vectors_of_one_length(tmp_path, contents):
+    save_pool(build_pool(2, 1, 2, RngFactory(0).stream("init_experts")), tmp_path / "pool")
+    for k, value in enumerate(contents):
+        (tmp_path / "pool" / f"expert_{k:03d}.json").write_text(json.dumps(value))
     with pytest.raises(ValueError):
         load_pool(tmp_path / "pool")
