@@ -24,8 +24,6 @@ from .metrics import (
     analysis_report,
     bucketize,
     collaborative_gain,
-    solved_from_zero_rate,
-    trace_csv,
 )
 from .orchestrate import (
     OptimizedSystem,

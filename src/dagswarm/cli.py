@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .executor import AffineEvaluator, Assignment, Message, execute
-from .graph import DagStructure, decode_dag
-from .metrics import analysis_report, bucketize, trace_csv
-from .orchestrate import RunConfig, RunTrace, TraceRow, config_from_dict, optimize
+from .executor import AffineEvaluator, Message, execute
+from .graph import decode_dag
+from .metrics import analysis_report, bucketize
+from .orchestrate import MODES, OptimizedSystem, RunConfig, RunTrace, config_from_dict, optimize
 from .pool import load_pool
 from .pso import sample_grid_hyperparams
 from .remote import RemoteEvaluator, StubServer
@@ -51,12 +51,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
     if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        updates["mode"] = args.mode
-    return replace(cfg, **updates) if updates else cfg
+        cfg = replace(cfg, seed=args.seed)
+    if args.mode is not None:
+        cfg = replace(cfg, mode=args.mode)
+    return cfg
 
 
 def _node_evaluator(jobs: int | None = None):
@@ -83,14 +82,6 @@ def _load_matrix(path: str) -> np.ndarray:
     return matrix
 
 
-def _load_system(path: str) -> tuple[DagStructure, Assignment, np.ndarray]:
-    data = json.loads(Path(path).read_text())
-    dag = DagStructure.from_dict(data["dag"])
-    assignment = Assignment(tuple(int(s) for s in data["assignment"]))
-    experts = np.array(data["experts"], dtype=float)
-    return dag, assignment, experts
-
-
 def cmd_optimize(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     rng = RngFactory(cfg.seed)
@@ -101,30 +92,24 @@ def cmd_optimize(args) -> int:
     )
     out = _out_dir(args)
     (out / "best_system.json").write_text(system.to_json())
-    trace.write_jsonl(out / "trace.jsonl")
-    print(
-        json.dumps(
-            {
-                "best_utility": system.best_utility,
-                "best_role_utility": system.best_role_utility,
-                "iterations": len(trace.rows),
-                "evaluator_calls": trace.total_evaluator_calls,
-                "out": str(out),
-            },
-            sort_keys=True,
-        ),
-        flush=True,
-    )
+    (out / "trace.jsonl").write_text(trace.to_jsonl())
+    summary = {
+        "best_utility": system.best_utility,
+        "best_role_utility": system.best_role_utility,
+        "iterations": len(trace.rows),
+        "evaluator_calls": trace.total_evaluator_calls,
+        "out": str(out),
+    }
+    print(json.dumps(summary, sort_keys=True), flush=True)
     return 0
 
 
 def cmd_decode(args) -> int:
     matrix = _load_matrix(args.matrix)
-    seed = args.seed if args.seed is not None else 0
-    rng = RngFactory(seed).stream("decode", 0, 0)
+    rng = RngFactory(args.seed).stream("decode", 0, 0)
     dag = decode_dag(matrix, args.top_p, rng)
     payload = json.dumps(
-        {"format_version": 1, "top_p": args.top_p, "seed": seed, "dag": dag.to_dict()},
+        {"format_version": 1, "top_p": args.top_p, "seed": args.seed, "dag": dag.to_dict()},
         sort_keys=True,
         indent=2,
     )
@@ -135,19 +120,22 @@ def cmd_decode(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dag, assignment, experts = _load_system(args.system)
+    system = OptimizedSystem.from_dict(json.loads(Path(args.system).read_text()))
     items = load_dataset(args.dataset)
     if not items:
         raise ValueError("dataset is empty")
+    if any("input" not in item for item in items):
+        raise ValueError("dataset items need an 'input' field")
     inputs = [item["input"] for item in items]
+    instance = (system.dag, system.assignment, system.expert_params)
     evaluator = _node_evaluator()
     if evaluator is not None:
-        outputs = run_text_items(dag, assignment, experts, inputs, evaluator)
+        outputs = run_text_items(*instance, inputs, evaluator)
     else:
         stacked = np.asarray(inputs, dtype=float)
         if stacked.ndim != 2:
             raise ValueError("local dataset inputs must be vectors of one length")
-        outputs = execute(dag, assignment, experts, Message(stacked), AffineEvaluator()).payload.tolist()
+        outputs = execute(*instance, Message(stacked), AffineEvaluator()).payload.tolist()
     results = []
     for item, output in zip(items, outputs):
         entry: dict = {"input": item["input"], "output": output}
@@ -178,8 +166,7 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     if args.trace:
-        rows = [TraceRow(**record) for record in load_dataset(args.trace)]
-        (out / "metrics.csv").write_text(trace_csv(RunTrace(rows)))
+        (out / "metrics.csv").write_text(RunTrace.from_jsonl(Path(args.trace).read_text()).to_csv())
     print(
         json.dumps({"collaborative_gain": report["collaborative_gain"], "out": str(out)}, sort_keys=True),
         flush=True,
@@ -231,16 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dagswarm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, search=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file (empty file = defaults)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        if search:
-            p.add_argument("--mode", choices=("full", "role_only", "weight_only"), default=None)
-            p.add_argument("--jobs", type=int, default=None, help="dataset items in flight at once at a remote endpoint")
+        p.add_argument("--mode", choices=MODES, default=None)
+        p.add_argument("--jobs", type=int, default=None, help="dataset items in flight at once at a remote endpoint")
 
     p = sub.add_parser("optimize", help="run the alternating optimization loop")
-    common(p, search=True)
+    common(p)
     p.add_argument("--pool", help="expert pool directory (manifest.json + expert files)")
     p.add_argument("--checkpoint", help="file to write a resumable checkpoint to each iteration")
     p.add_argument("--resume", help="checkpoint file to resume from")
@@ -249,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode one adjacency matrix into a DAG")
     p.add_argument("--matrix", required=True, help="JSON file: [[...]] or {\"matrix\": [[...]]}")
     p.add_argument("--top-p", type=float, default=0.8, dest="top_p")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="optional output file")
     p.set_defaults(handler=cmd_decode)
 
@@ -260,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="bucket metrics from correctness files")
-    common(p)
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--correctness", required=True, help="JSON with per_expert_correct and system_correct")
     p.add_argument("--trace", help="trace.jsonl to convert into metrics.csv")
     p.add_argument("--ablation", help="JSON with wo_role, wo_weight, role_baseline_avg, weight_baseline_avg")
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("sweep", help="random hyperparameter draws from the preset grid")
-    common(p, search=True)
+    common(p)
     p.add_argument("--runs", type=int, default=50)
     p.set_defaults(handler=cmd_sweep)
 

@@ -104,9 +104,6 @@ class DagStructure:
         pos = {node: k for k, node in enumerate(self.topo_order)}
         return {v: tuple(sorted((u for u, w in self.edges if w == v), key=pos.get)) for v in self.topo_order}
 
-    def predecessors(self, v: int) -> list[int]:
-        return list(self.predecessor_lists[v])
-
     def validate(self) -> None:
         if sorted(self.topo_order) != list(range(self.n)):
             raise ValueError("topo_order is not a permutation of nodes")

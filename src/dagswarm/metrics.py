@@ -8,8 +8,6 @@ reported as the solved-from-zero rate.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -80,18 +78,9 @@ def collaborative_gain(table: BucketTable) -> float:
         raise ValueError("dataset must be non-empty")
     total = 0.0
     for n in range(1, table.n_experts + 1):
-        if table.counts[n] == 0:
-            continue
         expected = n / table.n_experts
         total += (table.counts[n] / size) * (table.accuracy(n) - expected)
     return total
-
-
-def solved_from_zero_rate(table: BucketTable) -> float:
-    """System accuracy on bucket 0 (problems no expert solves alone)."""
-    if table.counts[0] == 0:
-        return 0.0
-    return table.correct[0] / table.counts[0]
 
 
 def ablation_consistent(
@@ -115,7 +104,7 @@ def analysis_report(table: BucketTable, ablation: dict | None = None) -> dict:
         "format_version": 1,
         "bucket_table": table.to_dict(),
         "collaborative_gain": collaborative_gain(table),
-        "solved_from_zero_rate": solved_from_zero_rate(table),
+        "solved_from_zero_rate": table.accuracy(0),
     }
     if ablation is not None:
         values = {
@@ -125,25 +114,3 @@ def analysis_report(table: BucketTable, ablation: dict | None = None) -> dict:
         report["ablation"] = {**values, "consistent": ablation_consistent(**values)}
     return report
 
-
-def trace_csv(trace) -> str:
-    """Per-iteration utility table for external plotting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["iteration", "ran_role", "ran_weight", "best_role_utility",
-         "best_utility", "best_contribution", "evaluator_calls"]
-    )
-    for row in trace.rows:
-        writer.writerow(
-            [
-                row.iteration,
-                int(row.ran_role),
-                int(row.ran_weight),
-                repr(row.best_role_utility),
-                repr(row.best_utility),
-                "" if row.best_contribution is None else repr(row.best_contribution),
-                row.evaluator_calls,
-            ]
-        )
-    return out.getvalue()

@@ -10,10 +10,12 @@ n * (N + M) * |f| budget.
 from __future__ import annotations
 
 import base64
+import csv
+import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from .weight_step import weight_step
 
 MODES = ("full", "role_only", "weight_only")
 CHECKPOINT_VERSION = 3
+SYSTEM_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -130,23 +133,31 @@ class TraceRow:
 
 @dataclass
 class RunTrace:
+    """The per-iteration rows; the one reader and writer of ``trace.jsonl`` and ``metrics.csv``."""
+
+    # The serialized columns. Wall time is kept in memory only; serialized
+    # traces must be byte-identical across reruns of the same config and seed.
+    COLUMNS = tuple(f.name for f in fields(TraceRow) if f.name != "wall_time_s")
     rows: list[TraceRow] = field(default_factory=list)
 
-    def append(self, row: TraceRow) -> None:
-        self.rows.append(row)
-
     def to_jsonl(self) -> str:
-        # Wall time is kept in memory only; serialized traces must be
-        # byte-identical across reruns of the same config and seed.
-        lines = []
-        for row in self.rows:
-            record = asdict(row)
-            record.pop("wall_time_s")
-            lines.append(json.dumps(record, sort_keys=True))
-        return "\n".join(lines) + "\n"
+        records = ({name: getattr(row, name) for name in self.COLUMNS} for row in self.rows)
+        return "\n".join(json.dumps(record, sort_keys=True) for record in records) + "\n"
 
-    def write_jsonl(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl())
+    @classmethod
+    def from_jsonl(cls, text: str) -> "RunTrace":
+        """Rows of a ``to_jsonl`` text; blank lines are skipped and wall times read 0."""
+        return cls([TraceRow(**json.loads(line)) for line in text.splitlines() if line.strip()])
+
+    def to_csv(self) -> str:
+        """Per-iteration table for external plotting: the JSONL keys in ``TraceRow`` order, flags as 0/1."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(self.COLUMNS)
+        for row in self.rows:
+            values = [getattr(row, name) for name in self.COLUMNS]
+            writer.writerow([int(value) if isinstance(value, bool) else value for value in values])
+        return out.getvalue()
 
     @property
     def total_evaluator_calls(self) -> int:
@@ -163,7 +174,7 @@ class OptimizedSystem:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": SYSTEM_VERSION,
             "dag": self.dag.to_dict(),
             "assignment": list(self.assignment.slots),
             "experts": self.expert_params.tolist(),
@@ -173,6 +184,19 @@ class OptimizedSystem:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "OptimizedSystem":
+        """Inverse of ``to_dict``; an unknown ``format_version`` or an invalid DAG raises ``ValueError``."""
+        if data.get("format_version") != SYSTEM_VERSION:
+            raise ValueError(f"unsupported system version: {data.get('format_version')}")
+        return cls(
+            dag=DagStructure.from_dict(data["dag"]),
+            assignment=Assignment(tuple(int(slot) for slot in data["assignment"])),
+            expert_params=np.array(data["experts"], dtype=float),
+            best_utility=float(data["best_utility"]),
+            best_role_utility=float(data["best_role_utility"]),
+        )
 
 
 def _pack(value):
@@ -234,7 +258,8 @@ def optimize(
     """Run the alternating loop; return the best system and the trace.
 
     ``pool`` is an ``(n, d)`` array-like of expert parameter vectors, left
-    unchanged, or None to draw one from the config's pool spec. The returned
+    unchanged, or None to draw one from the config's pool spec; a resume takes
+    its experts from the checkpoint, so it must be None there. The returned
     system is the recorded best DAG (frozen, never re-decoded) instantiated
     with the final expert parameters under the identity assignment. Modes that search
     expert parameters are rejected for evaluators that never use them, and a
@@ -243,11 +268,14 @@ def optimize(
     """
     if cfg.mode != "role_only" and not getattr(utility.evaluator, "uses_expert_params", True):
         raise ValueError(f"mode {cfg.mode!r} searches expert parameters, which this evaluator ignores; use role_only")
+    if pool is not None and resume_from is not None:
+        raise ValueError("a resume takes its experts from the checkpoint; give no pool with it")
     n = cfg.n_experts
     rng = RngFactory(cfg.seed)
     identity = Assignment.identity(n)
     budget = n * (cfg.matrix_swarm_size + cfg.assignments_per_step) * utility.dataset_size
 
+    record = None
     if resume_from is not None:
         payload = load_checkpoint(resume_from)
         _check_resume_config(payload["config"], cfg)
@@ -256,7 +284,6 @@ def optimize(
         best_utility = payload["best_utility"]
         matrices = _unpack_swarm(payload["matrix_swarm"])
         experts = _unpack_swarm(payload["expert_swarm"])
-        record = None
         if payload["record"] is not None:
             record = RoleRecord(
                 _unpack(payload["record"]["matrix"]),
@@ -274,7 +301,6 @@ def optimize(
         if len(pool) != n:
             raise ValueError(f"pool size {len(pool)} != n_experts {n}")
         experts = Swarm.from_positions(pool)
-        record = None
         if cfg.mode == "weight_only":
             # Freeze the structure to the best of the initial random decodes.
             for matrix, stream in zip(matrices.positions, rng.streams("decode", 0, count=len(matrices))):
@@ -318,7 +344,7 @@ def optimize(
         if calls > budget:
             raise RuntimeError(f"evaluator budget exceeded: {calls} > {budget} calls in iteration {t}")
         stall = 0 if best_utility > previous_best else stall + 1
-        trace.append(
+        trace.rows.append(
             TraceRow(
                 iteration=t,
                 ran_role=run_role,

@@ -46,6 +46,12 @@ class _FixedState(ISeedSequence):
         return self.state
 
 
+def _spawn_key(purpose: str, coords: tuple) -> tuple[int, ...]:
+    if purpose not in _PURPOSES:
+        raise ValueError(f"unknown rng purpose: {purpose!r}")
+    return (_PURPOSES[purpose],) + tuple(int(k) for k in coords)
+
+
 class RngFactory:
     """Dispenses named substreams of a single root seed."""
 
@@ -53,16 +59,11 @@ class RngFactory:
         self.seed = int(seed)
 
     def stream(self, purpose: str, *key: int) -> np.random.Generator:
-        if purpose not in _PURPOSES:
-            raise ValueError(f"unknown rng purpose: {purpose!r}")
-        spawn_key = (_PURPOSES[purpose],) + tuple(int(k) for k in key)
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=spawn_key))
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=_spawn_key(purpose, key)))
 
     def streams(self, purpose: str, *prefix: int, count: int) -> list[np.random.Generator]:
         """``[self.stream(purpose, *prefix, i) for i in range(count)]``, bit for bit, in one batch."""
-        if purpose not in _PURPOSES:
-            raise ValueError(f"unknown rng purpose: {purpose!r}")
-        key = (_PURPOSES[purpose],) + tuple(int(k) for k in prefix)
+        key = _spawn_key(purpose, prefix)
         shared = np.random.SeedSequence(self.seed, spawn_key=key)
         # numpy mixes the shared words; the last, the index i, is mixed in here. A spawn key pads the run
         # entropy to the pool's 4 words, and mixing m words advances the hash constant 4m times.

@@ -35,7 +35,6 @@ class UtilityFunction:
 class ConstantUtility(UtilityFunction):
     def __init__(self, value: float = 0.0):
         self.value = float(value)
-        self.dataset_size = 1
 
     def evaluate(self, dag, assignment, pool) -> float:
         return self.value
@@ -74,7 +73,6 @@ class DagRecoveryUtility(UtilityFunction):
     def __init__(self, target: DagStructure):
         target.validate()
         self.target = target
-        self.dataset_size = 1
 
     def evaluate(self, dag, assignment, pool) -> float:
         return 1.0 - normalized_edit_distance(dag, self.target)
@@ -169,32 +167,30 @@ def load_dataset(path: str | Path) -> list[dict]:
 
 
 _TARGET_BUILDERS = {"chain": chain_dag, "star": star_dag}
+_DEFAULT_TARGETS = {"hidden_dag": "star", "affine_target": "chain"}
 
 
 def build_utility(spec: dict, rng: np.random.Generator, evaluator: NodeEvaluator | None = None) -> UtilityFunction:
     """Construct a registry utility from a config dictionary."""
     spec = dict(spec)
     name = spec.pop("name", None)
+    if name in _DEFAULT_TARGETS:
+        n = int(spec.pop("n", 4))
+        shape = spec.pop("target", _DEFAULT_TARGETS[name])
+        if shape not in _TARGET_BUILDERS:
+            raise ValueError(f"unknown {name} target: {shape!r}")
+        target = _TARGET_BUILDERS[shape](n)
     if name == "constant":
         utility = ConstantUtility(spec.pop("value", 0.0))
     elif name == "hidden_dag":
-        n = int(spec.pop("n", 4))
-        shape = spec.pop("target", "star")
-        if shape not in _TARGET_BUILDERS:
-            raise ValueError(f"unknown hidden_dag target: {shape!r}")
-        utility = DagRecoveryUtility(_TARGET_BUILDERS[shape](n))
+        utility = DagRecoveryUtility(target)
     elif name == "affine_target":
-        n = int(spec.pop("n", 4))
-        shape = spec.pop("target", "chain")
-        if shape not in _TARGET_BUILDERS:
-            raise ValueError(f"unknown affine_target target: {shape!r}")
         utility = make_affine_task(
             rng,
-            n=n,
             dim=int(spec.pop("dim", 2)),
             points=int(spec.pop("points", 4)),
             scale=float(spec.pop("scale", 0.9)),
-            structure=_TARGET_BUILDERS[shape](n),
+            structure=target,
         )
     elif name == "dataset":
         if evaluator is None:

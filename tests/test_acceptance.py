@@ -35,7 +35,6 @@ from dagswarm import (
     optimize,
     prune_threshold,
     pso_step,
-    solved_from_zero_rate,
 )
 from dagswarm.cli import ENDPOINT_ENV, run_cli
 
@@ -331,7 +330,7 @@ def test_c10_collaborative_gain_correctness():
     # hand case: N=2, |D|=4, buckets (1, acc 1.0), (2, acc 0.5), (1, acc 1.0)
     table = BucketTable(2, (1, 2, 1), (1, 1, 1))
     assert collaborative_gain(table) == 0.0
-    assert solved_from_zero_rate(table) == 1.0
+    assert table.accuracy(0) == 1.0
 
     # hand bucketing: per-expert correct counts {0, 1, 1, 2} over 4 problems
     table = bucketize(

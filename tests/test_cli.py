@@ -11,10 +11,12 @@ from dagswarm import (
     Message,
     RemoteEvaluator,
     RngFactory,
+    build_pool,
     build_prompt,
     cli,
     diamond_dag,
     execute,
+    save_pool,
 )
 from dagswarm.cli import ENDPOINT_ENV, parse_config, run_cli
 
@@ -125,6 +127,34 @@ def test_analyze_has_no_jobs_flag(capsys):
         run_cli(["analyze", "--jobs", "2", "--correctness", "unused.json"])
     assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--config", "c.json")])
+def test_analyze_takes_no_config_or_seed(flag, value, tmp_path, capsys):
+    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[1]], "system_correct": [1]})
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["analyze", flag, value, "--correctness", correctness, "--out", str(tmp_path / "an")])
+    assert exit_info.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "UsageError"
+    assert not (tmp_path / "an").exists()
+
+
+def test_optimize_rejects_a_pool_with_a_resume(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "cfg.json",
+        {"n_experts": 3, "max_iterations": 1, "utility_spec": {"name": "affine_target", "n": 3, "points": 2}},
+    )
+    checkpoint = str(tmp_path / "ck.json")
+    assert run_cli(["optimize", "--config", cfg, "--checkpoint", checkpoint, "--out", str(tmp_path / "a")]) == 0
+    save_pool(build_pool(3, 1, 6, RngFactory(0).stream("init_experts")), tmp_path / "pool")
+    capsys.readouterr()
+    args = ["optimize", "--config", cfg, "--pool", str(tmp_path / "pool"), "--resume", checkpoint]
+    assert run_cli([*args, "--out", str(tmp_path / "b")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError" and "pool" in error["message"]
+    assert not (tmp_path / "b").exists()
 
 
 def test_optimize_jobs_reach_the_remote_evaluator(tmp_path, capsys, monkeypatch, clean_stub):
@@ -274,6 +304,32 @@ def test_evaluate_local_inputs_must_stack_to_a_matrix(tmp_path, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "ValueError"
+
+
+def test_evaluate_rejects_an_unknown_system_version(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    system = tmp_path / "sys.json"
+    write_system(system, diamond_dag(), np.zeros((4, 6)))
+    system.write_text(json.dumps({**json.loads(system.read_text()), "format_version": 99}))
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n")
+    assert run_cli(["evaluate", "--system", str(system), "--dataset", str(dataset)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError" and "99" in error["message"]
+
+
+def test_evaluate_names_a_missing_input_field(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n" + json.dumps({"question": [0.1, 0.2]}) + "\n")
+    system = write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 6)))
+    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError" and "'input'" in error["message"]
 
 
 def test_evaluate_remote_items_come_back_in_item_order(tmp_path, capsys, monkeypatch, clean_stub):

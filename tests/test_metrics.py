@@ -14,8 +14,6 @@ from dagswarm import (
     analysis_report,
     bucketize,
     collaborative_gain,
-    solved_from_zero_rate,
-    trace_csv,
 )
 
 
@@ -31,7 +29,7 @@ def test_bucketize_all_wrong():
     table = bucketize([[0, 0], [0, 0]], [0, 0])
     assert table.counts == (2, 0, 0)
     assert table.accuracy(0) == 0.0
-    assert solved_from_zero_rate(table) == 0.0
+    assert analysis_report(table)["solved_from_zero_rate"] == 0.0
 
 
 def test_bucketize_permutation_invariant():
@@ -54,7 +52,7 @@ def test_gain_hand_case_zero_with_b0_rate_one():
     # (2/4)(0.5-0.5) + (1/4)(1-1) = 0
     table = BucketTable(2, (1, 2, 1), (1, 1, 1))
     assert collaborative_gain(table) == 0.0
-    assert solved_from_zero_rate(table) == 1.0
+    assert analysis_report(table)["solved_from_zero_rate"] == 1.0
 
 
 def test_gain_zero_when_accuracy_meets_expectation():
@@ -124,7 +122,7 @@ def test_trace_csv_round_trips():
             TraceRow(1, True, False, 0.7, 0.7, None, 16, 0.01),
         ]
     )
-    text = trace_csv(trace)
+    text = trace.to_csv()
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 2
     assert rows[0]["iteration"] == "0"

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from dagswarm import (
+    OptimizedSystem,
     PsoHyperparams,
     RngFactory,
     RunConfig,
+    RunTrace,
     SparsityConfig,
     Swarm,
+    TraceRow,
     build_pool,
     build_utility,
     config_from_dict,
@@ -203,6 +206,72 @@ def test_trace_serialization_omits_wall_time_and_is_stable():
         "best_utility", "best_contribution", "evaluator_calls",
     }
     assert all(row.wall_time_s >= 0 for row in first.rows)
+
+
+PINNED_ROWS = [
+    TraceRow(0, False, True, float("-inf"), -0.25, None, 12, 0.5),
+    TraceRow(1, True, True, 0.1, 0.30000000000000004, 0.125, 40, 0.25),
+    TraceRow(2, True, False, 0.75, 0.75, None, 20),
+]
+# The table the earlier metrics.trace_csv wrote for PINNED_ROWS.
+PINNED_CSV = (
+    "iteration,ran_role,ran_weight,best_role_utility,best_utility,best_contribution,evaluator_calls\n"
+    "0,0,1,-inf,-0.25,,12\n"
+    "1,1,1,0.1,0.30000000000000004,0.125,40\n"
+    "2,1,0,0.75,0.75,,20\n"
+)
+
+
+def test_trace_jsonl_round_trips():
+    _, real = run(small_cfg(dropout_role=0.4, dropout_weight=0.4))
+    for trace in (RunTrace(PINNED_ROWS), real, RunTrace()):
+        assert RunTrace.from_jsonl(trace.to_jsonl()).to_jsonl() == trace.to_jsonl()
+
+
+def test_trace_csv_matches_the_pinned_table():
+    trace = RunTrace(PINNED_ROWS)
+    assert trace.to_csv() == PINNED_CSV
+    assert RunTrace.from_jsonl(trace.to_jsonl()).to_csv() == PINNED_CSV
+
+
+def test_trace_csv_columns_are_the_jsonl_keys_in_row_order():
+    _, trace = run(small_cfg(max_iterations=2))
+    header = trace.to_csv().splitlines()[0].split(",")
+    record = json.loads(trace.to_jsonl().splitlines()[0])
+    assert header == [name for name in TraceRow.__dataclass_fields__ if name in record]
+    assert set(header) == set(record)
+
+
+def test_system_round_trips_through_from_dict():
+    for mode in ("full", "role_only", "weight_only"):
+        system, _ = run(small_cfg(mode=mode))
+        assert OptimizedSystem.from_dict(json.loads(system.to_json())).to_json() == system.to_json()
+
+
+@pytest.mark.parametrize("version", [None, 2, 99])
+def test_system_from_dict_names_an_unknown_version(version):
+    data = run(small_cfg(max_iterations=1))[0].to_dict()
+    data["format_version"] = version
+    with pytest.raises(ValueError, match=f"version: {version}"):
+        OptimizedSystem.from_dict(data)
+
+
+def test_system_from_dict_validates_the_dag():
+    data = run(small_cfg(max_iterations=1))[0].to_dict()
+    data["dag"]["topo_order"] = data["dag"]["topo_order"][::-1]
+    with pytest.raises(ValueError):
+        OptimizedSystem.from_dict(data)
+
+
+def test_resume_with_a_pool_is_rejected_before_any_evaluation(tmp_path):
+    cfg = small_cfg(max_iterations=1)
+    ck = tmp_path / "checkpoint.json"
+    run(cfg, checkpoint_path=ck)
+    utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"))
+    pool = build_pool(4, 1, 6, RngFactory(0).stream("init_experts"))
+    with pytest.raises(ValueError, match="pool"):
+        optimize(replace(cfg, max_iterations=3), pool, utility, resume_from=ck)
+    assert utility.evaluator_calls == 0
 
 
 def test_evaluator_budget_respected_in_trace():

@@ -1,0 +1,60 @@
+"""The benchmark's tracer wraps dagswarm functions by module attribute.
+
+A traced run fails with ``AttributeError`` when ``src/`` drops or moves a
+name the tracer wraps, so this runs a tiny ``optimize`` under it. The
+tracer file is only read.
+"""
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from dagswarm import RngFactory, RunConfig, build_utility, optimize
+from dagswarm import graph, orchestrate
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+SPANS = {
+    "full": {
+        "graph.decode_dag", "pso.pso_step", "rng.stream", "executor.execute", "utilities.evaluate",
+        "role_step", "weight_step", "orchestrate.checkpoint",
+        "weight_step.sample_assignments", "weight_step.contribution_scores",
+    },
+    "weight_only": {
+        "graph.decode_dag", "pso.pso_step", "rng.stream", "executor.execute", "utilities.evaluate",
+        "weight_step", "orchestrate.checkpoint",
+        "weight_step.sample_assignments", "weight_step.contribution_scores",
+    },
+}
+
+
+def load_tracer(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ next to the tracer
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode", sorted(SPANS))
+def test_traced_optimize_runs_and_matches_an_untraced_run(mode, tmp_path, monkeypatch):
+    cfg = RunConfig(
+        n_experts=3, matrix_swarm_size=3, assignments_per_step=3, max_iterations=2, patience=2,
+        mode=mode, utility_spec={"name": "affine_target", "n": 3, "points": 2},
+    )
+
+    def utility():
+        return build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"))
+
+    expected_system, expected_trace = optimize(cfg, None, utility())
+    traced = utility()
+    tracer = load_tracer(monkeypatch).Tracer()
+    with tracer.installed(traced):
+        system, trace = optimize(cfg, None, traced, checkpoint_path=tmp_path / "ck.json")
+    assert {span[0] for span in tracer.spans} == SPANS[mode]
+    assert system.to_json() == expected_system.to_json()
+    assert trace.to_jsonl() == expected_trace.to_jsonl()
+    assert orchestrate.decode_dag is graph.decode_dag  # the wrappers are gone again
