@@ -32,7 +32,6 @@ from .orchestrate import (
     TraceRow,
     config_from_dict,
     dropout_gate,
-    load_checkpoint,
     optimize,
 )
 from .pool import build_pool, load_pool, save_pool

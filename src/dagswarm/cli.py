@@ -84,8 +84,7 @@ def _load_matrix(path: str) -> np.ndarray:
 
 def cmd_optimize(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
-    rng = RngFactory(cfg.seed)
-    utility = build_utility(cfg.utility_spec, rng.stream("task"), _node_evaluator(args.jobs))
+    utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"), _node_evaluator(args.jobs))
     pool = load_pool(args.pool) if args.pool else None
     system, trace = optimize(
         cfg, pool, utility, checkpoint_path=args.checkpoint, resume_from=args.resume
@@ -268,9 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is not None and args.jobs < 1:
-        print(json.dumps({"error": {"type": "UsageError", "message": "--jobs must be >= 1"}}), file=sys.stderr)
-        return 2
+    for flag in ("jobs", "runs"):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
+            print(json.dumps({"error": {"type": "UsageError", "message": f"--{flag} must be >= 1"}}), file=sys.stderr)
+            return 2
     try:
         return args.handler(args)
     except BrokenPipeError:

@@ -187,7 +187,9 @@ class OptimizedSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizedSystem":
-        """Inverse of ``to_dict``; an unknown ``format_version`` or an invalid DAG raises ``ValueError``."""
+        """Inverse of ``to_dict``; a non-object, an unknown ``format_version`` or a bad DAG raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("system root must be a JSON object")
         if data.get("format_version") != SYSTEM_VERSION:
             raise ValueError(f"unsupported system version: {data.get('format_version')}")
         return cls(
@@ -234,18 +236,72 @@ def save_checkpoint(path: str | Path, payload: dict) -> None:
     os.replace(partial, path)
 
 
-def load_checkpoint(path: str | Path) -> dict:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')}")
-    return payload
+@dataclass
+class RunState:
+    """What the loop carries from one iteration to the next; the one writer and reader of the checkpoint."""
 
+    iteration: int
+    stall: int
+    best_utility: float
+    matrix_swarm: Swarm
+    expert_swarm: Swarm
+    record: RoleRecord | None
 
-def _check_resume_config(stored: dict, cfg: RunConfig) -> None:
-    """A resume must replay the checkpointed run; only the fields that decide when it stops may change."""
-    for name, value in json.loads(json.dumps(asdict(cfg))).items():
-        if name not in ("max_iterations", "patience") and stored.get(name) != value:
-            raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
+    @classmethod
+    def initial(cls, cfg: RunConfig, pool, utility: UtilityFunction, rng: RngFactory) -> "RunState":
+        """The state before iteration 0; ``weight_only`` fixes its structure here."""
+        n = cfg.n_experts
+        matrices = Swarm.from_positions(init_adjacency_swarm(n, cfg.matrix_swarm_size, rng.stream("init_matrices")))
+        if pool is None:
+            pool = build_pool(cfg.distinct, cfg.pool_repeats, cfg.expert_dim, rng.stream("init_experts"), cfg.expert_scale)
+        if len(pool) != n:
+            raise ValueError(f"pool size {len(pool)} != n_experts {n}")
+        experts = Swarm.from_positions(pool)
+        record = None
+        if cfg.mode == "weight_only":
+            # Freeze the structure to the best of the initial random decodes.
+            for matrix, stream in zip(matrices.positions, rng.streams("decode", 0, count=len(matrices))):
+                dag = decode_dag(matrix, cfg.top_p, stream)
+                raw = float(utility.evaluate(dag, Assignment.identity(n), experts.positions))
+                if record is None or raw > record.utility:
+                    record = RoleRecord(matrix.copy(), dag, raw)
+        return cls(0, 0, -np.inf, matrices, experts, record)
+
+    def to_checkpoint(self, cfg: RunConfig) -> dict:
+        """The state after an iteration, which always holds a record, as a JSON-ready dict."""
+        return {
+            "format_version": CHECKPOINT_VERSION,
+            "iteration": self.iteration,
+            "config": asdict(cfg),
+            "stall": self.stall,
+            "best_utility": float(self.best_utility),
+            "record": {"matrix": _pack(self.record.matrix), "dag": self.record.dag.to_dict(), "utility": self.record.utility},
+            "matrix_swarm": _pack_swarm(self.matrix_swarm),
+            "expert_swarm": _pack_swarm(self.expert_swarm),
+        }
+
+    @classmethod
+    def from_checkpoint(cls, payload, cfg: RunConfig) -> "RunState":
+        """Inverse of ``to_checkpoint``; raises ``ValueError`` unless the payload resumes ``cfg``'s run."""
+        if not isinstance(payload, dict):
+            raise ValueError("checkpoint root must be a JSON object")
+        if payload.get("format_version") != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')}")
+        stored = payload["config"]
+        for name, value in json.loads(json.dumps(asdict(cfg))).items():
+            if name not in ("max_iterations", "patience") and stored.get(name) != value:
+                raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
+        record = payload.get("record")
+        if not isinstance(record, dict):
+            raise ValueError("checkpoint holds no structure record")
+        return cls(
+            iteration=payload["iteration"],
+            stall=payload["stall"],
+            best_utility=payload["best_utility"],
+            matrix_swarm=_unpack_swarm(payload["matrix_swarm"]),
+            expert_swarm=_unpack_swarm(payload["expert_swarm"]),
+            record=RoleRecord(_unpack(record["matrix"]), DagStructure.from_dict(record["dag"]), float(record["utility"])),
+        )
 
 
 def optimize(
@@ -264,130 +320,71 @@ def optimize(
     with the final expert parameters under the identity assignment. Modes that search
     expert parameters are rejected for evaluators that never use them, and a
     resume is rejected if the config differs from the checkpointed one in
-    anything but ``max_iterations`` and ``patience``.
+    anything but ``max_iterations`` and ``patience``. A resume of a run that
+    already stopped runs no iteration.
     """
     if cfg.mode != "role_only" and not getattr(utility.evaluator, "uses_expert_params", True):
         raise ValueError(f"mode {cfg.mode!r} searches expert parameters, which this evaluator ignores; use role_only")
     if pool is not None and resume_from is not None:
         raise ValueError("a resume takes its experts from the checkpoint; give no pool with it")
-    n = cfg.n_experts
     rng = RngFactory(cfg.seed)
-    identity = Assignment.identity(n)
-    budget = n * (cfg.matrix_swarm_size + cfg.assignments_per_step) * utility.dataset_size
-
-    record = None
+    identity = Assignment.identity(cfg.n_experts)
+    budget = cfg.n_experts * (cfg.matrix_swarm_size + cfg.assignments_per_step) * utility.dataset_size
     if resume_from is not None:
-        payload = load_checkpoint(resume_from)
-        _check_resume_config(payload["config"], cfg)
-        start_iteration = payload["iteration"]
-        stall = payload["stall"]
-        best_utility = payload["best_utility"]
-        matrices = _unpack_swarm(payload["matrix_swarm"])
-        experts = _unpack_swarm(payload["expert_swarm"])
-        if payload["record"] is not None:
-            record = RoleRecord(
-                _unpack(payload["record"]["matrix"]),
-                DagStructure.from_dict(payload["record"]["dag"]),
-                float(payload["record"]["utility"]),
-            )
+        state = RunState.from_checkpoint(json.loads(Path(resume_from).read_text()), cfg)
     else:
-        start_iteration = 0
-        stall = 0
-        best_utility = -np.inf
-        positions = init_adjacency_swarm(n, cfg.matrix_swarm_size, rng.stream("init_matrices"))
-        matrices = Swarm.from_positions(positions)
-        if pool is None:
-            pool = build_pool(cfg.distinct, cfg.pool_repeats, cfg.expert_dim, rng.stream("init_experts"), cfg.expert_scale)
-        if len(pool) != n:
-            raise ValueError(f"pool size {len(pool)} != n_experts {n}")
-        experts = Swarm.from_positions(pool)
-        if cfg.mode == "weight_only":
-            # Freeze the structure to the best of the initial random decodes.
-            for matrix, stream in zip(matrices.positions, rng.streams("decode", 0, count=len(matrices))):
-                dag = decode_dag(matrix, cfg.top_p, stream)
-                raw = float(utility.evaluate(dag, identity, experts.positions))
-                if record is None or raw > record.utility:
-                    record = RoleRecord(matrix.copy(), dag, raw)
+        state = RunState.initial(cfg, pool, utility, rng)
 
     trace = RunTrace()
-    for t in range(start_iteration, cfg.max_iterations):
+    while state.iteration < cfg.max_iterations and state.stall < cfg.patience:
+        t = state.iteration
         started = time.perf_counter()
         calls_before = utility.evaluator_calls
-        previous_best = best_utility
+        previous_best = state.best_utility
 
+        run_role, run_weight = cfg.mode != "weight_only", cfg.mode != "role_only"
         if cfg.mode == "full":
-            run_role, run_weight = dropout_gate(
-                cfg.dropout_role, cfg.dropout_weight, rng.stream("dropout", t)
-            )
-            if record is None and not run_role:
-                run_role = True  # a weight step needs a structure to work on
-        elif cfg.mode == "role_only":
-            run_role, run_weight = True, False
-        else:
-            run_role, run_weight = False, True
+            run_role, run_weight = dropout_gate(cfg.dropout_role, cfg.dropout_weight, rng.stream("dropout", t))
+            run_role = run_role or state.record is None  # a weight step needs a structure to work on
 
         best_contribution = None
         if run_role:
-            matrices, record = role_step(
-                matrices, experts.positions, identity, utility,
-                cfg.sparsity, cfg.role_hp, cfg.top_p, rng, t, record,
+            state.matrix_swarm, state.record = role_step(
+                state.matrix_swarm, state.expert_swarm.positions, identity, utility,
+                cfg.sparsity, cfg.role_hp, cfg.top_p, rng, t, state.record,
             )
-            best_utility = max(best_utility, record.utility)
-        if run_weight and record is not None:
-            experts, report = weight_step(
-                experts, record.dag, utility, cfg.weight_hp, cfg.assignments_per_step, rng, t
+            state.best_utility = max(state.best_utility, state.record.utility)
+        if run_weight:
+            state.expert_swarm, report = weight_step(
+                state.expert_swarm, state.record.dag, utility, cfg.weight_hp, cfg.assignments_per_step, rng, t
             )
             best_contribution = float(np.max(report.scores))
-            best_utility = max(best_utility, record.utility, max(report.utilities))
+            state.best_utility = max(state.best_utility, state.record.utility, max(report.utilities))
 
         calls = utility.evaluator_calls - calls_before
         if calls > budget:
             raise RuntimeError(f"evaluator budget exceeded: {calls} > {budget} calls in iteration {t}")
-        stall = 0 if best_utility > previous_best else stall + 1
+        state.stall = 0 if state.best_utility > previous_best else state.stall + 1
+        state.iteration = t + 1
         trace.rows.append(
             TraceRow(
                 iteration=t,
                 ran_role=run_role,
                 ran_weight=run_weight,
-                best_role_utility=float(record.utility) if record is not None else -np.inf,
-                best_utility=float(best_utility),
+                best_role_utility=float(state.record.utility),
+                best_utility=float(state.best_utility),
                 best_contribution=best_contribution,
                 evaluator_calls=calls,
                 wall_time_s=time.perf_counter() - started,
             )
         )
-
         if checkpoint_path is not None:
-            save_checkpoint(
-                checkpoint_path,
-                {
-                    "format_version": CHECKPOINT_VERSION,
-                    "iteration": t + 1,
-                    "config": asdict(cfg),
-                    "stall": stall,
-                    "best_utility": float(best_utility),
-                    "record": None
-                    if record is None
-                    else {
-                        "matrix": _pack(record.matrix),
-                        "dag": record.dag.to_dict(),
-                        "utility": float(record.utility),
-                    },
-                    "matrix_swarm": _pack_swarm(matrices),
-                    "expert_swarm": _pack_swarm(experts),
-                },
-            )
+            save_checkpoint(checkpoint_path, state.to_checkpoint(cfg))
 
-        if stall >= cfg.patience:
-            break
-
-    if record is None:
-        raise RuntimeError("optimization produced no structure record")
-    system = OptimizedSystem(
-        dag=record.dag,
+    return OptimizedSystem(
+        dag=state.record.dag,
         assignment=identity,
-        expert_params=experts.positions.copy(),
-        best_utility=float(best_utility),
-        best_role_utility=float(record.utility),
-    )
-    return system, trace
+        expert_params=state.expert_swarm.positions.copy(),
+        best_utility=float(state.best_utility),
+        best_role_utility=float(state.record.utility),
+    ), trace

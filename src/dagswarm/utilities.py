@@ -161,9 +161,13 @@ def exact_match(output, answer) -> bool:
 
 
 def load_dataset(path: str | Path) -> list[dict]:
-    """One JSON object per non-blank line."""
+    """One JSON object per non-blank line; any other value raises ``ValueError`` naming the path and line."""
     with open(path, encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+        items = [(number, json.loads(line)) for number, line in enumerate(handle, 1) if line.strip()]
+    for number, item in items:
+        if not isinstance(item, dict):
+            raise ValueError(f"{path} line {number}: a dataset item must be a JSON object")
+    return [item for _, item in items]
 
 
 _TARGET_BUILDERS = {"chain": chain_dag, "star": star_dag}

@@ -332,6 +332,41 @@ def test_evaluate_names_a_missing_input_field(tmp_path, capsys, monkeypatch):
     assert error["type"] == "ValueError" and "'input'" in error["message"]
 
 
+def cli_error(capsys) -> dict:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)["error"]
+
+
+def test_evaluate_names_a_system_file_that_is_not_an_object(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    system = write(tmp_path / "sys.json", [1, 2])
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n")
+    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 1
+    error = cli_error(capsys)
+    assert error["type"] == "ValueError" and error["message"] == "system root must be a JSON object"
+
+
+def test_evaluate_names_a_dataset_line_that_is_not_an_object(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n\n5\n")
+    system = write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 6)))
+    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 1
+    error = cli_error(capsys)
+    assert error["type"] == "ValueError" and error["message"].startswith(f"{dataset} line 3: ")
+
+
+def test_optimize_names_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", {"n_experts": 3, "utility_spec": {"name": "affine_target", "n": 3, "points": 2}})
+    checkpoint = write(tmp_path / "ck.json", [1])
+    assert run_cli(["optimize", "--config", cfg, "--resume", checkpoint, "--out", str(tmp_path / "run")]) == 1
+    error = cli_error(capsys)
+    assert error["type"] == "ValueError" and error["message"] == "checkpoint root must be a JSON object"
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_remote_items_come_back_in_item_order(tmp_path, capsys, monkeypatch, clean_stub):
     monkeypatch.setenv(ENDPOINT_ENV, clean_stub.endpoint)
     dag = diamond_dag()
@@ -370,3 +405,10 @@ def test_sweep_ranks_runs(tmp_path, capsys):
     assert utilities == sorted(utilities, reverse=True)
     grid_point = payload["runs"][0]["hyperparams"]
     assert set(grid_point) == {"step_length", "inertia", "cognitive", "social", "repel"}
+
+
+def test_sweep_rejects_fewer_than_one_run_before_any_run(tmp_path, capsys):
+    assert run_cli(["sweep", "--runs", "0", "--out", str(tmp_path / "sw")]) == 2
+    error = cli_error(capsys)
+    assert error == {"type": "UsageError", "message": "--runs must be >= 1"}
+    assert not (tmp_path / "sw" / "sweep.json").exists()

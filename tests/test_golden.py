@@ -1,9 +1,9 @@
-"""Pinned output bytes for three small runs.
+"""Pinned output bytes for four small runs.
 
 c11 checks that two runs of the same code agree; these digests check that
-the bytes of ``trace.jsonl`` and ``best_system.json`` do not move between
-versions of the code. A change that alters output bytes on purpose updates
-the digests here and says why.
+the bytes of ``trace.jsonl``, ``best_system.json`` and the final checkpoint
+do not move between versions of the code. A change that alters output bytes
+on purpose updates the digests here and says why.
 """
 from __future__ import annotations
 
@@ -72,10 +72,23 @@ GOLDEN = {
 }
 
 
-def run_digest(config: dict) -> str:
+# SHA-256 of the checkpoint file each GOLDEN run leaves after its last iteration.
+CHECKPOINT_DIGESTS = {
+    "role_only_hidden_dag_threshold": "dc734afc9ec7a9ac0879d753c1c73ff64b19768480996f7925f6cb4d05878c18",
+    "full_affine_chain_n10": "62bd793540052a6e10c028374ea5e9b1e8ba3a9b92d623bf7c7394742c7b71f0",
+    "weight_only_affine_dim3": "f0048f48db00c6def171b29d08c33fc747baf09632bbed03313bf338445a0430",
+    "role_only_star_l1_large_seed": "1d1776f845c818745c55dbd2accb4633332f7502e403ec9c3fa2a8d9c9241239",
+}
+
+
+def run_golden(config: dict, checkpoint_path=None):
     cfg = config_from_dict(config)
     utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"))
-    system, trace = optimize(cfg, None, utility)
+    return optimize(cfg, None, utility, checkpoint_path=checkpoint_path)
+
+
+def run_digest(config: dict) -> str:
+    system, trace = run_golden(config)
     return hashlib.sha256((trace.to_jsonl() + system.to_json()).encode()).hexdigest()
 
 
@@ -83,3 +96,10 @@ def run_digest(config: dict) -> str:
 def test_output_bytes_match_golden_digest(name):
     config, digest = GOLDEN[name]
     assert run_digest(config) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_final_checkpoint_bytes_match_golden_digest(name, tmp_path):
+    ck = tmp_path / "checkpoint.json"
+    run_golden(GOLDEN[name][0], checkpoint_path=ck)
+    assert hashlib.sha256(ck.read_bytes()).hexdigest() == CHECKPOINT_DIGESTS[name]

@@ -21,10 +21,9 @@ from dagswarm import (
     build_utility,
     config_from_dict,
     dropout_gate,
-    load_checkpoint,
     optimize,
 )
-from dagswarm.orchestrate import _pack_swarm, _unpack_swarm, save_checkpoint
+from dagswarm.orchestrate import RunState, _pack_swarm, _unpack_swarm, save_checkpoint
 
 
 def small_cfg(**overrides):
@@ -40,9 +39,12 @@ def small_cfg(**overrides):
     return RunConfig(**base)
 
 
+def task_utility(cfg):
+    return build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"))
+
+
 def run(cfg, pool=None, **kwargs):
-    utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"))
-    return optimize(cfg, pool, utility, **kwargs)
+    return optimize(cfg, pool, task_utility(cfg), **kwargs)
 
 
 def test_defaults_match_reference_settings():
@@ -317,7 +319,7 @@ RESUME_VARIANTS = {
 
 @pytest.mark.parametrize("mode", ["full", "role_only", "weight_only"])
 def test_resume_at_any_stop_point_replays_the_uninterrupted_run(mode, tmp_path):
-    ck = tmp_path / "checkpoint.json"
+    ck, crash_ck = tmp_path / "checkpoint.json", tmp_path / "crashed.json"
     for variant, overrides in RESUME_VARIANTS.items():
         for seed in (0, 1):
             cfg = small_cfg(
@@ -327,17 +329,67 @@ def test_resume_at_any_stop_point_replays_the_uninterrupted_run(mode, tmp_path):
             system_full, trace_full = run(cfg)
             lines_full = trace_full.to_jsonl().splitlines()
             for stop in (1, 3, 5):
-                run(replace(cfg, max_iterations=stop), checkpoint_path=ck)
+                stopped = task_utility(cfg)
+                optimize(replace(cfg, max_iterations=stop), None, stopped, checkpoint_path=ck)
+                clean = json.loads(ck.read_text())
                 system, trace = run(cfg, resume_from=ck)
                 where = f"{mode}/{variant} seed {seed} stop {stop}"
                 assert system.to_json() == system_full.to_json(), where
                 assert trace.to_jsonl().splitlines() == lines_full[stop:], where
 
+                # A crash halfway through iteration `stop` leaves the checkpoint
+                # of the last completed iteration, and that resumes the same run.
+                crashing = task_utility(cfg)
+                crash_at = stopped.evaluator_calls + trace_full.rows[stop].evaluator_calls // 2
+                fail_after(crashing, crash_at)
+                with pytest.raises(RuntimeError):  # the steps wrap the crash in their own errors
+                    optimize(cfg, None, crashing, checkpoint_path=crash_ck)
+                assert crashing.evaluator_calls > crash_at, where
+                crashed = json.loads(crash_ck.read_text())
+                assert crashed["config"].pop("max_iterations") == cfg.max_iterations, where
+                assert clean["config"].pop("max_iterations") == stop, where
+                assert crashed == clean, where
+                system, trace = run(cfg, resume_from=crash_ck)
+                assert system.to_json() == system_full.to_json(), where
+                assert trace.to_jsonl().splitlines() == lines_full[stop:], where
+
+
+def fail_after(utility, calls):
+    """Make the utility's evaluator raise once it has counted more than ``calls`` calls."""
+    evaluator = utility.evaluator
+    evaluate = evaluator.evaluate
+
+    def failing(*args):
+        if evaluator.calls > calls:
+            raise RuntimeError("evaluator crashed")
+        return evaluate(*args)
+
+    evaluator.evaluate = failing
+
+
+def test_resume_after_a_patience_stop_runs_no_iteration(tmp_path):
+    ck = tmp_path / "checkpoint.json"
+    for seed in range(3):
+        cfg = small_cfg(max_iterations=20, patience=2, seed=seed)
+        system_full, trace_full = run(cfg, checkpoint_path=ck)
+        stopped_at = len(trace_full.rows)
+        assert stopped_at < cfg.max_iterations, f"seed {seed} did not stop on patience"
+        system, trace = run(cfg, resume_from=ck)
+        assert trace.rows == [], f"seed {seed}"
+        assert system.to_json() == system_full.to_json(), f"seed {seed}"
+
+        # a raised patience continues the stopped run where it stopped
+        raised = replace(cfg, patience=5)
+        system_raised, trace_raised = run(raised)
+        system, trace = run(raised, resume_from=ck)
+        assert system.to_json() == system_raised.to_json(), f"seed {seed}"
+        assert trace.to_jsonl().splitlines() == trace_raised.to_jsonl().splitlines()[stopped_at:], f"seed {seed}"
+
 
 def test_weight_only_checkpoint_round_trips_an_unmoved_matrix_swarm(tmp_path):
     ck = tmp_path / "checkpoint.json"
     run(small_cfg(mode="weight_only", max_iterations=2, patience=2), checkpoint_path=ck)
-    payload = load_checkpoint(ck)
+    payload = json.loads(ck.read_text())
     matrices = _unpack_swarm(payload["matrix_swarm"])
     assert matrices.positions.shape == (4, 4, 4)
     assert matrices.global_best is None and matrices.global_worst is None
@@ -387,11 +439,23 @@ def test_resume_from_format_2_checkpoint_names_the_version(tmp_path):
         run(cfg, resume_from=ck)
 
 
+@pytest.mark.parametrize("payload,message", [
+    ([1], "checkpoint root must be a JSON object"),
+    ({"format_version": 3, "record": None}, "no structure record"),
+])
+def test_run_state_rejects_a_checkpoint_it_cannot_resume(payload, message):
+    cfg = small_cfg()
+    if isinstance(payload, dict):
+        payload = {**payload, "config": json.loads(json.dumps(asdict(cfg)))}
+    with pytest.raises(ValueError, match=message):
+        RunState.from_checkpoint(payload, cfg)
+
+
 @pytest.mark.parametrize("damage", ["shape", "bytes"])
 def test_checkpoint_array_whose_bytes_disagree_with_its_shape_rejected(tmp_path, damage):
     ck = tmp_path / "checkpoint.json"
     run(small_cfg(max_iterations=2, patience=2), checkpoint_path=ck)
-    payload = load_checkpoint(ck)
+    payload = json.loads(ck.read_text())
     positions = payload["matrix_swarm"]["positions"]
     if damage == "shape":
         positions["shape"] = [4, 4, 5]
@@ -404,7 +468,7 @@ def test_checkpoint_array_whose_bytes_disagree_with_its_shape_rejected(tmp_path,
 def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     ck = tmp_path / "checkpoint.json"
     run(small_cfg(max_iterations=2, patience=2), checkpoint_path=ck)
-    before = load_checkpoint(ck)
+    before = json.loads(ck.read_text())
 
     def write_half_then_fail(self, text, *args, **kwargs):
         with open(self, "w") as handle:
@@ -415,7 +479,7 @@ def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch
     with pytest.raises(OSError):
         save_checkpoint(ck, {**before, "iteration": 99})
     monkeypatch.undo()
-    assert load_checkpoint(ck) == before
+    assert json.loads(ck.read_text()) == before
 
 
 def test_resume_with_changed_config_fails(tmp_path):

@@ -55,6 +55,7 @@ def test_traced_optimize_runs_and_matches_an_untraced_run(mode, tmp_path, monkey
     with tracer.installed(traced):
         system, trace = optimize(cfg, None, traced, checkpoint_path=tmp_path / "ck.json")
     assert {span[0] for span in tracer.spans} == SPANS[mode]
+    assert tracer.span_count("orchestrate.checkpoint") == len(trace.rows)  # one write per iteration
     assert system.to_json() == expected_system.to_json()
     assert trace.to_jsonl() == expected_trace.to_jsonl()
     assert orchestrate.decode_dag is graph.decode_dag  # the wrappers are gone again

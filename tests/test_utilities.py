@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 import time
@@ -213,6 +214,17 @@ def test_evaluator_calls_exact_under_threads(evaluator_type):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert evaluator.calls == rounds * threads
+
+
+@pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+def test_load_dataset_names_the_path_and_line_of_a_non_object(tmp_path, line):
+    path = tmp_path / "tasks.jsonl"
+    path.write_text(json.dumps({"input": "2+2", "answer": "4"}) + "\n\n" + line + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: "):
+        load_dataset(path)
+    # a dataset utility reads its items through load_dataset
+    with pytest.raises(ValueError, match=" line 3: "):
+        build_utility({"name": "dataset", "path": str(path)}, RngFactory(0).stream("task"), CannedEvaluator({}))
 
 
 def test_dataset_utility_validation():
