@@ -76,7 +76,9 @@ class AffineEvaluator(NodeEvaluator):
 
     Expert parameters pack a d x d matrix row-major followed by a length-d
     bias. Payloads have shape (d,) for one item or (k, d) for k items.
-    Deterministic; the role is ignored.
+    The mean sums the task input and then each input in predecessor order,
+    and divides once, so a (k, d) batch gives every row the bits of that
+    item run alone. Deterministic; the role is ignored.
     """
 
     def evaluate(self, role, params, inputs, task_input, node) -> Message:
@@ -85,8 +87,13 @@ class AffineEvaluator(NodeEvaluator):
         params = np.asarray(params, dtype=float)
         if params.shape != (d * d + d,):
             raise ValueError(f"expected {d * d + d} parameters for dimension {d}, got {params.shape}")
-        stacked = [x] + [np.asarray(m.payload, dtype=float) for m in inputs]
-        mean = np.mean(stacked, axis=0)
+        total = x
+        for m in inputs:
+            payload = np.asarray(m.payload, dtype=float)
+            if payload.shape != x.shape:
+                raise ValueError(f"input from node {m.origin} has shape {payload.shape}, expected {x.shape}")
+            total = total + payload
+        mean = total / (len(inputs) + 1)
         W = params[: d * d].reshape(d, d)
         b = params[d * d :]
         # One matrix-vector product per item: unlike mean @ W.T, this keeps

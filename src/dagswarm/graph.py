@@ -102,7 +102,10 @@ class DagStructure:
     def predecessor_lists(self) -> dict[int, tuple[int, ...]]:
         """Each node's predecessors in topological order, built once per DAG."""
         pos = {node: k for k, node in enumerate(self.topo_order)}
-        return {v: tuple(sorted((u for u, w in self.edges if w == v), key=pos.get)) for v in self.topo_order}
+        preds: dict[int, list[int]] = {v: [] for v in self.topo_order}
+        for u, v in sorted(self.edges, key=lambda edge: pos[edge[0]]):
+            preds[v].append(u)
+        return {v: tuple(us) for v, us in preds.items()}
 
     def validate(self) -> None:
         if sorted(self.topo_order) != list(range(self.n)):

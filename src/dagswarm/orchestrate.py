@@ -287,7 +287,12 @@ class RunState:
             raise ValueError("checkpoint root must be a JSON object")
         if payload.get("format_version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')}")
-        stored = payload["config"]
+
+        def required(key: str):
+            if key not in payload:
+                raise ValueError(f"checkpoint has no {key!r} field")
+            return payload[key]
+        stored = required("config")
         for name, value in json.loads(json.dumps(asdict(cfg))).items():
             if name not in ("max_iterations", "patience") and stored.get(name) != value:
                 raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
@@ -295,11 +300,11 @@ class RunState:
         if not isinstance(record, dict):
             raise ValueError("checkpoint holds no structure record")
         return cls(
-            iteration=payload["iteration"],
-            stall=payload["stall"],
-            best_utility=payload["best_utility"],
-            matrix_swarm=_unpack_swarm(payload["matrix_swarm"]),
-            expert_swarm=_unpack_swarm(payload["expert_swarm"]),
+            iteration=required("iteration"),
+            stall=required("stall"),
+            best_utility=required("best_utility"),
+            matrix_swarm=_unpack_swarm(required("matrix_swarm")),
+            expert_swarm=_unpack_swarm(required("expert_swarm")),
             record=RoleRecord(_unpack(record["matrix"]), DagStructure.from_dict(record["dag"]), float(record["utility"])),
         )
 

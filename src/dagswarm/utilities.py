@@ -94,8 +94,8 @@ class AffineTargetUtility(UtilityFunction):
         # Per-item errors added in item order: a single np.sum would pair
         # them up differently and change the last bits of the score.
         error = 0.0
-        for item_error in np.sum((out.payload - self.targets) ** 2, axis=1):
-            error += float(item_error)
+        for item_error in np.sum((out.payload - self.targets) ** 2, axis=1).tolist():
+            error += item_error
         return -error / self.dataset_size
 
 

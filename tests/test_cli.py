@@ -367,6 +367,15 @@ def test_optimize_names_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_optimize_names_a_field_the_checkpoint_lacks(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", {"n_experts": 3, "utility_spec": {"name": "affine_target", "n": 3, "points": 2}})
+    checkpoint = write(tmp_path / "ck.json", {"format_version": 3})
+    assert run_cli(["optimize", "--config", cfg, "--resume", checkpoint, "--out", str(tmp_path / "run")]) == 1
+    error = cli_error(capsys)
+    assert error["type"] == "ValueError" and error["message"] == "checkpoint has no 'config' field"
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_remote_items_come_back_in_item_order(tmp_path, capsys, monkeypatch, clean_stub):
     monkeypatch.setenv(ENDPOINT_ENV, clean_stub.endpoint)
     dag = diamond_dag()

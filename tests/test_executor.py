@@ -15,6 +15,7 @@ from dagswarm import (
     decode_dag,
     execute,
     node_role,
+    star_dag,
 )
 
 
@@ -137,7 +138,11 @@ def test_topological_safety_fuzz():
 
 
 def reference_execute(dag, assignment, pool, x):
-    """Per-item affine execution as a straight loop: one item, one W @ mean + b per node."""
+    """Per-item affine execution as a straight loop: one item, one W @ mean + b per node.
+
+    The mean adds the task input and then each predecessor's output in
+    topological order, and divides once.
+    """
     predecessors = {v: [] for v in dag.topo_order}
     for u, v in dag.edges:
         predecessors[v].append(u)
@@ -146,7 +151,10 @@ def reference_execute(dag, assignment, pool, x):
     outputs = {}
     for v in dag.topo_order:
         preds = sorted(predecessors[v], key=position.get)
-        mean = np.mean([x] + [outputs[u] for u in preds], axis=0)
+        total = x
+        for u in preds:
+            total = total + outputs[u]
+        mean = total / (len(preds) + 1)
         params = pool[assignment.slots[v]]
         outputs[v] = params[: d * d].reshape(d, d) @ mean + params[d * d :]
     return outputs[dag.end_node]
@@ -165,12 +173,44 @@ def decoded_cases():
                 yield dag, assignment, pool, gen.uniform(-1, 1, (k, d))
 
 
+def star_cases():
+    """Ten one-element messages of mixed magnitude meet at the end node; numpy's mean would add them pairwise."""
+    gen = np.random.default_rng(32)
+    for k in (1, 4):
+        for _ in range(10):
+            pool = [gen.uniform(-1, 1, 2) * 10.0 ** gen.integers(-6, 7, 2) for _ in range(10)]
+            yield star_dag(10), Assignment.identity(10), pool, gen.uniform(-1, 1, (k, 1))
+
+
 def test_batched_execute_matches_per_item_loop():
-    for dag, assignment, pool, inputs in decoded_cases():
+    for dag, assignment, pool, inputs in [*decoded_cases(), *star_cases()]:
         batched = execute(dag, assignment, pool, Message(inputs), AffineEvaluator()).payload
         reference = np.stack([reference_execute(dag, assignment, pool, x) for x in inputs])
+        alone = np.stack([execute(dag, assignment, pool, Message(x), AffineEvaluator()).payload for x in inputs])
         assert batched.shape == inputs.shape
         assert np.array_equal(batched, reference)
+        assert np.array_equal(alone, reference)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (1, 2), (16, 1), (16, 2), (4, 3)])
+def test_affine_mean_is_numpy_mean_for_payloads_of_more_than_one_element(shape):
+    gen = np.random.default_rng(33)
+    d = shape[-1]
+    for terms in range(1, 13):
+        messages = [gen.uniform(-1, 1, shape) * 10.0 ** gen.integers(-6, 7, shape) for _ in range(terms)]
+        params = gen.uniform(-1, 1, d * d + d)
+        out = AffineEvaluator().evaluate("middle", params, [Message(m) for m in messages[1:]], Message(messages[0]), 0)
+        mean = np.mean(messages, axis=0)
+        expected = np.matmul(params[: d * d].reshape(d, d), mean[..., None])[..., 0] + params[d * d :]
+        assert np.array_equal(out.payload, expected)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 2), (4, 1), (3, 2, 2)])
+def test_affine_evaluator_rejects_an_input_shaped_unlike_the_task(shape):
+    task = Message(np.zeros((3, 2)))
+    inputs = [Message(np.ones((3, 2)), origin=0), Message(np.ones(shape), origin=1)]
+    with pytest.raises(ValueError, match=r"input from node 1 has shape"):
+        AffineEvaluator().evaluate("middle", IDENTITY_PLUS_ONE, inputs, task, 2)
 
 
 def test_batched_payload_counts_one_call_per_item_and_node():

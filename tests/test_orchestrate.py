@@ -442,6 +442,8 @@ def test_resume_from_format_2_checkpoint_names_the_version(tmp_path):
 @pytest.mark.parametrize("payload,message", [
     ([1], "checkpoint root must be a JSON object"),
     ({"format_version": 3, "record": None}, "no structure record"),
+    ({"format_version": 3, "record": {}}, "checkpoint has no 'iteration' field"),
+    ({"format_version": 3, "record": {}, "iteration": 1, "stall": 0, "best_utility": 0.0}, "no 'matrix_swarm' field"),
 ])
 def test_run_state_rejects_a_checkpoint_it_cannot_resume(payload, message):
     cfg = small_cfg()

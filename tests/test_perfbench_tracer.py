@@ -56,6 +56,11 @@ def test_traced_optimize_runs_and_matches_an_untraced_run(mode, tmp_path, monkey
         system, trace = optimize(cfg, None, traced, checkpoint_path=tmp_path / "ck.json")
     assert {span[0] for span in tracer.spans} == SPANS[mode]
     assert tracer.span_count("orchestrate.checkpoint") == len(trace.rows)  # one write per iteration
+    # Every utility score goes through evaluate: N per role step, M per weight
+    # step, and weight_only's N start-up decodes before its first row.
+    startup = cfg.matrix_swarm_size if mode == "weight_only" else 0
+    implied = sum(cfg.matrix_swarm_size * row.ran_role + cfg.assignments_per_step * row.ran_weight for row in trace.rows)
+    assert tracer.span_count("utilities.evaluate") == startup + implied
     assert system.to_json() == expected_system.to_json()
     assert trace.to_jsonl() == expected_trace.to_jsonl()
     assert orchestrate.decode_dag is graph.decode_dag  # the wrappers are gone again
