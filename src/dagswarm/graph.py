@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -65,23 +65,26 @@ def top_p_sample(scores, p: float, rng: np.random.Generator) -> int:
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a non-empty 1-d sequence")
-    return _top_p(s.tolist(), p, rng)
+    return _top_p(s.tolist(), p, rng, iter(rng.random, None))
 
 
-def _top_p(scores: list[float], p: float, rng: np.random.Generator) -> int:
-    """``top_p_sample`` on a non-empty list of floats, in numpy's rounding and draws; callers check ``p``."""
+def _top_p(scores: list[float], p: float, rng: np.random.Generator, uniforms) -> int:
+    """``top_p_sample`` on a non-empty float list, drawing from ``uniforms`` (``rng``'s stream); callers check ``p``."""
     if any(x < 0.0 for x in scores):
         raise ValueError("scores must be non-negative")
     total = _np_sum(scores)
     if total <= 0.0:
         return int(rng.integers(len(scores)))
+    uniform = next(uniforms)
+    if len(scores) == 1:
+        return 0
     probs = [x / total for x in scores]
     order = sorted(range(len(probs)), key=lambda i: -probs[i])
     cdf = list(accumulate(probs[i] for i in order))
     # An unreached p keeps every index, as numpy's searchsorted past the end does.
     cutoff = bisect_left(cdf, p) + 1
     kept = min(cutoff, len(cdf))
-    draw = rng.random() * cdf[kept - 1]
+    draw = uniform * cdf[kept - 1]
     return order[min(bisect_right(cdf, draw, 0, kept), cutoff - 1)]
 
 
@@ -180,21 +183,25 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     # Python floats from here on; numpy only for exp, the row sums and the draws.
     rows = A.tolist()
     exp_rows = np.exp(A).tolist()
-    out_sums = (A.sum(axis=1) - np.diagonal(A)).tolist()
-    end = _top_p([1.0 / (s + DEGREE_EPS) for s in out_sums], p, rng)
+    out_sums = [total - row[i] for i, (total, row) in enumerate(zip(A.sum(axis=1).tolist(), rows))]
+    # One call draws every double before placement n - z (z = zero sums), the first whose top-p may
+    # fall back to rng.integers; none if the least sum is negative, NaN or inf. Later ones: one call each.
+    covered = n - 1 - out_sums.count(0.0) if 0.0 <= min(out_sums) < np.inf else -1
+    uniforms = chain(rng.random(1 + covered * (covered + 3) // 2).tolist(), iter(rng.random, None))
+    end = _top_p([1.0 / (s + DEGREE_EPS) for s in out_sums], p, rng, uniforms)
 
     placed = [end]
     remaining = [v for v in range(n) if v != end]
     edges: list[tuple[int, int]] = []
     while remaining:
-        u = remaining.pop(_top_p([out_sums[v] for v in remaining], p, rng))
+        u = remaining.pop(_top_p([out_sums[v] for v in remaining], p, rng, uniforms))
         row, exp_row = rows[u], exp_rows[u]
         weights = [exp_row[v] for v in placed]
         total = _np_sum(weights)
-        draws = rng.random(len(placed)).tolist()
-        hits = [(u, v) for v, w, d in zip(placed, weights, draws) if d < w / total and row[v] > 0.0]
-        # No hit: the first largest entry in index order, as np.argmax picks it.
-        edges.extend(hits or [(u, max(sorted(placed), key=row.__getitem__))])
+        # zip stops at ``placed``, so it takes exactly one coin per placed node.
+        hits = [(u, v) for v, w, d in zip(placed, weights, uniforms) if d < w / total and row[v] > 0.0]
+        # No hit: the first largest entry in index order, or the first NaN, as np.argmax picks it.
+        edges.extend(hits or [(u, min(sorted(placed), key=lambda v: (row[v] == row[v], -row[v])))])
         placed.append(u)
 
     return DagStructure(n, end, frozenset(edges), tuple(reversed(placed)))

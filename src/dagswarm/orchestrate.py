@@ -288,24 +288,27 @@ class RunState:
         if payload.get("format_version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')}")
 
-        def required(key: str):
+        def required(key: str, parse=lambda value: value):
             if key not in payload:
                 raise ValueError(f"checkpoint has no {key!r} field")
-            return payload[key]
-        stored = required("config")
+            try:
+                return parse(payload[key])
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"checkpoint field {key!r} cannot be read: {exc!r}") from exc
+        stored = required("config", lambda config: {**config})
         for name, value in json.loads(json.dumps(asdict(cfg))).items():
             if name not in ("max_iterations", "patience") and stored.get(name) != value:
                 raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
-        record = payload.get("record")
-        if not isinstance(record, dict):
+        if not isinstance(payload.get("record"), dict):
             raise ValueError("checkpoint holds no structure record")
         return cls(
             iteration=required("iteration"),
             stall=required("stall"),
             best_utility=required("best_utility"),
-            matrix_swarm=_unpack_swarm(required("matrix_swarm")),
-            expert_swarm=_unpack_swarm(required("expert_swarm")),
-            record=RoleRecord(_unpack(record["matrix"]), DagStructure.from_dict(record["dag"]), float(record["utility"])),
+            matrix_swarm=required("matrix_swarm", _unpack_swarm),
+            expert_swarm=required("expert_swarm", _unpack_swarm),
+            record=required("record", lambda record: RoleRecord(
+                _unpack(record["matrix"]), DagStructure.from_dict(record["dag"]), float(record["utility"]))),
         )
 
 

@@ -376,6 +376,27 @@ def test_optimize_names_a_field_the_checkpoint_lacks(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("config", 5),
+    ("matrix_swarm", {}),
+    ("expert_swarm", {"positions": {"shape": [2], "f8": ""}}),
+    ("record", {"dag": {}, "utility": 0.0}),
+])
+def test_optimize_names_a_checkpoint_field_that_holds_the_wrong_thing(tmp_path, capsys, key, value):
+    cfg = write(
+        tmp_path / "cfg.json",
+        {"n_experts": 3, "max_iterations": 1, "utility_spec": {"name": "affine_target", "n": 3, "points": 2}},
+    )
+    checkpoint = tmp_path / "ck.json"
+    assert run_cli(["optimize", "--config", cfg, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    write(checkpoint, {**json.loads(checkpoint.read_text()), key: value})
+    assert run_cli(["optimize", "--config", cfg, "--resume", str(checkpoint), "--out", str(tmp_path / "run")]) == 1
+    error = cli_error(capsys)
+    assert error["type"] == "ValueError" and error["message"].startswith(f"checkpoint field {key!r} cannot be read: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_remote_items_come_back_in_item_order(tmp_path, capsys, monkeypatch, clean_stub):
     monkeypatch.setenv(ENDPOINT_ENV, clean_stub.endpoint)
     dag = diamond_dag()

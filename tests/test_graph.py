@@ -255,13 +255,16 @@ def test_decode_matches_numpy_reference():
 
 
 class ScriptedRng:
-    """Generator stand-in: scalar draws return 0.5, vector draws pop the scripted arrays."""
+    """Generator stand-in playing one scripted stream: a scalar draw takes its next value, a vector draw the next ``size``."""
 
-    def __init__(self, vectors):
-        self.vectors = list(vectors)
+    def __init__(self, stream):
+        self.stream = list(stream)
 
     def random(self, size=None):
-        return 0.5 if size is None else self.vectors.pop(0)
+        if size is None:
+            return self.stream.pop(0)
+        taken, self.stream = self.stream[:size], self.stream[size:]
+        return np.array(taken)
 
     def integers(self, high):
         return 0
@@ -269,9 +272,11 @@ class ScriptedRng:
 
 def test_decode_edge_draws_on_the_rounding_boundary():
     # At p = 1e-12 every top-p draw is an argmax (lowest index on ties), so
-    # the placement order is known in advance. Each edge draw then sits on
-    # the reference's probability or one ulp below it, so a last-bit change
-    # in exp or in the softmax sum flips an edge.
+    # the placement order is known in advance. The stream holds 0.5 for each
+    # top-p draw (none where all scores are zero and the top-p falls back to
+    # rng.integers) and then that placement's coins, each on the reference's
+    # probability or one ulp below it, so a last-bit change in exp or in the
+    # softmax sum flips an edge. Any split of the stream into calls reads it alike.
     gen = np.random.default_rng(11)
     for case in range(300):
         n = int(gen.integers(3, 16))
@@ -279,15 +284,18 @@ def test_decode_edge_draws_on_the_rounding_boundary():
         out_sums = A.sum(axis=1) - np.diagonal(A)
         placed = [int(np.argmax(1.0 / (out_sums + DEGREE_EPS)))]
         remaining = [v for v in range(n) if v != placed[0]]
-        vectors = []
+        stream = [0.5]
         while remaining:
+            if out_sums[remaining].any():
+                stream.append(0.5)
             u = remaining.pop(int(np.argmax(out_sums[remaining])))
             weights = np.exp(A[u, placed])
             probs = weights / weights.sum()
-            vectors.append(np.where(gen.random(len(placed)) < 0.5, probs, np.nextafter(probs, 0.0)))
+            stream.extend(np.where(gen.random(len(placed)) < 0.5, probs, np.nextafter(probs, 0.0)).tolist())
             placed.append(u)
-        fast = decode_dag(A, 1e-12, ScriptedRng(vectors))
-        assert fast.to_dict() == reference_decode_dag(A, 1e-12, ScriptedRng(vectors)).to_dict(), case
+        fast, ref = ScriptedRng(stream), ScriptedRng(stream)
+        assert decode_dag(A, 1e-12, fast).to_dict() == reference_decode_dag(A, 1e-12, ref).to_dict(), case
+        assert fast.stream == ref.stream == [], case
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -299,6 +307,73 @@ def test_decode_matches_reference_when_every_out_degree_sum_is_zero(n):
                 fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
                 assert decode_dag(A, p, fast).to_dict() == reference_decode_dag(A, p, ref).to_dict(), (p, seed)
                 assert fast.bit_generator.state == ref.bit_generator.state, (p, seed)
+
+
+def boundary_matrix(gen, n, zero_rows, kind):
+    """Uniform entries with ``zero_rows`` all-zero off-diagonal rows, then one odd entry of ``kind``."""
+    A = gen.random((n, n))
+    for r in gen.permutation(n)[:zero_rows]:
+        A[r, np.arange(n) != r] = 0.0
+    i, j = (int(x) for x in gen.integers(n, size=2))
+    if kind == "nan":
+        A[i, j] = np.nan
+    elif kind == "inf":
+        A[i, j] = np.inf
+    elif kind == "every_sum_inf":
+        A[np.arange(n), (np.arange(n) + 1) % n] = np.inf
+    elif kind == "negative":  # a negative sum, raised on by the first top-p that sees it
+        A[i, j] = -float(n)
+    elif kind == "slightly_negative":  # above -DEGREE_EPS: the end's top-p takes it without raising
+        A[i, np.arange(n) != i] = 0.0
+        A[i, (i + 1) % n] = -1e-7
+    return A
+
+
+def decode_or_error(decode, A, p, rng):
+    try:
+        return decode(A, p, rng).to_dict()
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_decode_matches_reference_at_the_block_boundary(n):
+    # With z all-zero off-diagonal rows the one-call block ends before placement
+    # n - z, whose top-p may fall back to rng.integers; a negative, NaN or inf
+    # least sum draws no block, so a raising decode also leaves the reference's
+    # state. Each generator holds a buffered 32-bit half left by rng.integers,
+    # which a double draw must not consume.
+    gen = np.random.default_rng(300 + n)
+    kinds = ("plain", "nan", "inf", "every_sum_inf", "negative", "slightly_negative")
+    for zero_rows in range(n):
+        for case, kind in enumerate(kinds):
+            A = boundary_matrix(gen, n, zero_rows, kind)
+            p = (0.3, 0.8, 1.0, 1e-12)[(zero_rows + case) % 4]
+            fast, ref = np.random.default_rng(case), np.random.default_rng(case)
+            fast.integers(10), ref.integers(10)
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = decode_or_error(reference_decode_dag, A, p, ref)
+            assert decode_or_error(decode_dag, A, p, fast) == expected, (zero_rows, kind, p)
+            assert fast.bit_generator.state == ref.bit_generator.state, (zero_rows, kind, p)
+
+
+class CountingRng:
+    """A generator that counts its calls."""
+
+    def __init__(self, seed):
+        self.gen, self.calls = np.random.default_rng(seed), 0
+
+    def random(self, size=None):
+        self.calls += 1
+        return self.gen.random(size)
+
+
+def test_decode_draws_in_one_call_when_no_sum_is_zero():
+    gen = np.random.default_rng(12)
+    for n in range(2, 16):
+        rng = CountingRng(n)
+        decode_dag(gen.random((n, n)), 0.8, rng)
+        assert rng.calls == 1, n
 
 
 def test_top_p_matches_numpy_reference():

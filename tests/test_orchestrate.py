@@ -439,16 +439,36 @@ def test_resume_from_format_2_checkpoint_names_the_version(tmp_path):
         run(cfg, resume_from=ck)
 
 
+COUNTERS = {"iteration": 1, "stall": 0, "best_utility": 0.0}
+ARRAYS = {"positions": [], "velocities": [], "personal_best": [], "personal_best_scores": []}
+
+
 @pytest.mark.parametrize("payload,message", [
     ([1], "checkpoint root must be a JSON object"),
     ({"format_version": 3, "record": None}, "no structure record"),
     ({"format_version": 3, "record": {}}, "checkpoint has no 'iteration' field"),
-    ({"format_version": 3, "record": {}, "iteration": 1, "stall": 0, "best_utility": 0.0}, "no 'matrix_swarm' field"),
+    ({"format_version": 3, "record": {}, **COUNTERS}, "no 'matrix_swarm' field"),
+    ({"format_version": 3, "config": 5, "record": {}}, "field 'config' cannot be read: TypeError"),
+    ({"format_version": 3, "config": [], "record": {}}, "field 'config' cannot be read: TypeError"),
+    ({"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": {}}, "field 'matrix_swarm' cannot be read: TypeError"),
+    ({"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": 5}, "field 'matrix_swarm' cannot be read: AttributeError"),
+    (
+        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": {**ARRAYS, "extra": 1}},
+        "field 'expert_swarm' cannot be read: TypeError",
+    ),
+    (
+        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        r"field 'record' cannot be read: KeyError\('matrix'\)",
+    ),
+    (
+        {"format_version": 3, "record": {"matrix": [], "dag": {"n": 1}}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        r"field 'record' cannot be read: KeyError\('end_node'\)",
+    ),
 ])
 def test_run_state_rejects_a_checkpoint_it_cannot_resume(payload, message):
     cfg = small_cfg()
     if isinstance(payload, dict):
-        payload = {**payload, "config": json.loads(json.dumps(asdict(cfg)))}
+        payload = {"config": json.loads(json.dumps(asdict(cfg))), **payload}
     with pytest.raises(ValueError, match=message):
         RunState.from_checkpoint(payload, cfg)
 
