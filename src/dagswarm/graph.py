@@ -184,6 +184,8 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     rows = A.tolist()
     exp_rows = np.exp(A).tolist()
     out_sums = [total - row[i] for i, (total, row) in enumerate(zip(A.sum(axis=1).tolist(), rows))]
+    if -DEGREE_EPS in out_sums:  # the end's score 1 / 0; any other sum under -DEGREE_EPS fails _top_p's check
+        raise ValueError("scores must be non-negative")
     # One call draws every double before placement n - z (z = zero sums), the first whose top-p may
     # fall back to rng.integers; none if the least sum is negative, NaN or inf. Later ones: one call each.
     covered = n - 1 - out_sums.count(0.0) if 0.0 <= min(out_sums) < np.inf else -1

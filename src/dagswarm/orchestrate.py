@@ -2,10 +2,10 @@
 
 Each iteration runs a role step (structure search) and then a weight step
 (parameter search on the best structure), subject to the run mode and
-optional dropout gating. The loop stops when the best utility has not
-improved for ``patience`` consecutive iterations or the iteration cap is
-reached. Per-iteration evaluator calls are audited against the
-n * (N + M) * |f| budget.
+optional dropout gating; the first always runs a role step, since a weight
+step needs a structure. The loop stops when the best utility has not improved
+for ``patience`` consecutive iterations or the iteration cap is reached.
+Per-iteration evaluator calls are audited against the n * (N + M) * |f| budget.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .executor import Assignment
-from .graph import DagStructure, decode_dag, init_adjacency_swarm
+from .graph import DagStructure, decode_dag, init_adjacency_swarm  # noqa: F401 - decode_dag: perfbench wraps it here
 from .pool import build_pool
 from .pso import PsoHyperparams, Swarm
 from .rng import RngFactory
@@ -248,24 +248,15 @@ class RunState:
     record: RoleRecord | None
 
     @classmethod
-    def initial(cls, cfg: RunConfig, pool, utility: UtilityFunction, rng: RngFactory) -> "RunState":
-        """The state before iteration 0; ``weight_only`` fixes its structure here."""
+    def initial(cls, cfg: RunConfig, pool, rng: RngFactory) -> "RunState":
+        """The state before iteration 0: both swarms and no structure yet; evaluates nothing."""
         n = cfg.n_experts
         matrices = Swarm.from_positions(init_adjacency_swarm(n, cfg.matrix_swarm_size, rng.stream("init_matrices")))
         if pool is None:
             pool = build_pool(cfg.distinct, cfg.pool_repeats, cfg.expert_dim, rng.stream("init_experts"), cfg.expert_scale)
         if len(pool) != n:
             raise ValueError(f"pool size {len(pool)} != n_experts {n}")
-        experts = Swarm.from_positions(pool)
-        record = None
-        if cfg.mode == "weight_only":
-            # Freeze the structure to the best of the initial random decodes.
-            for matrix, stream in zip(matrices.positions, rng.streams("decode", 0, count=len(matrices))):
-                dag = decode_dag(matrix, cfg.top_p, stream)
-                raw = float(utility.evaluate(dag, Assignment.identity(n), experts.positions))
-                if record is None or raw > record.utility:
-                    record = RoleRecord(matrix.copy(), dag, raw)
-        return cls(0, 0, -np.inf, matrices, experts, record)
+        return cls(0, 0, -np.inf, matrices, Swarm.from_positions(pool), None)
 
     def to_checkpoint(self, cfg: RunConfig) -> dict:
         """The state after an iteration, which always holds a record, as a JSON-ready dict."""
@@ -301,10 +292,14 @@ class RunState:
                 raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
         if not isinstance(payload.get("record"), dict):
             raise ValueError("checkpoint holds no structure record")
+        for key, kinds in (("iteration", (int,)), ("stall", (int,)), ("best_utility", (int, float))):
+            value = required(key)
+            if type(value) not in kinds:  # exact types, so a boolean is no integer
+                raise ValueError(f"checkpoint field {key!r} cannot be read: {value!r} is a {type(value).__name__}")
         return cls(
-            iteration=required("iteration"),
-            stall=required("stall"),
-            best_utility=required("best_utility"),
+            iteration=payload["iteration"],
+            stall=payload["stall"],
+            best_utility=payload["best_utility"],
             matrix_swarm=required("matrix_swarm", _unpack_swarm),
             expert_swarm=required("expert_swarm", _unpack_swarm),
             record=required("record", lambda record: RoleRecord(
@@ -341,7 +336,7 @@ def optimize(
     if resume_from is not None:
         state = RunState.from_checkpoint(json.loads(Path(resume_from).read_text()), cfg)
     else:
-        state = RunState.initial(cfg, pool, utility, rng)
+        state = RunState.initial(cfg, pool, rng)
 
     trace = RunTrace()
     while state.iteration < cfg.max_iterations and state.stall < cfg.patience:
@@ -353,7 +348,7 @@ def optimize(
         run_role, run_weight = cfg.mode != "weight_only", cfg.mode != "role_only"
         if cfg.mode == "full":
             run_role, run_weight = dropout_gate(cfg.dropout_role, cfg.dropout_weight, rng.stream("dropout", t))
-            run_role = run_role or state.record is None  # a weight step needs a structure to work on
+        run_role = run_role or state.record is None  # a weight step needs a structure to work on
 
         best_contribution = None
         if run_role:
@@ -367,7 +362,7 @@ def optimize(
                 state.expert_swarm, state.record.dag, utility, cfg.weight_hp, cfg.assignments_per_step, rng, t
             )
             best_contribution = float(np.max(report.scores))
-            state.best_utility = max(state.best_utility, state.record.utility, max(report.utilities))
+            state.best_utility = max(state.best_utility, max(report.utilities))
 
         calls = utility.evaluator_calls - calls_before
         if calls > budget:

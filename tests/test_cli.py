@@ -381,6 +381,7 @@ def test_optimize_names_a_field_the_checkpoint_lacks(tmp_path, capsys):
     ("matrix_swarm", {}),
     ("expert_swarm", {"positions": {"shape": [2], "f8": ""}}),
     ("record", {"dag": {}, "utility": 0.0}),
+    ("iteration", "1"),
 ])
 def test_optimize_names_a_checkpoint_field_that_holds_the_wrong_thing(tmp_path, capsys, key, value):
     cfg = write(

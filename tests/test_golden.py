@@ -52,7 +52,7 @@ GOLDEN = {
             "seed": 7,
             "utility_spec": {"name": "affine_target", "target": "chain", "n": 4, "dim": 3, "points": 4},
         },
-        "cb3af263d5a25971c5d9d9954a9672b585a1978171f3343264ed42dbf74a0b21",
+        "8d7a67abbd3731040b303a98777fbffad8264be2c89ed37c79fc89f2b76b8599",
     ),
     # A seed above 2**32 spreads the run entropy over several SeedSequence words.
     "role_only_star_l1_large_seed": (
@@ -76,7 +76,7 @@ GOLDEN = {
 CHECKPOINT_DIGESTS = {
     "role_only_hidden_dag_threshold": "dc734afc9ec7a9ac0879d753c1c73ff64b19768480996f7925f6cb4d05878c18",
     "full_affine_chain_n10": "62bd793540052a6e10c028374ea5e9b1e8ba3a9b92d623bf7c7394742c7b71f0",
-    "weight_only_affine_dim3": "f0048f48db00c6def171b29d08c33fc747baf09632bbed03313bf338445a0430",
+    "weight_only_affine_dim3": "adce15dcaa170587ff1fbba2f8ae26dfe0cd648174846418b6db6c6d0caa613c",
     "role_only_star_l1_large_seed": "1d1776f845c818745c55dbd2accb4633332f7502e403ec9c3fa2a8d9c9241239",
 }
 

@@ -125,9 +125,11 @@ def test_decode_rejects_p_out_of_range_even_for_one_node(p):
         decode_dag(np.zeros((1, 1)), p, RngFactory(0).stream("decode", 0, 0))
 
 
-def test_decode_rejects_non_square():
-    with pytest.raises(ValueError):
-        decode_dag(np.zeros((2, 3)), 0.8, RngFactory(0).stream("decode", 0, 0))
+def test_decode_rejects_a_matrix_it_cannot_decode():
+    # Non-square, and an out-degree sum of exactly -DEGREE_EPS, whose end score would be 1 / 0.
+    for A in (np.zeros((2, 3)), np.array([[0.0, -DEGREE_EPS], [0.5, 0.0]])):
+        with pytest.raises(ValueError):
+            decode_dag(A, 0.8, RngFactory(0).stream("decode", 0, 0))
 
 
 def test_prune_threshold_rule():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dagswarm import (
+    Assignment,
     OptimizedSystem,
     PsoHyperparams,
     RngFactory,
@@ -22,7 +23,9 @@ from dagswarm import (
     config_from_dict,
     dropout_gate,
     optimize,
+    role_step,
 )
+from dagswarm.cli import run_cli
 from dagswarm.orchestrate import RunState, _pack_swarm, _unpack_swarm, save_checkpoint
 
 
@@ -192,8 +195,41 @@ def test_weight_only_keeps_structure_fixed():
     system, trace = run(cfg)
     role = [r.best_role_utility for r in trace.rows]
     assert all(r == role[0] for r in role)
-    assert all(row.ran_role is False for row in trace.rows)
+    assert [row.ran_role for row in trace.rows] == [True] + [False] * (len(trace.rows) - 1)
+    assert all(row.ran_weight for row in trace.rows)
     assert system.best_role_utility == role[0]
+
+
+def test_weight_only_fixes_the_structure_its_first_role_step_records():
+    # Threshold pruning applies to the decode that fixes the structure, as in every role step.
+    cfg = small_cfg(mode="weight_only", sparsity=SparsityConfig("threshold", tau=0.4))
+    records = {}
+    for sparsity in (cfg.sparsity, SparsityConfig()):
+        rng = RngFactory(cfg.seed)
+        state = RunState.initial(cfg, None, rng)
+        _, records[sparsity.mode] = role_step(
+            state.matrix_swarm, state.expert_swarm.positions, Assignment.identity(cfg.n_experts),
+            task_utility(cfg), sparsity, cfg.role_hp, cfg.top_p, rng, 0,
+        )
+    assert records["threshold"].dag != records["none"].dag  # the pruning changes this seed's structure
+    system, trace = run(cfg)
+    assert system.dag == records["threshold"].dag
+    assert system.best_role_utility == trace.rows[0].best_role_utility == records["threshold"].utility
+
+
+def test_trace_rows_count_every_evaluator_call(tmp_path, capsys):
+    variants = [
+        ("full", {}), ("full", {"dropout_role": 0.5, "dropout_weight": 0.5}), ("role_only", {}), ("weight_only", {}),
+    ]
+    for mode, overrides in variants:
+        cfg = small_cfg(mode=mode, seed=2, **overrides)
+        utility = task_utility(cfg)
+        _, trace = optimize(cfg, None, utility)
+        assert sum(row.evaluator_calls for row in trace.rows) == utility.evaluator_calls, (mode, overrides)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(asdict(cfg)))
+    assert run_cli(["optimize", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert json.loads(capsys.readouterr().out)["evaluator_calls"] == utility.evaluator_calls
 
 
 def test_trace_serialization_omits_wall_time_and_is_stable():
@@ -386,14 +422,17 @@ def test_resume_after_a_patience_stop_runs_no_iteration(tmp_path):
         assert trace.to_jsonl().splitlines() == trace_raised.to_jsonl().splitlines()[stopped_at:], f"seed {seed}"
 
 
-def test_weight_only_checkpoint_round_trips_an_unmoved_matrix_swarm(tmp_path):
-    ck = tmp_path / "checkpoint.json"
-    run(small_cfg(mode="weight_only", max_iterations=2, patience=2), checkpoint_path=ck)
-    payload = json.loads(ck.read_text())
+def test_weight_only_checkpoint_round_trips_a_matrix_swarm_moved_once(tmp_path):
+    payloads = []
+    for stop in (1, 2):
+        ck = tmp_path / f"checkpoint{stop}.json"
+        run(small_cfg(mode="weight_only", max_iterations=stop, patience=2), checkpoint_path=ck)
+        payloads.append(json.loads(ck.read_text()))
+    first, payload = payloads
     matrices = _unpack_swarm(payload["matrix_swarm"])
     assert matrices.positions.shape == (4, 4, 4)
-    assert matrices.global_best is None and matrices.global_worst is None
-    assert np.all(matrices.personal_best_scores == -np.inf)
+    assert matrices.global_best is not None and np.all(np.isfinite(matrices.personal_best_scores))
+    assert payload["matrix_swarm"] == first["matrix_swarm"]  # only iteration 0's role step moved it
     for key in ("matrix_swarm", "expert_swarm"):
         assert _pack_swarm(_unpack_swarm(payload[key])) == payload[key]
 
@@ -464,6 +503,11 @@ ARRAYS = {"positions": [], "velocities": [], "personal_best": [], "personal_best
         {"format_version": 3, "record": {"matrix": [], "dag": {"n": 1}}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
         r"field 'record' cannot be read: KeyError\('end_node'\)",
     ),
+    ({"format_version": 3, "record": {}, **COUNTERS, "iteration": "1"}, "field 'iteration' cannot be read: '1' is a str$"),
+    ({"format_version": 3, "record": {}, **COUNTERS, "iteration": 1.0}, "field 'iteration' cannot be read: 1.0 is a float$"),
+    ({"format_version": 3, "record": {}, **COUNTERS, "stall": True}, "field 'stall' cannot be read: True is a bool$"),
+    ({"format_version": 3, "record": {}, **COUNTERS, "best_utility": "0.5"}, "field 'best_utility' cannot be read: '0.5' is a str$"),
+    ({"format_version": 3, "record": {}, **COUNTERS, "best_utility": False}, "field 'best_utility' cannot be read: False is a bool$"),
 ])
 def test_run_state_rejects_a_checkpoint_it_cannot_resume(payload, message):
     cfg = small_cfg()
