@@ -72,16 +72,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    data = json.loads(Path(path).read_text())
-    if isinstance(data, dict):
-        data = data.get("matrix")
-    matrix = np.asarray(data, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix file must hold a square matrix")
-    return matrix
-
-
 def cmd_optimize(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"), _node_evaluator(args.jobs))
@@ -104,14 +94,11 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    matrix = _load_matrix(args.matrix)
-    rng = RngFactory(args.seed).stream("decode", 0, 0)
-    dag = decode_dag(matrix, args.top_p, rng)
-    payload = json.dumps(
-        {"format_version": 1, "top_p": args.top_p, "seed": args.seed, "dag": dag.to_dict()},
-        sort_keys=True,
-        indent=2,
-    )
+    data = json.loads(Path(args.matrix).read_text())
+    matrix = data.get("matrix") if isinstance(data, dict) else data  # decode_dag rejects a non-square one
+    dag = decode_dag(matrix, args.top_p, RngFactory(args.seed).stream("decode", 0, 0))
+    record = {"format_version": 1, "top_p": args.top_p, "seed": args.seed, "dag": dag.to_dict()}
+    payload = json.dumps(record, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n")
     print(payload, flush=True)

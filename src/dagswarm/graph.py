@@ -8,10 +8,11 @@ coin flips, so every decode is a valid DAG with a single sink.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,22 +66,20 @@ def top_p_sample(scores, p: float, rng: np.random.Generator) -> int:
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a non-empty 1-d sequence")
-    return _top_p(s.tolist(), p, rng, iter(rng.random, None))
-
-
-def _top_p(scores: list[float], p: float, rng: np.random.Generator, uniforms) -> int:
-    """``top_p_sample`` on a non-empty float list, drawing from ``uniforms`` (``rng``'s stream); callers check ``p``."""
+    scores = s.tolist()
     if any(x < 0.0 for x in scores):
         raise ValueError("scores must be non-negative")
     total = _np_sum(scores)
     if total <= 0.0:
         return int(rng.integers(len(scores)))
-    uniform = next(uniforms)
-    if len(scores) == 1:
-        return 0
-    probs = [x / total for x in scores]
-    order = sorted(range(len(probs)), key=lambda i: -probs[i])
-    cdf = list(accumulate(probs[i] for i in order))
+    return _top_p([x / total for x in scores], p, rng.random())
+
+
+def _top_p(probs: list[float], p: float, uniform: float) -> int:
+    """The index ``top_p_sample`` draws with ``uniform`` from ``probs``, the scores over their positive sum."""
+    # reverse=True keeps equal probabilities in ascending index order, as a stable sort on -probs does.
+    order = sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
+    cdf = list(accumulate(map(probs.__getitem__, order)))
     # An unreached p keeps every index, as numpy's searchsorted past the end does.
     cutoff = bisect_left(cdf, p) + 1
     kept = min(cutoff, len(cdf))
@@ -117,27 +116,15 @@ class DagStructure:
         for u, v in self.edges:
             if pos[u] >= pos[v]:
                 raise ValueError(f"edge {u}->{v} violates topo_order")
-        out_degree = [0] * self.n
-        for u, _ in self.edges:
-            out_degree[u] += 1
-        if out_degree[self.end_node] != 0:
+        sources = {u for u, _ in self.edges}
+        if self.end_node in sources:
             raise ValueError("end node has outgoing edges")
         if self.topo_order[-1] != self.end_node:
             raise ValueError("end node is not last in topo_order")
+        # With every edge forward and an out-edge on every non-end node, every path ends at the end node.
         for node in range(self.n):
-            if node != self.end_node and out_degree[node] == 0:
+            if node != self.end_node and node not in sources:
                 raise ValueError(f"non-end node {node} has out-degree 0")
-        # Every node must reach the end node along directed edges.
-        seen = {self.end_node}
-        frontier = [self.end_node]
-        while frontier:
-            v = frontier.pop()
-            for u in self.predecessor_lists[v]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        if len(seen) != self.n:
-            raise ValueError("some nodes cannot reach the end node")
 
     def to_dict(self) -> dict:
         return {
@@ -170,6 +157,10 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     in the denominator), which lets threshold pruning suppress edges. A node
     that drew no edge is wired to its argmax-entry placed node, so every
     non-end node keeps a path to the end.
+
+    One loop places the end and then every other node in Python floats,
+    reading its doubles by index from a block drawn in one call, with the
+    same DAGs, errors and final generator state as the numpy reference.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
@@ -183,30 +174,46 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     # Python floats from here on; numpy only for exp, the row sums and the draws.
     rows = A.tolist()
     exp_rows = np.exp(A).tolist()
-    out_sums = [total - row[i] for i, (total, row) in enumerate(zip(A.sum(axis=1).tolist(), rows))]
-    if -DEGREE_EPS in out_sums:  # the end's score 1 / 0; any other sum under -DEGREE_EPS fails _top_p's check
+    out_sums = [total - rows[i][i] for i, total in enumerate(np.add.reduce(A, 1).tolist())]
+    # Every top-p score is a sum s or the end's 1 / (s + DEGREE_EPS); s in (-inf, -DEGREE_EPS] fails the end's.
+    least = min(out_sums)  # NaN only if the first sum is NaN
+    if not least >= 0.0 and any(-math.inf < s <= -DEGREE_EPS for s in out_sums):
         raise ValueError("scores must be non-negative")
-    # One call draws every double before placement n - z (z = zero sums), the first whose top-p may
-    # fall back to rng.integers; none if the least sum is negative, NaN or inf. Later ones: one call each.
-    covered = n - 1 - out_sums.count(0.0) if 0.0 <= min(out_sums) < np.inf else -1
-    uniforms = chain(rng.random(1 + covered * (covered + 3) // 2).tolist(), iter(rng.random, None))
-    end = _top_p([1.0 / (s + DEGREE_EPS) for s in out_sums], p, rng, uniforms)
+    # The block holds every double before placement n - z (z = zero sums), the first whose top-p may fall back
+    # to rng.integers, and ends after a placement's coins; it is empty if the least sum is negative, NaN or inf.
+    covered = n - 1 - out_sums.count(0.0) if 0.0 <= least < math.inf else -1
+    block = rng.random(1 + covered * (covered + 3) // 2).tolist()
+    drawn, size = 0, len(block)
 
-    placed = [end]
-    remaining = [v for v in range(n) if v != end]
-    edges: list[tuple[int, int]] = []
+    scores = [1.0 / (s + DEGREE_EPS) for s in out_sums]  # the end's; the out-degree sums after it
+    remaining, placed, edges = list(range(n)), [], []
     while remaining:
-        u = remaining.pop(_top_p([out_sums[v] for v in remaining], p, rng, uniforms))
-        row, exp_row = rows[u], exp_rows[u]
-        weights = [exp_row[v] for v in placed]
-        total = _np_sum(weights)
-        # zip stops at ``placed``, so it takes exactly one coin per placed node.
-        hits = [(u, v) for v, w, d in zip(placed, weights, uniforms) if d < w / total and row[v] > 0.0]
-        # No hit: the first largest entry in index order, or the first NaN, as np.argmax picks it.
-        edges.extend(hits or [(u, min(sorted(placed), key=lambda v: (row[v] == row[v], -row[v])))])
+        m = len(remaining)
+        total = 0.0 if m < 8 else _np_sum([scores[v] for v in remaining])
+        for v in remaining if m < 8 else ():  # numpy's sum adds fewer than 8 terms in order
+            total += scores[v]
+        if total <= 0.0:
+            u = remaining.pop(int(rng.integers(m)))
+        else:
+            uniform = block[drawn] if drawn < size else rng.random()
+            drawn += 1
+            u = remaining.pop(_top_p([scores[v] / total for v in remaining], p, uniform) if m > 1 else 0)
+        if placed:
+            row, exp_row, k = rows[u], exp_rows[u], len(placed)
+            total = 0.0 if k < 8 else _np_sum([exp_row[v] for v in placed])
+            for v in placed if k < 8 else ():
+                total += exp_row[v]
+            coins = block[drawn : drawn + k] if drawn < size else iter(rng.random, None)  # zip stops at ``placed``
+            drawn += k
+            hits = [(u, v) for v, d in zip(placed, coins) if d < exp_row[v] / total and row[v] > 0.0]
+            # No hit: the first largest entry in index order, or the first NaN, as np.argmax picks it.
+            edges.extend(hits or [(u, min(sorted(placed), key=lambda v: (row[v] == row[v], -row[v])))])
+        elif not least >= 0.0 and any(out_sums[v] < 0.0 for v in remaining):  # other negative sums fail here
+            raise ValueError("scores must be non-negative")
         placed.append(u)
+        scores = out_sums
 
-    return DagStructure(n, end, frozenset(edges), tuple(reversed(placed)))
+    return DagStructure(n, placed[0], frozenset(edges), tuple(placed[::-1]))
 
 
 def prune_threshold(A: np.ndarray, tau: float) -> np.ndarray:

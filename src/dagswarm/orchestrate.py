@@ -121,6 +121,12 @@ def dropout_gate(d_r: float, d_w: float, rng: np.random.Generator) -> tuple[bool
 
 @dataclass
 class TraceRow:
+    """One iteration of the trace.
+
+    ``wall_time_s`` is stamped before the iteration's checkpoint write, so it,
+    and perfbench's ``iter_ms_p50`` read from it, leave that write out.
+    """
+
     iteration: int
     ran_role: bool
     ran_weight: bool
@@ -346,7 +352,7 @@ def optimize(
         previous_best = state.best_utility
 
         run_role, run_weight = cfg.mode != "weight_only", cfg.mode != "role_only"
-        if cfg.mode == "full":
+        if cfg.mode == "full" and (cfg.dropout_role or cfg.dropout_weight):  # with both at 0 the gate runs both
             run_role, run_weight = dropout_gate(cfg.dropout_role, cfg.dropout_weight, rng.stream("dropout", t))
         run_role = run_role or state.record is None  # a weight step needs a structure to work on
 

@@ -359,6 +359,28 @@ def test_decode_matches_reference_at_the_block_boundary(n):
             assert fast.bit_generator.state == ref.bit_generator.state, (zero_rows, kind, p)
 
 
+def test_decode_ranks_each_top_p_by_probability_not_by_raw_sum():
+    # Nodes 1 and 2 have out-degree sums x < nextafter(x) that divide by the
+    # placement's total to the same probability, so the stable sort keeps
+    # node 1, the lower index, first; ranking the nodes once by raw sum would
+    # put node 2 first. Each row has one non-zero off-diagonal entry, so the
+    # sums are exact, and node 0's small sum makes it the end at both p.
+    gen = np.random.default_rng(17)
+    while True:
+        x, y = gen.uniform(0.3, 1.0), gen.uniform(0.05, 0.3)
+        x_up = float(np.nextafter(x, 2.0))
+        total = x + x_up + y
+        if x / total == x_up / total:
+            break
+    A = np.zeros((4, 4))
+    A[0, 1], A[1, 2], A[2, 3], A[3, 0] = 1e-3, x, x_up, y
+    for p in (1e-12, 0.8):
+        for seed in range(20):
+            fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert decode_dag(A, p, fast).to_dict() == reference_decode_dag(A, p, ref).to_dict(), (p, seed)
+            assert fast.bit_generator.state == ref.bit_generator.state, (p, seed)
+
+
 class CountingRng:
     """A generator that counts its calls."""
 

@@ -27,6 +27,7 @@ from dagswarm import (
 )
 from dagswarm.cli import run_cli
 from dagswarm.orchestrate import RunState, _pack_swarm, _unpack_swarm, save_checkpoint
+from test_golden import GOLDEN, run_digest
 
 
 def small_cfg(**overrides):
@@ -142,6 +143,18 @@ def test_dropout_gate_role_runs_three_quarters_at_half_half():
 def test_dropout_gate_validation():
     with pytest.raises(ValueError):
         dropout_gate(1.5, 0.0, RngFactory(0).stream("dropout", 0))
+
+
+def test_full_run_without_dropout_draws_no_dropout_stream(monkeypatch):
+    # With both probabilities at 0 the gate can only run both steps, so the
+    # loop asks for no stream to feed it; the output bytes stay the golden ones.
+    purposes = []
+    stream = RngFactory.stream
+    monkeypatch.setattr(RngFactory, "stream", lambda self, purpose, *key: purposes.append(purpose) or stream(self, purpose, *key))
+    config, digest = GOLDEN["full_affine_chain_n10"]
+    assert config["mode"] == "full" and "dropout_role" not in config and "dropout_weight" not in config
+    assert run_digest(config) == digest
+    assert "dropout" not in purposes and "role_pso" in purposes
 
 
 @pytest.mark.parametrize("mode", ["full", "role_only", "weight_only"])
