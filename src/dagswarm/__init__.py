@@ -47,7 +47,6 @@ from .utilities import (
     UtilityFunction,
     build_utility,
     chain_dag,
-    diamond_dag,
     edit_distance,
     load_dataset,
     make_affine_task,

@@ -96,7 +96,8 @@ def cmd_optimize(args) -> int:
 def cmd_decode(args) -> int:
     data = json.loads(Path(args.matrix).read_text())
     matrix = data.get("matrix") if isinstance(data, dict) else data  # decode_dag rejects a non-square one
-    dag = decode_dag(matrix, args.top_p, RngFactory(args.seed).stream("decode", 0, 0))
+    with np.errstate(over="ignore"):  # exp overflowing to inf is part of the decode, not a second error line
+        dag = decode_dag(matrix, args.top_p, RngFactory(args.seed).stream("decode", 0, 0))
     record = {"format_version": 1, "top_p": args.top_p, "seed": args.seed, "dag": dag.to_dict()}
     payload = json.dumps(record, sort_keys=True, indent=2)
     if args.out:

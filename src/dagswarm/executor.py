@@ -105,7 +105,6 @@ class ExecutionError(RuntimeError):
     def __init__(self, node: int, cause: Exception):
         super().__init__(f"evaluator failed at node {node}: {cause}")
         self.node = node
-        self.cause = cause
 
 
 def node_role(dag: DagStructure, node: int, in_degree: int) -> str:

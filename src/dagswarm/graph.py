@@ -58,8 +58,8 @@ def top_p_sample(scores, p: float, rng: np.random.Generator) -> int:
 
     Scores are normalized into a distribution, sorted descending (ties keep
     ascending index order), truncated to the smallest prefix with cumulative
-    mass >= p, renormalized and sampled. All-zero scores fall back to a
-    uniform draw over all indices.
+    mass >= p, renormalized and sampled. All-zero scores fall back to a uniform
+    draw over all indices; finite scores summing to inf raise ``ValueError``.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
@@ -84,7 +84,10 @@ def _top_p(probs: list[float], p: float, uniform: float) -> int:
     cutoff = bisect_left(cdf, p) + 1
     kept = min(cutoff, len(cdf))
     draw = uniform * cdf[kept - 1]
-    return order[min(bisect_right(cdf, draw, 0, kept), cutoff - 1)]
+    try:
+        return order[min(bisect_right(cdf, draw, 0, kept), cutoff - 1)]
+    except IndexError:  # every probability is 0: finite scores whose sum overflowed to inf
+        raise ValueError("scores overflow: their sum is inf") from None
 
 
 @dataclass(frozen=True)
@@ -155,12 +158,12 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     independently with probability exp(a_uv) / sum over placed i of
     exp(a_ui). Exact-zero entries are ineligible as edges (they still count
     in the denominator), which lets threshold pruning suppress edges. A node
-    that drew no edge is wired to its argmax-entry placed node, so every
-    non-end node keeps a path to the end.
+    that drew no edge is wired to its argmax-entry placed node, so every non-end
+    node keeps a path to the end. Finite out-degree sums totalling inf raise ``ValueError``.
 
-    One loop places the end and then every other node in Python floats,
-    reading its doubles by index from a block drawn in one call, with the
-    same DAGs, errors and final generator state as the numpy reference.
+    One loop places the end and then every other node in Python floats, reading its
+    doubles by index from a block drawn in one call, with the same DAGs, errors and
+    final generator state as the numpy reference, but for the state after an overflow.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
@@ -205,6 +208,7 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
                 total += exp_row[v]
             coins = block[drawn : drawn + k] if drawn < size else iter(rng.random, None)  # zip stops at ``placed``
             drawn += k
+            total = total or math.nan  # every exp underflowed: 0 / 0 draws no edge, as in numpy
             hits = [(u, v) for v, d in zip(placed, coins) if d < exp_row[v] / total and row[v] > 0.0]
             # No hit: the first largest entry in index order, or the first NaN, as np.argmax picks it.
             edges.extend(hits or [(u, min(sorted(placed), key=lambda v: (row[v] == row[v], -row[v])))])

@@ -30,6 +30,7 @@ from .utilities import UtilityFunction
 from .weight_step import weight_step
 
 MODES = ("full", "role_only", "weight_only")
+UNREAD_EXPERT_DIM = 6  # the drawn pool's width when the task reads no expert vector
 CHECKPOINT_VERSION = 3
 SYSTEM_VERSION = 1
 
@@ -48,10 +49,7 @@ class RunConfig:
     dropout_role: float = 0.0
     dropout_weight: float = 0.0
     mode: str = "full"
-    pool_distinct: int | None = None
     pool_repeats: int = 1
-    expert_dim: int = 6
-    expert_scale: float = 1.0
     seed: int = 0
     utility_spec: dict = field(default_factory=lambda: {"name": "constant"})
 
@@ -68,17 +66,8 @@ class RunConfig:
             raise ValueError("dropout probabilities must be in [0, 1]")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.expert_dim < 1:
-            raise ValueError("expert_dim must be >= 1")
-        if self.distinct < 1 or self.pool_repeats < 1 or self.distinct * self.pool_repeats != self.n_experts:
-            raise ValueError(
-                f"pool spec: pool_distinct = {self.distinct} and pool_repeats = {self.pool_repeats} "
-                f"must be >= 1 and multiply to n_experts = {self.n_experts}"
-            )
-
-    @property
-    def distinct(self) -> int:
-        return self.pool_distinct if self.pool_distinct is not None else self.n_experts
+        if self.pool_repeats < 1 or self.n_experts % self.pool_repeats:
+            raise ValueError(f"pool_repeats = {self.pool_repeats} must be >= 1 and divide n_experts = {self.n_experts}")
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -254,15 +243,19 @@ class RunState:
     record: RoleRecord | None
 
     @classmethod
-    def initial(cls, cfg: RunConfig, pool, rng: RngFactory) -> "RunState":
+    def initial(cls, cfg: RunConfig, pool, expert_dim: int | None, rng: RngFactory) -> "RunState":
         """The state before iteration 0: both swarms and no structure yet; evaluates nothing."""
         n = cfg.n_experts
         matrices = Swarm.from_positions(init_adjacency_swarm(n, cfg.matrix_swarm_size, rng.stream("init_matrices")))
         if pool is None:
-            pool = build_pool(cfg.distinct, cfg.pool_repeats, cfg.expert_dim, rng.stream("init_experts"), cfg.expert_scale)
-        if len(pool) != n:
-            raise ValueError(f"pool size {len(pool)} != n_experts {n}")
-        return cls(0, 0, -np.inf, matrices, Swarm.from_positions(pool), None)
+            dim = expert_dim or UNREAD_EXPERT_DIM
+            pool = build_pool(n // cfg.pool_repeats, cfg.pool_repeats, dim, rng.stream("init_experts"))
+        experts = Swarm.from_positions(pool)
+        if len(experts) != n:
+            raise ValueError(f"pool size {len(experts)} != n_experts {n}")
+        if expert_dim is not None and experts.positions.shape[1:] != (expert_dim,):
+            raise ValueError(f"pool experts have shape {experts.positions.shape[1:]}, but the task reads length {expert_dim}")
+        return cls(0, 0, -np.inf, matrices, experts, None)
 
     def to_checkpoint(self, cfg: RunConfig) -> dict:
         """The state after an iteration, which always holds a record, as a JSON-ready dict."""
@@ -322,9 +315,9 @@ def optimize(
 ) -> tuple[OptimizedSystem, RunTrace]:
     """Run the alternating loop; return the best system and the trace.
 
-    ``pool`` is an ``(n, d)`` array-like of expert parameter vectors, left
-    unchanged, or None to draw one from the config's pool spec; a resume takes
-    its experts from the checkpoint, so it must be None there. The returned
+    ``pool`` is an ``(n, d)`` array-like of expert parameter vectors, left unchanged, or
+    None to draw one; ``d`` must be ``utility.expert_dim`` where that is set. A resume
+    takes its experts from the checkpoint, so it must be None there. The returned
     system is the recorded best DAG (frozen, never re-decoded) instantiated
     with the final expert parameters under the identity assignment. Modes that search
     expert parameters are rejected for evaluators that never use them, and a
@@ -342,7 +335,7 @@ def optimize(
     if resume_from is not None:
         state = RunState.from_checkpoint(json.loads(Path(resume_from).read_text()), cfg)
     else:
-        state = RunState.initial(cfg, pool, rng)
+        state = RunState.initial(cfg, pool, utility.expert_dim, rng)
 
     trace = RunTrace()
     while state.iteration < cfg.max_iterations and state.stall < cfg.patience:

@@ -23,6 +23,7 @@ class UtilityFunction:
 
     dataset_size: int = 1
     evaluator: NodeEvaluator | None = None
+    expert_dim: int | None = None  # the expert vector length the evaluator reads; None if it reads none
 
     def evaluate(self, dag: DagStructure, assignment: Assignment, pool) -> float:
         raise NotImplementedError
@@ -63,10 +64,6 @@ def star_dag(n: int) -> DagStructure:
     return DagStructure(n, end, edges, tuple(range(n)))
 
 
-def diamond_dag() -> DagStructure:
-    return DagStructure(4, 3, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}), (0, 1, 2, 3))
-
-
 class DagRecoveryUtility(UtilityFunction):
     """1 - normalized edit distance to a hidden target DAG."""
 
@@ -88,6 +85,7 @@ class AffineTargetUtility(UtilityFunction):
             raise ValueError("inputs and targets must be non-empty (k, d) arrays of equal shape")
         self.dataset_size = len(self.inputs)
         self.evaluator = AffineEvaluator()
+        self.expert_dim = self.inputs.shape[1] * (self.inputs.shape[1] + 1)  # a d x d matrix and a length-d bias
 
     def evaluate(self, dag, assignment, pool) -> float:
         out = execute(dag, assignment, pool, Message(self.inputs), self.evaluator)

@@ -14,11 +14,11 @@ from dagswarm import (
     build_pool,
     build_prompt,
     cli,
-    diamond_dag,
     execute,
     save_pool,
 )
 from dagswarm.cli import ENDPOINT_ENV, parse_config, run_cli
+from test_utilities import diamond_dag
 
 
 def write(path, data):
@@ -63,6 +63,16 @@ def test_decode_rejects_top_p_out_of_range_for_a_single_node(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print a second stderr line
+def test_decode_reports_an_overflowing_matrix_as_error_json(tmp_path, capsys):
+    matrix = write(tmp_path / "m.json", [[0, 1e308, 0], [0, 0, 1e308], [1e308, 0, 0]])
+    assert run_cli(["decode", "--matrix", matrix]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError" and "overflow" in error["message"]
+
+
 def test_optimize_constant_utility_stops_after_patience(tmp_path, capsys):
     cfg = write(
         tmp_path / "cfg.json",
@@ -97,10 +107,11 @@ def test_optimize_mode_and_seed_overrides(tmp_path, capsys):
 
 
 def test_unknown_config_key_reported_as_error_json(tmp_path, capsys):
-    cfg = write(tmp_path / "cfg.json", {"wobble": 3})
-    assert run_cli(["optimize", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert "wobble" in err["error"]["message"]
+    for key in ("wobble", "expert_dim", "expert_scale", "pool_distinct"):
+        cfg = write(tmp_path / "cfg.json", {key: 3})
+        assert run_cli(["optimize", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert f"unknown config key: '{key}'" == err["error"]["message"]
 
 
 def test_out_of_range_tau_rejected(tmp_path, capsys):
@@ -155,6 +166,16 @@ def test_optimize_rejects_a_pool_with_a_resume(tmp_path, capsys):
     error = json.loads(captured.err)["error"]
     assert error["type"] == "ValueError" and "pool" in error["message"]
     assert not (tmp_path / "b").exists()
+
+
+def test_optimize_rejects_a_pool_of_the_wrong_expert_length(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", {"n_experts": 3, "utility_spec": {"name": "affine_target", "n": 3, "dim": 3}})
+    save_pool(build_pool(3, 1, 6, RngFactory(0).stream("init_experts")), tmp_path / "pool")
+    assert run_cli(["optimize", "--config", cfg, "--pool", str(tmp_path / "pool"), "--out", str(tmp_path / "b")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError" and "shape (6,), but the task reads length 12" in error["message"]
 
 
 def test_optimize_jobs_reach_the_remote_evaluator(tmp_path, capsys, monkeypatch, clean_stub):

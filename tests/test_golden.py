@@ -48,7 +48,6 @@ GOLDEN = {
             "assignments_per_step": 6,
             "max_iterations": 6,
             "patience": 6,
-            "expert_dim": 12,
             "seed": 7,
             "utility_spec": {"name": "affine_target", "target": "chain", "n": 4, "dim": 3, "points": 4},
         },
@@ -74,10 +73,10 @@ GOLDEN = {
 
 # SHA-256 of the checkpoint file each GOLDEN run leaves after its last iteration.
 CHECKPOINT_DIGESTS = {
-    "role_only_hidden_dag_threshold": "dc734afc9ec7a9ac0879d753c1c73ff64b19768480996f7925f6cb4d05878c18",
-    "full_affine_chain_n10": "62bd793540052a6e10c028374ea5e9b1e8ba3a9b92d623bf7c7394742c7b71f0",
-    "weight_only_affine_dim3": "adce15dcaa170587ff1fbba2f8ae26dfe0cd648174846418b6db6c6d0caa613c",
-    "role_only_star_l1_large_seed": "1d1776f845c818745c55dbd2accb4633332f7502e403ec9c3fa2a8d9c9241239",
+    "role_only_hidden_dag_threshold": "b20c251459d93c98f91759daa6a4cad809bd36cb4f6805d1969182d401245bf5",
+    "full_affine_chain_n10": "0f4771cd15c993d76a0f2cf6ac7139e765448f7a8b30507d5abe6442d45841be",
+    "weight_only_affine_dim3": "9f7e474a592b0728b4b57cbefff68851c1438471b666c49939cb34d6904b2141",
+    "role_only_star_l1_large_seed": "f0b89d587ccf35f3feb4bf6490203e415124e3a0029c56ef33e065f5a034a8ca",
 }
 
 

@@ -189,6 +189,8 @@ def reference_top_p_sample(scores, p, rng):
     if total <= 0.0:
         return int(rng.integers(s.size))
     probs = s / total
+    if not probs.any():  # finite scores whose sum overflows to inf all divide to 0
+        raise ValueError("scores overflow: their sum is inf")
     order = np.argsort(-probs, kind="stable")
     cutoff = int(np.searchsorted(np.cumsum(probs[order]), p)) + 1
     kept = order[:cutoff]
@@ -379,6 +381,32 @@ def test_decode_ranks_each_top_p_by_probability_not_by_raw_sum():
             fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             assert decode_dag(A, p, fast).to_dict() == reference_decode_dag(A, p, ref).to_dict(), (p, seed)
             assert fast.bit_generator.state == ref.bit_generator.state, (p, seed)
+
+
+def test_decode_draws_no_edge_where_every_exp_underflows():
+    # Node 1's only placed entry is -1000, whose exp is 0, so its softmax total
+    # is 0: the reference's 0 / 0 draws no edge and the fallback edge is wired.
+    A = [[0, 0.001, 0], [-1000, 0, 2000], [0.5, 0.5, 0]]
+    for p in (1e-12, 0.8):
+        for seed in range(20):
+            fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = reference_decode_dag(A, p, ref)
+                dag = decode_dag(A, p, fast)
+            assert dag.to_dict() == expected.to_dict(), (p, seed)
+            assert fast.bit_generator.state == ref.bit_generator.state, (p, seed)
+            assert (1, 0) in dag.edges
+    with np.errstate(over="ignore"):
+        assert decode_dag(A, 1e-12, np.random.default_rng(0)).edges == {(1, 0), (2, 0)}
+
+
+def test_an_overflowing_sum_raises_a_value_error_naming_it():
+    A = [[0, 1e308, 0], [0, 0, 1e308], [1e308, 0, 0]]
+    calls = [(decode, A) for decode in (decode_dag, reference_decode_dag)]
+    calls += [(sample, [1e308, 1e308]) for sample in (top_p_sample, reference_top_p_sample)]
+    for function, scores in calls:
+        with pytest.raises(ValueError, match="overflow"), np.errstate(over="ignore"):
+            function(scores, 0.8, np.random.default_rng(0))
 
 
 class CountingRng:

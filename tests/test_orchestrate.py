@@ -65,8 +65,10 @@ def test_defaults_match_reference_settings():
 
 
 def test_config_rejects_unknown_keys_by_name():
-    with pytest.raises(ValueError, match="bogus"):
-        config_from_dict({"bogus": 1})
+    # The task fixes the expert length and pool_repeats the pool spec, so these three are no settings.
+    for key in ("bogus", "expert_dim", "expert_scale", "pool_distinct"):
+        with pytest.raises(ValueError, match=f"unknown config key: '{key}'"):
+            config_from_dict({key: 1})
     with pytest.raises(ValueError, match="role_hp.warp"):
         config_from_dict({"role_hp": {"warp": 1}})
     with pytest.raises(ValueError, match="sparsity.blur"):
@@ -89,17 +91,37 @@ def test_config_range_validation():
     with pytest.raises(ValueError):
         config_from_dict({"mode": "sideways"})
     with pytest.raises(ValueError, match="pool"):
-        config_from_dict({"n_experts": 10, "pool_distinct": 3, "pool_repeats": 3})
+        config_from_dict({"n_experts": 10, "pool_repeats": 3})
     # mixed in-range dropout settings are accepted
     cfg = config_from_dict({"dropout_role": 0.5, "dropout_weight": 0.2})
     assert cfg.dropout_role == 0.5
 
 
-@pytest.mark.parametrize("distinct,repeats", [(-2, -2), (-4, -1), (None, 0)])
-def test_pool_spec_factors_must_be_positive(distinct, repeats):
-    # (-2, -2) and (-4, -1) multiply out to n_experts, so only the sign check catches them
+@pytest.mark.parametrize("repeats", [-2, -1, 0])
+def test_pool_spec_factors_must_be_positive(repeats):
+    # -2 and -1 divide n_experts, so only the sign check catches them
     with pytest.raises(ValueError, match="must be >= 1"):
-        RunConfig(n_experts=4, pool_distinct=distinct, pool_repeats=repeats)
+        RunConfig(n_experts=4, pool_repeats=repeats)
+
+
+def test_drawn_pool_takes_its_expert_length_from_the_task():
+    cfg = small_cfg(max_iterations=1, utility_spec={"name": "affine_target", "n": 4, "dim": 3, "points": 2})
+    assert run(cfg)[0].expert_params.shape == (4, 12)
+    for spec in ({"name": "constant"}, {"name": "hidden_dag", "n": 4}):
+        assert run(replace(cfg, utility_spec=spec))[0].expert_params.shape == (4, 6)
+    repeated = run(replace(cfg, pool_repeats=2, mode="role_only"))[0].expert_params
+    assert np.array_equal(repeated[0::2], repeated[1::2]) and not np.array_equal(repeated[0], repeated[2])
+
+
+def test_pool_of_the_wrong_expert_length_rejected_before_any_evaluation():
+    cfg = small_cfg()  # affine_target at dim 2 reads experts of length 6
+    utility = task_utility(cfg)
+    with pytest.raises(ValueError, match=r"shape \(5,\), but the task reads length 6"):
+        optimize(cfg, np.zeros((4, 5)), utility)
+    assert utility.evaluator_calls == 0
+    # A task that reads no expert vector takes a pool of any width.
+    constant = replace(cfg, utility_spec={"name": "constant"}, max_iterations=1)
+    assert run(constant, pool=np.zeros((4, 5)))[0].expert_params.shape == (4, 5)
 
 
 def test_config_nested_values_applied():
@@ -219,7 +241,7 @@ def test_weight_only_fixes_the_structure_its_first_role_step_records():
     records = {}
     for sparsity in (cfg.sparsity, SparsityConfig()):
         rng = RngFactory(cfg.seed)
-        state = RunState.initial(cfg, None, rng)
+        state = RunState.initial(cfg, None, task_utility(cfg).expert_dim, rng)
         _, records[sparsity.mode] = role_step(
             state.matrix_swarm, state.expert_swarm.positions, Assignment.identity(cfg.n_experts),
             task_utility(cfg), sparsity, cfg.role_hp, cfg.top_p, rng, 0,
@@ -357,6 +379,20 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     assert system_resumed.to_json() == system_full.to_json()
     tail = trace_full.to_jsonl().splitlines()[3:]
     assert trace_resumed.to_jsonl().splitlines() == tail
+
+
+def test_checkpoint_with_removed_pool_settings_resumes_the_same_run(tmp_path):
+    # Older checkpoints store these keys in their config; a resume ignores keys the config does not have.
+    cfg = small_cfg(max_iterations=6, patience=6, seed=3)
+    system_full, trace_full = run(cfg)
+    ck = tmp_path / "checkpoint.json"
+    run(replace(cfg, max_iterations=2), checkpoint_path=ck)
+    payload = json.loads(ck.read_text())
+    payload["config"].update(expert_dim=6, expert_scale=1.0, pool_distinct=None)
+    ck.write_text(json.dumps(payload, sort_keys=True))
+    system, trace = run(cfg, resume_from=ck)
+    assert system.to_json() == system_full.to_json()
+    assert trace.to_jsonl().splitlines() == trace_full.to_jsonl().splitlines()[2:]
 
 
 RESUME_VARIANTS = {

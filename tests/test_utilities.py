@@ -21,7 +21,6 @@ from dagswarm import (
     build_utility,
     chain_dag,
     decode_dag,
-    diamond_dag,
     edit_distance,
     execute,
     load_dataset,
@@ -30,6 +29,10 @@ from dagswarm import (
     star_dag,
 )
 from dagswarm.utilities import DagRecoveryUtility
+
+
+def diamond_dag() -> DagStructure:
+    return DagStructure(4, 3, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}), (0, 1, 2, 3))
 
 
 def test_builtin_structures_valid():
