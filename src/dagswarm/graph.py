@@ -29,37 +29,14 @@ def init_adjacency_swarm(n: int, count: int, rng: np.random.Generator) -> list[n
     return [rng.random((n, n)) for _ in range(count)]
 
 
-def _np_sum(xs: list[float]) -> float:
-    """``float(np.sum(xs))`` bit for bit: numpy's pairwise order for contiguous float64.
-
-    Below 8 items numpy adds in order; up to 128 it keeps 8 running lanes,
-    combines them pairwise and adds the tail in order; above 128 it splits
-    in halves rounded down to a multiple of 8.
-    """
-    n = len(xs)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _np_sum(xs[:half]) + _np_sum(xs[half:])
-    total = 0.0
-    tail = 0
-    if n >= 8:
-        tail = n - n % 8
-        lanes = xs[:8]
-        for i in range(8, tail, 8):
-            lanes = [a + b for a, b in zip(lanes, xs[i : i + 8])]
-        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-    for x in xs[tail:]:
-        total += x
-    return total
-
-
 def top_p_sample(scores, p: float, rng: np.random.Generator) -> int:
     """Nucleus sampling over non-negative scores.
 
     Scores are normalized into a distribution, sorted descending (ties keep
     ascending index order), truncated to the smallest prefix with cumulative
-    mass >= p, renormalized and sampled. All-zero scores fall back to a uniform
-    draw over all indices; finite scores summing to inf raise ``ValueError``.
+    mass >= p, renormalized and sampled. Scores must be finite and non-negative.
+    All-zero scores fall back to a uniform draw over all indices; scores whose
+    sum overflows to inf raise ``ValueError`` before any draw.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
@@ -67,27 +44,27 @@ def top_p_sample(scores, p: float, rng: np.random.Generator) -> int:
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a non-empty 1-d sequence")
     scores = s.tolist()
+    if not all(map(math.isfinite, scores)):
+        raise ValueError("scores must be finite")
     if any(x < 0.0 for x in scores):
         raise ValueError("scores must be non-negative")
-    total = _np_sum(scores)
+    total = float(np.add.reduce(s))
     if total <= 0.0:
         return int(rng.integers(len(scores)))
+    if total == math.inf:
+        raise ValueError("scores overflow: their sum is inf")
     return _top_p([x / total for x in scores], p, rng.random())
 
 
 def _top_p(probs: list[float], p: float, uniform: float) -> int:
-    """The index ``top_p_sample`` draws with ``uniform`` from ``probs``, the scores over their positive sum."""
+    """The index ``top_p_sample`` draws with ``uniform`` from ``probs``, the scores over their finite positive sum."""
     # reverse=True keeps equal probabilities in ascending index order, as a stable sort on -probs does.
     order = sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
     cdf = list(accumulate(map(probs.__getitem__, order)))
     # An unreached p keeps every index, as numpy's searchsorted past the end does.
     cutoff = bisect_left(cdf, p) + 1
     kept = min(cutoff, len(cdf))
-    draw = uniform * cdf[kept - 1]
-    try:
-        return order[min(bisect_right(cdf, draw, 0, kept), cutoff - 1)]
-    except IndexError:  # every probability is 0: finite scores whose sum overflowed to inf
-        raise ValueError("scores overflow: their sum is inf") from None
+    return order[min(bisect_right(cdf, uniform * cdf[kept - 1], 0, kept), cutoff - 1)]
 
 
 @dataclass(frozen=True)
@@ -159,11 +136,12 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     exp(a_ui). Exact-zero entries are ineligible as edges (they still count
     in the denominator), which lets threshold pruning suppress edges. A node
     that drew no edge is wired to its argmax-entry placed node, so every non-end
-    node keeps a path to the end. Finite out-degree sums totalling inf raise ``ValueError``.
+    node keeps a path to the end. Out-degree sums that are not finite raise ``ValueError``
+    before any draw, and sums whose top-p total overflows to inf raise it before that draw.
 
     One loop places the end and then every other node in Python floats, reading its
     doubles by index from a block drawn in one call, with the same DAGs, errors and
-    final generator state as the numpy reference, but for the state after an overflow.
+    final generator state as the numpy reference.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
@@ -174,17 +152,20 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     if n == 1:
         return DagStructure(1, 0, frozenset(), (0,))
 
-    # Python floats from here on; numpy only for exp, the row sums and the draws.
+    # Python floats from here on; numpy only for exp, the row sums, totals of 8 or more terms and the draws.
     rows = A.tolist()
     exp_rows = np.exp(A).tolist()
     out_sums = [total - rows[i][i] for i, total in enumerate(np.add.reduce(A, 1).tolist())]
-    # Every top-p score is a sum s or the end's 1 / (s + DEGREE_EPS); s in (-inf, -DEGREE_EPS] fails the end's.
-    least = min(out_sums)  # NaN only if the first sum is NaN
-    if not least >= 0.0 and any(-math.inf < s <= -DEGREE_EPS for s in out_sums):
+    if not all(map(math.isfinite, out_sums)):
+        raise ValueError("out-degree sums must be finite")
+    # Every top-p score is a sum s or the end's 1 / (s + DEGREE_EPS); s <= -DEGREE_EPS fails the end's.
+    least = min(out_sums)
+    if least <= -DEGREE_EPS:
         raise ValueError("scores must be non-negative")
     # The block holds every double before placement n - z (z = zero sums), the first whose top-p may fall back
-    # to rng.integers, and ends after a placement's coins; it is empty if the least sum is negative, NaN or inf.
-    covered = n - 1 - out_sums.count(0.0) if 0.0 <= least < math.inf else -1
+    # to rng.integers, and ends after a placement's coins. It is empty if a sum is negative, and holds only the
+    # end's draw if the sums reach 1e308, since a later top-p total may then overflow and raise before its draw.
+    covered = -1 if least < 0.0 else n - 1 - out_sums.count(0.0) if sum(out_sums) < 1e308 else 0
     block = rng.random(1 + covered * (covered + 3) // 2).tolist()
     drawn, size = 0, len(block)
 
@@ -192,27 +173,29 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     remaining, placed, edges = list(range(n)), [], []
     while remaining:
         m = len(remaining)
-        total = 0.0 if m < 8 else _np_sum([scores[v] for v in remaining])
+        total = 0.0 if m < 8 else float(np.add.reduce([scores[v] for v in remaining]))
         for v in remaining if m < 8 else ():  # numpy's sum adds fewer than 8 terms in order
             total += scores[v]
         if total <= 0.0:
             u = remaining.pop(int(rng.integers(m)))
+        elif total == math.inf:
+            raise ValueError("scores overflow: their sum is inf")
         else:
             uniform = block[drawn] if drawn < size else rng.random()
             drawn += 1
             u = remaining.pop(_top_p([scores[v] / total for v in remaining], p, uniform) if m > 1 else 0)
         if placed:
             row, exp_row, k = rows[u], exp_rows[u], len(placed)
-            total = 0.0 if k < 8 else _np_sum([exp_row[v] for v in placed])
+            total = 0.0 if k < 8 else float(np.add.reduce([exp_row[v] for v in placed]))
             for v in placed if k < 8 else ():
                 total += exp_row[v]
             coins = block[drawn : drawn + k] if drawn < size else iter(rng.random, None)  # zip stops at ``placed``
             drawn += k
             total = total or math.nan  # every exp underflowed: 0 / 0 draws no edge, as in numpy
             hits = [(u, v) for v, d in zip(placed, coins) if d < exp_row[v] / total and row[v] > 0.0]
-            # No hit: the first largest entry in index order, or the first NaN, as np.argmax picks it.
-            edges.extend(hits or [(u, min(sorted(placed), key=lambda v: (row[v] == row[v], -row[v])))])
-        elif not least >= 0.0 and any(out_sums[v] < 0.0 for v in remaining):  # other negative sums fail here
+            # No hit: the first largest entry in index order, as np.argmax picks it.
+            edges.extend(hits or [(u, max(sorted(placed), key=row.__getitem__))])
+        elif least < 0.0 and any(out_sums[v] < 0.0 for v in remaining):  # other negative sums fail here
             raise ValueError("scores must be non-negative")
         placed.append(u)
         scores = out_sums

@@ -7,6 +7,7 @@ numpy) so the two sides cannot share a bug.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -71,7 +72,8 @@ def test_c01_decode_validity_fuzz():
 # --- criterion 2: decode distribution matches a straight-line reference
 
 
-def _reference_top_p(weights, p, rng):
+def _reference_cut(weights, p):
+    """The indices top-p keeps from ``weights``, their running probabilities and their mass."""
     total = sum(weights)
     probs = [w / total for w in weights]
     order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
@@ -81,34 +83,57 @@ def _reference_top_p(weights, p, rng):
         cum += probs[i]
         if cum >= p:
             break
-    draw = rng.random() * sum(probs[i] for i in kept)
-    acc = 0.0
+    running, acc = [], 0.0
     for i in kept:
         acc += probs[i]
+        running.append(acc)
+    return kept, running, sum(probs[i] for i in kept)
+
+
+def _reference_top_p(cut, rng):
+    kept, running, mass = cut
+    draw = rng.random() * mass
+    for i, acc in zip(kept, running):
         if draw < acc:
             return i
     return kept[-1]
 
 
-def _reference_decode(A, p, rng):
+def _reference_decoder(A, p):
+    """A decode of ``A`` taking ``rng``; the cuts and coin thresholds, fixed by the matrix, are computed once."""
     n = len(A)
     out_sums = [sum(A[i][j] for j in range(n) if j != i) for i in range(n)]
-    end = _reference_top_p([1.0 / (s + 1e-6) for s in out_sums], p, rng)
-    placed = [end]
-    remaining = [v for v in range(n) if v != end]
-    edges = set()
-    while remaining:
-        u = remaining.pop(_reference_top_p([out_sums[v] for v in remaining], p, rng))
+    end_cut = _reference_cut([1.0 / (s + 1e-6) for s in out_sums], p)
+
+    @functools.cache
+    def cut(remaining):
+        return _reference_cut([out_sums[v] for v in remaining], p)
+
+    @functools.cache
+    def coins(u, placed):
         denominator = sum(math.exp(A[u][v]) for v in placed)
-        hit = False
-        for v in placed:
-            if rng.random() < math.exp(A[u][v]) / denominator and A[u][v] > 0.0:
-                edges.add((u, v))
-                hit = True
-        if not hit:
-            edges.add((u, max(sorted(placed), key=lambda v: A[u][v])))
-        placed.append(u)
-    return end, frozenset(edges)
+        thresholds = [(v, math.exp(A[u][v]) / denominator, A[u][v] > 0.0) for v in placed]
+        return thresholds, max(sorted(placed), key=lambda v: A[u][v])
+
+    def decode(rng):
+        end = _reference_top_p(end_cut, rng)
+        placed = [end]
+        remaining = [v for v in range(n) if v != end]
+        edges = set()
+        while remaining:
+            u = remaining.pop(_reference_top_p(cut(tuple(remaining)), rng))
+            thresholds, fallback = coins(u, tuple(placed))
+            hit = False
+            for v, threshold, eligible in thresholds:
+                if rng.random() < threshold and eligible:
+                    edges.add((u, v))
+                    hit = True
+            if not hit:
+                edges.add((u, fallback))
+            placed.append(u)
+        return end, frozenset(edges)
+
+    return decode
 
 
 def test_c02_decode_distribution_matches_reference():
@@ -125,8 +150,9 @@ def test_c02_decode_distribution_matches_reference():
             package[(dag.end_node, tuple(sorted(dag.edges)))] += 1
         reference = Counter()
         ref_rng = random.Random(99 + index)
+        decode = _reference_decoder(M, 0.8)
         for _ in range(samples):
-            end, edges = _reference_decode(M, 0.8, ref_rng)
+            end, edges = decode(ref_rng)
             reference[(end, tuple(sorted(edges)))] += 1
         keys = set(package) | set(reference)
         tv = 0.5 * sum(abs(package[k] - reference[k]) / samples for k in keys)

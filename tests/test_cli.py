@@ -18,6 +18,7 @@ from dagswarm import (
     save_pool,
 )
 from dagswarm.cli import ENDPOINT_ENV, parse_config, run_cli
+from test_graph import NON_FINITE_MATRICES, overflow_matrix
 from test_utilities import diamond_dag
 
 
@@ -71,6 +72,26 @@ def test_decode_reports_an_overflowing_matrix_as_error_json(tmp_path, capsys):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     error = json.loads(captured.err)["error"]
     assert error["type"] == "ValueError" and "overflow" in error["message"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", range(len(NON_FINITE_MATRICES)))
+def test_decode_reports_non_finite_out_degree_sums_as_error_json(tmp_path, capsys, case):
+    matrix = write(tmp_path / "m.json", np.asarray(NON_FINITE_MATRICES[case], dtype=float).tolist())
+    assert run_cli(["decode", "--matrix", matrix]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "ValueError" and error["message"] == "out-degree sums must be finite"
+
+
+@pytest.mark.filterwarnings("error")  # numpy's reduction of the 8 sums after the end overflows
+def test_decode_reports_an_overflowing_total_of_eight_sums_as_error_json(tmp_path, capsys):
+    matrix = write(tmp_path / "m.json", overflow_matrix(9).tolist())
+    assert run_cli(["decode", "--matrix", matrix]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "overflow" in json.loads(captured.err)["error"]["message"]
 
 
 def test_optimize_constant_utility_stops_after_patience(tmp_path, capsys):

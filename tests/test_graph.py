@@ -11,7 +11,7 @@ from dagswarm import (
     prune_threshold,
     top_p_sample,
 )
-from dagswarm.graph import DEGREE_EPS, _np_sum
+from dagswarm.graph import DEGREE_EPS
 
 
 def test_init_swarm_degenerate_and_errors():
@@ -181,6 +181,8 @@ def reference_top_p_sample(scores, p, rng):
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a non-empty 1-d sequence")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     if np.any(s < 0):
         raise ValueError("scores must be non-negative")
     if not 0.0 < p <= 1.0:
@@ -208,6 +210,8 @@ def reference_decode_dag(A, p, rng):
         return DagStructure(1, 0, frozenset(), (0,))
 
     out_sums = A.sum(axis=1) - np.diagonal(A)
+    if not np.isfinite(out_sums).all():
+        raise ValueError("out-degree sums must be finite")
     end = reference_top_p_sample(1.0 / (out_sums + DEGREE_EPS), p, rng)
 
     placed = [end]
@@ -409,6 +413,59 @@ def test_an_overflowing_sum_raises_a_value_error_naming_it():
             function(scores, 0.8, np.random.default_rng(0))
 
 
+# Out-degree sums that are not all finite: a row summing to inf, an infinite entry and a NaN entry.
+NON_FINITE_MATRICES = (
+    [[0, 1e308, 1e308], [1, 0, 1], [1, 1, 0]],
+    [[0, np.inf, 0], [1, 0, 1], [1, 1, 0]],
+    [[0, 0.5, 0.5], [1, 0, np.nan], [1, 1, 0]],
+)
+
+
+def test_non_finite_out_degree_sums_raise_before_any_draw():
+    for A in NON_FINITE_MATRICES:
+        for decode in (decode_dag, reference_decode_dag):
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match="out-degree sums must be finite"), np.errstate(over="ignore"):
+                decode(A, 0.8, rng)
+            assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    for scores in ([1.0, np.nan], [np.inf, 1.0], [0.5, -np.inf]):
+        for sample in (top_p_sample, reference_top_p_sample):
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match="scores must be finite"):
+                sample(scores, 0.8, rng)
+            assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def overflow_matrix(n, big=1e308):
+    """Out-degree sums of ``big`` each, finite, whose top-p total over the n - 1 nodes left after the end overflows."""
+    A = np.zeros((n, n))
+    A[np.arange(n), (np.arange(n) + 1) % n] = big
+    return A
+
+
+def test_an_overflowing_top_p_total_raises_with_the_references_generator_state():
+    # n >= 9 leaves 8 or more nodes after the end, whose total numpy's reduction adds.
+    gen = np.random.default_rng(21)
+    matrices = [overflow_matrix(n) for n in (3, 9, 10, 12, 16)]
+    for n in (9, 10, 13):  # uniform entries beside the overflowing ones, and one all-zero row
+        A = gen.random((n, n)) + overflow_matrix(n, 6e307)
+        A[0, 1:] = 0.0
+        matrices.append(A)
+    for A in matrices:
+        for p in (1e-12, 0.3, 0.8, 1.0):
+            for seed in range(3):
+                fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                for decode, rng in ((decode_dag, fast), (reference_decode_dag, ref)):
+                    with pytest.raises(ValueError, match="scores overflow"), np.errstate(over="ignore"):
+                        decode(A, p, rng)
+                assert fast.bit_generator.state == ref.bit_generator.state, (len(A), p, seed)
+    fast, ref = np.random.default_rng(0), np.random.default_rng(0)
+    for sample, rng in ((top_p_sample, fast), (reference_top_p_sample, ref)):
+        with pytest.raises(ValueError, match="scores overflow"), np.errstate(over="ignore"):
+            sample([1e308] * 9, 0.8, rng)
+    assert fast.bit_generator.state == ref.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 class CountingRng:
     """A generator that counts its calls."""
 
@@ -446,11 +503,3 @@ def test_top_p_matches_numpy_reference():
         fast, ref = np.random.default_rng(case), np.random.default_rng(case)
         assert top_p_sample(scores, p, fast) == reference_top_p_sample(scores, p, ref), (case, p)
         assert fast.bit_generator.state == ref.bit_generator.state, case
-
-
-def test_np_sum_matches_numpy_bit_for_bit():
-    gen = np.random.default_rng(5)
-    for n in range(301):
-        for _ in range(5):
-            xs = (gen.random(n) * 10.0 ** gen.uniform(-6, 6, n) * gen.choice([-1.0, 1.0], n)).tolist()
-            assert _np_sum(xs) == float(np.sum(np.asarray(xs, dtype=float))), n
