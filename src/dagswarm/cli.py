@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -58,12 +59,18 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+@contextmanager
 def _node_evaluator(jobs: int | None = None):
-    """The remote evaluator when an endpoint is set; ``jobs`` None keeps its default."""
+    """The remote evaluator when an endpoint is set, closed on exit; ``jobs`` None keeps its default."""
     endpoint = os.environ.get(ENDPOINT_ENV)
     if not endpoint:
-        return None
-    return RemoteEvaluator(endpoint) if jobs is None else RemoteEvaluator(endpoint, jobs=jobs)
+        yield None
+        return
+    evaluator = RemoteEvaluator(endpoint) if jobs is None else RemoteEvaluator(endpoint, jobs=jobs)
+    try:
+        yield evaluator
+    finally:
+        evaluator.close()
 
 
 def _out_dir(args) -> Path:
@@ -74,11 +81,12 @@ def _out_dir(args) -> Path:
 
 def cmd_optimize(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
-    utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"), _node_evaluator(args.jobs))
-    pool = load_pool(args.pool) if args.pool else None
-    system, trace = optimize(
-        cfg, pool, utility, checkpoint_path=args.checkpoint, resume_from=args.resume
-    )
+    with _node_evaluator(args.jobs) as evaluator:
+        utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"), evaluator)
+        pool = load_pool(args.pool) if args.pool else None
+        system, trace = optimize(
+            cfg, pool, utility, checkpoint_path=args.checkpoint, resume_from=args.resume
+        )
     out = _out_dir(args)
     (out / "best_system.json").write_text(system.to_json())
     (out / "trace.jsonl").write_text(trace.to_jsonl())
@@ -115,14 +123,14 @@ def cmd_evaluate(args) -> int:
         raise ValueError("dataset items need an 'input' field")
     inputs = [item["input"] for item in items]
     instance = (system.dag, system.assignment, system.expert_params)
-    evaluator = _node_evaluator()
-    if evaluator is not None:
-        outputs = run_text_items(*instance, inputs, evaluator)
-    else:
-        stacked = np.asarray(inputs, dtype=float)
-        if stacked.ndim != 2:
-            raise ValueError("local dataset inputs must be vectors of one length")
-        outputs = execute(*instance, Message(stacked), AffineEvaluator()).payload.tolist()
+    with _node_evaluator() as evaluator:
+        if evaluator is not None:
+            outputs = run_text_items(*instance, inputs, evaluator)
+        else:
+            stacked = np.asarray(inputs, dtype=float)
+            if stacked.ndim != 2:
+                raise ValueError("local dataset inputs must be vectors of one length")
+            outputs = execute(*instance, Message(stacked), AffineEvaluator()).payload.tolist()
     results = []
     for item, output in zip(items, outputs):
         entry: dict = {"input": item["input"], "output": output}
@@ -164,22 +172,22 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     rng = RngFactory(cfg.seed)
-    evaluator = _node_evaluator(args.jobs)
     entries = []
-    for run in range(args.runs):
-        hp = sample_grid_hyperparams(rng.stream("sweep", run))
-        run_cfg = replace(cfg, role_hp=hp, weight_hp=hp, seed=cfg.seed + run)
-        utility = build_utility(run_cfg.utility_spec, RngFactory(run_cfg.seed).stream("task"), evaluator)
-        system, trace = optimize(run_cfg, None, utility)
-        entries.append(
-            {
-                "run": run,
-                "seed": run_cfg.seed,
-                "hyperparams": asdict(hp),
-                "best_utility": system.best_utility,
-                "iterations": len(trace.rows),
-            }
-        )
+    with _node_evaluator(args.jobs) as evaluator:
+        for run in range(args.runs):
+            hp = sample_grid_hyperparams(rng.stream("sweep", run))
+            run_cfg = replace(cfg, role_hp=hp, weight_hp=hp, seed=cfg.seed + run)
+            utility = build_utility(run_cfg.utility_spec, RngFactory(run_cfg.seed).stream("task"), evaluator)
+            system, trace = optimize(run_cfg, None, utility)
+            entries.append(
+                {
+                    "run": run,
+                    "seed": run_cfg.seed,
+                    "hyperparams": asdict(hp),
+                    "best_utility": system.best_utility,
+                    "iterations": len(trace.rows),
+                }
+            )
     entries.sort(key=lambda e: (-e["best_utility"], e["run"]))
     out = _out_dir(args)
     (out / "sweep.json").write_text(json.dumps({"format_version": 1, "runs": entries}, sort_keys=True, indent=2) + "\n")
@@ -210,7 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--mode", choices=MODES, default=None)
-        p.add_argument("--jobs", type=int, default=None, help="dataset items in flight at once at a remote endpoint")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            help="dataset items in flight at once at a remote endpoint (default 8), over reused connections",
+        )
 
     p = sub.add_parser("optimize", help="run the alternating optimization loop")
     common(p)

@@ -18,6 +18,7 @@ from dagswarm import (
     save_pool,
 )
 from dagswarm.cli import ENDPOINT_ENV, parse_config, run_cli
+from conftest import no_leaked_sockets
 from test_graph import NON_FINITE_MATRICES, overflow_matrix
 from test_utilities import diamond_dag
 
@@ -225,8 +226,41 @@ def test_optimize_jobs_reach_the_remote_evaluator(tmp_path, capsys, monkeypatch,
     assert run_cli(["optimize", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
     assert run_cli(["optimize", "--config", cfg, "--jobs", "2", "--out", str(tmp_path / "b")]) == 0
     capsys.readouterr()
-    assert built == [4, 2]
+    assert built == [8, 2]
     assert len(clean_stub.requests) == 2 * 2 * 2 * 3
+
+
+@no_leaked_sockets
+def test_commands_close_the_remote_evaluator(tmp_path, capsys, monkeypatch, keepalive_stub):
+    closed = []
+
+    class Recording(RemoteEvaluator):
+        def close(self):
+            super().close()
+            closed.append(self)
+
+    monkeypatch.setattr(cli, "RemoteEvaluator", Recording)
+    monkeypatch.setenv(ENDPOINT_ENV, keepalive_stub.endpoint)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("".join(json.dumps({"input": f"{k}+{k}", "answer": str(2 * k)}) + "\n" for k in range(3)))
+    cfg = write(
+        tmp_path / "cfg.json",
+        {
+            "n_experts": 2,
+            "matrix_swarm_size": 2,
+            "max_iterations": 1,
+            "patience": 1,
+            "mode": "role_only",
+            "utility_spec": {"name": "dataset", "path": str(dataset)},
+        },
+    )
+    out = tmp_path / "run"
+    assert run_cli(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    assert run_cli(["sweep", "--config", cfg, "--runs", "2", "--out", str(tmp_path / "sw")]) == 0
+    assert run_cli(["evaluate", "--system", str(out / "best_system.json"), "--dataset", str(dataset)]) == 0
+    capsys.readouterr()
+    assert len(closed) == 3
+    assert len(keepalive_stub.requests) == 2 * 2 * 3 * 3 + 2 * 3
 
 
 def test_analyze_writes_report_and_csv(tmp_path, capsys):

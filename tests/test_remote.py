@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import http.client
+import itertools
+import json
+import sys
 import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -21,6 +25,8 @@ from dagswarm import (
     execute,
     optimize,
 )
+from dagswarm.utilities import run_text_items
+from conftest import KeepAliveStub, _KeepAliveHandler, no_leaked_sockets
 
 ENTRY = "Please answer the following question."
 MIDDLE = (
@@ -119,10 +125,12 @@ def test_parameter_search_over_remote_experts_rejected(clean_stub, mode):
     assert len(clean_stub.requests) == trace.total_evaluator_calls > 0
 
 
-def test_role_only_search_identical_across_jobs(clean_stub):
+@no_leaked_sockets
+def test_role_only_search_identical_across_jobs(clean_stub, keepalive_stub):
     # The stub echoes prompts, so an answer equal to the end prompt of a star
     # (two entry nodes feeding node 2) makes the score depend on the decoded
-    # structure and on pairing each reply with its own item.
+    # structure and on pairing each reply with its own item. Over HTTP/1.1
+    # every connection is reused, so an evaluator opens at most ``jobs``.
     items = []
     for k in range(8):
         question = f"What is {k} + {k}?"
@@ -131,12 +139,16 @@ def test_role_only_search_identical_across_jobs(clean_stub):
         items.append({"input": question, "answer": build_prompt("end", question, prior)})
     cfg = RunConfig(n_experts=3, matrix_swarm_size=3, max_iterations=2, patience=2, mode="role_only", seed=5)
     outputs = set()
-    for jobs in (1, 2, 4):
-        clean_stub.requests.clear()
-        utility = DatasetUtility(items, RemoteEvaluator(clean_stub.endpoint, jobs=jobs))
+    for stub, jobs in itertools.product((clean_stub, keepalive_stub), (1, 2, 4, 8)):
+        stub.requests.clear()
+        keepalive_stub.peers.clear()
+        evaluator = RemoteEvaluator(stub.endpoint, jobs=jobs)
+        utility = DatasetUtility(items, evaluator)
         system, trace = optimize(cfg, None, utility)
-        assert utility.evaluator_calls == len(clean_stub.requests) == trace.total_evaluator_calls
+        evaluator.close()
+        assert utility.evaluator_calls == len(stub.requests) == trace.total_evaluator_calls
         assert system.best_utility > 0
+        assert len(keepalive_stub.peers) <= jobs  # 0 when the HTTP/1.0 stub served the run
         outputs.add(trace.to_jsonl() + system.to_json())
     assert len(outputs) == 1
 
@@ -253,3 +265,83 @@ def test_other_bad_replies_fail_at_once(scripted, reply):
     with pytest.raises(RuntimeError, match="remote evaluation failed"):
         _ask(scripted, retries=2)
     assert scripted.posts == 1
+
+
+def _raw_post(connection, body):
+    connection.request("POST", "/", body, {"Content-Type": "application/json"})
+    response = connection.getresponse()
+    return response.status, response.read(), response.will_close
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b'{"prompt": "\xff"}', b"[1, 2]", b'"prompt"', b"{}", b"not json"],
+    ids=["not-utf8", "list", "string", "no-prompt", "not-json"],
+)
+def test_stub_answers_a_malformed_post_at_once_and_keeps_the_connection(keepalive_stub, body):
+    host, port = keepalive_stub.server_address[:2]
+    # A 400 without Content-Length would leave this client reading until the timeout.
+    connection = http.client.HTTPConnection(host, port, timeout=2)
+    try:
+        assert _raw_post(connection, body) == (400, b"", False)
+        status, data, _ = _raw_post(connection, json.dumps({"prompt": "p"}).encode())
+    finally:
+        connection.close()
+    assert (status, json.loads(data)) == (200, {"text": "p"})
+    assert keepalive_stub.requests == [{"prompt": "p"}]
+    assert len(keepalive_stub.peers) == 1
+
+
+@no_leaked_sockets
+def test_evaluator_reuses_its_connections_and_works_after_close(keepalive_stub):
+    evaluator = RemoteEvaluator(keepalive_stub.endpoint)
+    execute(chain_dag(3), Assignment.identity(3), [None] * 3, Message("q"), evaluator)
+    assert len(keepalive_stub.peers) == 1
+    evaluator.close()
+    execute(chain_dag(2), Assignment.identity(2), [None] * 2, Message("q"), evaluator)
+    evaluator.close()
+    assert len(keepalive_stub.requests) == 5
+    assert len(keepalive_stub.peers) == 2
+
+
+@no_leaked_sockets
+def test_pool_hands_each_connection_to_one_thread_at_a_time(keepalive_stub):
+    # More workers than cores and frequent thread switches: a connection taken
+    # by two threads at once would mix up replies or be pooled twice.
+    evaluator = RemoteEvaluator(keepalive_stub.endpoint, timeout=5, jobs=8)
+    questions = [f"q{k}" for k in range(64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outputs = run_text_items(chain_dag(2), Assignment.identity(2), [None] * 2, questions, evaluator)
+        pooled = list(evaluator._idle)
+    finally:
+        sys.setswitchinterval(interval)
+        evaluator.close()
+    for output, question in zip(outputs, questions):
+        entry = build_prompt("entry", question, [])
+        assert output == build_prompt("end", question, [{"node": 0, "text": entry}])
+    assert len(keepalive_stub.requests) == 2 * len(questions)
+    assert len({id(c) for c in pooled}) == len(pooled) == len(keepalive_stub.peers) <= 8
+
+
+class _SilentCloseHandler(_KeepAliveHandler):
+    """Closes the connection after each reply without a ``Connection: close`` header."""
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        super().do_POST()
+        self.close_connection = True
+
+
+@no_leaked_sockets
+def test_a_stale_pooled_connection_costs_no_retry():
+    server = KeepAliveStub(_SilentCloseHandler).start()
+    evaluator = RemoteEvaluator(server.endpoint, retries=0)
+    try:
+        for _ in range(3):
+            assert evaluator("end", None, [], Message("q"), 0).payload.startswith(PROMPT_PREAMBLES["end"])
+    finally:
+        evaluator.close()
+        server.stop()
+    assert len(server.requests) == 3
+    assert len(server.peers) == 3
