@@ -12,8 +12,7 @@ import argparse
 import json
 import os
 import sys
-import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -196,16 +195,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_serve_stub(args) -> int:
-    server = StubServer(args.host, args.port)
-    server.start()
-    print(json.dumps({"endpoint": server.endpoint}), flush=True)
-    try:
-        while True:
-            time.sleep(0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
+    with StubServer(args.host, args.port) as server, suppress(KeyboardInterrupt):
+        print(json.dumps({"endpoint": server.endpoint}), flush=True)
+        server.serve_forever()
     return 0
 
 

@@ -20,13 +20,13 @@ import numpy as np
 DEGREE_EPS = 1e-6
 
 
-def init_adjacency_swarm(n: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """``count`` matrices with i.i.d. uniform(0, 1) entries."""
+def init_adjacency_swarm(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A ``(count, n, n)`` array of i.i.d. uniform(0, 1) entries: the draws of ``count`` matrices in turn."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [rng.random((n, n)) for _ in range(count)]
+    return rng.random((count, n, n))
 
 
 def top_p_sample(scores, p: float, rng: np.random.Generator) -> int:

@@ -152,14 +152,17 @@ class _StubHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def do_POST(self):  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length", 0))
+        length = self.headers.get("Content-Length", "0").strip()
+        sized = length.isdecimal()  # "-1" or "abc" leave the end of the body unknown
         try:
-            request = json.loads(self.rfile.read(length))
+            request = json.loads(self.rfile.read(int(length))) if sized else None
         except ValueError:  # not JSON, or not UTF-8
             request = None
         if not isinstance(request, dict) or "prompt" not in request:
             self.send_response(400)
             self.send_header("Content-Length", "0")
+            if not sized:  # nothing more can be read from this connection
+                self.send_header("Connection", "close")
             self.end_headers()
             return
         self.server.requests.append(request)

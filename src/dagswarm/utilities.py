@@ -127,12 +127,9 @@ def run_text_items(dag: DagStructure, assignment: Assignment, pool, inputs: list
     Payloads are gathered in item order, the first failing item in that
     order raises, and after a failure items not yet started never run.
     """
-    workers = ThreadPoolExecutor(min(evaluator.jobs, len(inputs)))
-    try:
-        futures = [workers.submit(execute, dag, assignment, pool, Message(str(x)), evaluator) for x in inputs]
-        return [future.result().payload for future in futures]
-    finally:
-        workers.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(min(evaluator.jobs, len(inputs))) as workers:
+        runs = workers.map(lambda x: execute(dag, assignment, pool, Message(str(x)), evaluator), inputs)
+        return [m.payload for m in runs]
 
 
 class DatasetUtility(UtilityFunction):

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,3 +524,25 @@ def test_sweep_rejects_fewer_than_one_run_before_any_run(tmp_path, capsys):
     error = cli_error(capsys)
     assert error == {"type": "UsageError", "message": "--runs must be >= 1"}
     assert not (tmp_path / "sw" / "sweep.json").exists()
+
+
+@no_leaked_sockets
+def test_serve_stub_echoes_and_exits_cleanly_on_sigint():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    command = [sys.executable, "-m", "dagswarm.cli", "serve-stub", "--port", "0"]
+    process = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        endpoint = json.loads(process.stdout.readline())["endpoint"]
+        evaluator = RemoteEvaluator(endpoint, timeout=5)
+        try:
+            reply = evaluator.evaluate("entry", None, [], Message("q"), 0)
+        finally:
+            evaluator.close()
+        process.send_signal(signal.SIGINT)
+        _, stderr = process.communicate(timeout=10)
+    finally:
+        process.kill()
+        process.wait()
+    assert reply.payload == build_prompt("entry", "q", [])
+    assert process.returncode == 0
+    assert "Traceback" not in stderr, stderr

@@ -26,6 +26,19 @@ def test_init_swarm_degenerate_and_errors():
         init_adjacency_swarm(3, 0, RngFactory(0).stream("init_matrices"))
 
 
+@pytest.mark.parametrize("n, count", [(1, 1), (1, 3), (4, 5), (10, 64)])
+def test_init_swarm_is_one_array_of_per_matrix_draws(n, count):
+    """One (count, n, n) draw gives the same bits and generator state as one (n, n) draw per matrix."""
+    for seed in range(5):
+        rng, reference_rng = RngFactory(seed).stream("init_matrices"), RngFactory(seed).stream("init_matrices")
+        reference = [reference_rng.random((n, n)) for _ in range(count)]
+        swarm = init_adjacency_swarm(n, count, rng)
+        assert isinstance(swarm, np.ndarray)
+        assert (swarm.dtype, swarm.shape) == (np.float64, (count, n, n))
+        assert swarm.tobytes() == np.stack(reference).tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def test_init_swarm_uniform_mean():
     # 10^5 entries: empirical mean of U(0,1) within 0.5 +- 0.01
     matrices = init_adjacency_swarm(10, 1000, RngFactory(1).stream("init_matrices"))

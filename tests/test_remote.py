@@ -3,6 +3,7 @@ from __future__ import annotations
 import http.client
 import itertools
 import json
+import socket
 import sys
 import threading
 from dataclasses import replace
@@ -290,6 +291,24 @@ def test_stub_answers_a_malformed_post_at_once_and_keeps_the_connection(keepaliv
     assert (status, json.loads(data)) == (200, {"text": "p"})
     assert keepalive_stub.requests == [{"prompt": "p"}]
     assert len(keepalive_stub.peers) == 1
+
+
+@pytest.mark.parametrize("stub", ["clean_stub", "keepalive_stub"])
+@pytest.mark.parametrize("length", ["-1", "abc"])
+def test_stub_answers_a_post_of_unknown_length_at_once_and_closes(request, stub, length):
+    server = request.getfixturevalue(stub)
+    head = f"POST / HTTP/1.1\r\nHost: stub\r\nContent-Length: {length}\r\n\r\n".encode()
+    reply = b""
+    with socket.create_connection(server.server_address[:2], timeout=1.5) as sock:
+        sock.sendall(head + json.dumps({"prompt": "p"}).encode())
+        # Times out unless the stub both answers and closes the connection.
+        while chunk := sock.recv(4096):
+            reply += chunk
+    status, *headers = reply.split(b"\r\n\r\n")[0].split(b"\r\n")
+    assert status.split()[1:2] == [b"400"]
+    assert b"Content-Length: 0" in headers and b"Connection: close" in headers
+    assert reply.endswith(b"\r\n\r\n")
+    assert server.requests == []
 
 
 @no_leaked_sockets
