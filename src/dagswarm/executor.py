@@ -70,6 +70,20 @@ class NodeEvaluator:
     def evaluate(self, role, params, inputs, task_input, node) -> Message:
         raise NotImplementedError
 
+    def run(self, dag: DagStructure, assignment: Assignment, pool, task_input: Message) -> Message:
+        """One execution, checked by ``execute``: each node through ``__call__`` in topological order."""
+        predecessors = dag.predecessor_lists
+        outputs: dict[int, Message] = {}
+        for v in dag.topo_order:
+            preds = predecessors[v]
+            inputs = [outputs[u] for u in preds]
+            role = node_role(dag, v, len(preds))
+            try:
+                outputs[v] = self(role, pool[assignment.slots[v]], inputs, task_input, v)
+            except Exception as exc:  # noqa: BLE001 - annotate with the failing node
+                raise ExecutionError(v, exc) from exc
+        return outputs[dag.end_node]
+
 
 class AffineEvaluator(NodeEvaluator):
     """Synthetic expert: output = W @ mean(task and inputs) + b.
@@ -99,6 +113,41 @@ class AffineEvaluator(NodeEvaluator):
         # One matrix-vector product per item: unlike mean @ W.T, this keeps
         # every row bit-identical to W @ mean on that item alone.
         return Message(np.matmul(W, mean[..., None])[..., 0] + b, origin=node)
+
+    def run(self, dag, assignment, pool, task_input) -> Message:
+        """One pass over the DAG with ``evaluate``'s operations, or the per-node loop.
+
+        The pass needs a C-contiguous float64 ``(P, d*d + d)`` pool and a float
+        ``(d,)`` or ``(k, d)`` payload. It slices every W and b from the pool as
+        ``evaluate`` does, so outputs keep their bits; it counts n calls per item
+        at once and never calls ``evaluate``. Any other pool or payload runs
+        the per-node loop, whose errors name their node.
+        """
+        x = task_input.payload
+        fits = (
+            isinstance(pool, np.ndarray) and pool.dtype == np.float64 and pool.ndim == 2 and pool.flags.c_contiguous
+            and isinstance(x, np.ndarray) and x.dtype.kind == "f" and x.ndim in (1, 2)
+            and pool.shape[1] == x.shape[-1] * (x.shape[-1] + 1)
+        )
+        if not fits:
+            return super().run(dag, assignment, pool, task_input)
+        x = x.astype(float, copy=False)
+        d = x.shape[-1]
+        W, b = pool[:, : d * d].reshape(len(pool), d, d), pool[:, d * d :]
+        with self._calls_lock:
+            self.calls += dag.n * (len(x) if x.ndim == 2 else 1)
+        predecessors, slots = dag.predecessor_lists, assignment.slots
+        outputs: dict[int, np.ndarray] = {}
+        for v in dag.topo_order:
+            try:
+                total = x
+                for u in predecessors[v]:
+                    total = total + outputs[u]
+                mean = total / (len(predecessors[v]) + 1)
+                outputs[v] = np.matmul(W[slots[v]], mean[..., None])[..., 0] + b[slots[v]]
+            except Exception as exc:  # noqa: BLE001 - annotate with the failing node
+                raise ExecutionError(v, exc) from exc
+        return Message(outputs[dag.end_node], origin=dag.end_node)
 
 
 class ExecutionError(RuntimeError):
@@ -130,14 +179,4 @@ def execute(
     if any(s >= len(pool) for s in assignment.slots):
         raise ValueError("assignment references an expert outside the pool")
 
-    predecessors = dag.predecessor_lists
-    outputs: dict[int, Message] = {}
-    for v in dag.topo_order:
-        preds = predecessors[v]
-        inputs = [outputs[u] for u in preds]
-        role = node_role(dag, v, len(preds))
-        try:
-            outputs[v] = evaluator(role, pool[assignment.slots[v]], inputs, task_input, v)
-        except Exception as exc:  # noqa: BLE001 - annotate with the failing node
-            raise ExecutionError(v, exc) from exc
-    return outputs[dag.end_node]
+    return evaluator.run(dag, assignment, pool, task_input)

@@ -182,11 +182,14 @@ class OptimizedSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizedSystem":
-        """Inverse of ``to_dict``; a non-object, an unknown ``format_version`` or a bad DAG raises ``ValueError``."""
+        """Inverse of ``to_dict``; a non-object, an unknown ``format_version``, a missing key or a bad DAG raises ``ValueError``."""
         if not isinstance(data, dict):
             raise ValueError("system root must be a JSON object")
         if data.get("format_version") != SYSTEM_VERSION:
             raise ValueError(f"unsupported system version: {data.get('format_version')}")
+        for key in ("dag", "assignment", "experts", "best_utility", "best_role_utility"):
+            if key not in data:
+                raise ValueError(f"system has no {key!r} field")
         return cls(
             dag=DagStructure.from_dict(data["dag"]),
             assignment=Assignment(tuple(int(slot) for slot in data["assignment"])),
@@ -257,12 +260,12 @@ class RunState:
             raise ValueError(f"pool experts have shape {experts.positions.shape[1:]}, but the task reads length {expert_dim}")
         return cls(0, 0, -np.inf, matrices, experts, None)
 
-    def to_checkpoint(self, cfg: RunConfig) -> dict:
-        """The state after an iteration, which always holds a record, as a JSON-ready dict."""
+    def to_checkpoint(self, config: dict) -> dict:
+        """The state after an iteration, which always holds a record, as a JSON-ready dict; ``config`` is ``asdict(cfg)``."""
         return {
             "format_version": CHECKPOINT_VERSION,
             "iteration": self.iteration,
-            "config": asdict(cfg),
+            "config": config,
             "stall": self.stall,
             "best_utility": float(self.best_utility),
             "record": {"matrix": _pack(self.record.matrix), "dag": self.record.dag.to_dict(), "utility": self.record.utility},
@@ -337,6 +340,7 @@ def optimize(
     else:
         state = RunState.initial(cfg, pool, utility.expert_dim, rng)
 
+    config = asdict(cfg)
     trace = RunTrace()
     while state.iteration < cfg.max_iterations and state.stall < cfg.patience:
         t = state.iteration
@@ -381,7 +385,7 @@ def optimize(
             )
         )
         if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, state.to_checkpoint(cfg))
+            save_checkpoint(checkpoint_path, state.to_checkpoint(config))
 
     return OptimizedSystem(
         dag=state.record.dag,

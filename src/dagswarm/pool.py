@@ -21,14 +21,13 @@ def build_pool(
     repeats: int,
     dim: int,
     rng: np.random.Generator,
-    scale: float = 1.0,
 ) -> np.ndarray:
-    """``distinct`` rows drawn uniform(-scale, scale), each repeated ``repeats`` times in a row."""
+    """``distinct`` rows drawn uniform(-1, 1), each repeated ``repeats`` times in a row."""
     if distinct < 1 or repeats < 1:
         raise ValueError("distinct and repeats must be >= 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return np.repeat(rng.uniform(-scale, scale, (distinct, dim)), repeats, axis=0)
+    return np.repeat(rng.uniform(-1.0, 1.0, (distinct, dim)), repeats, axis=0)
 
 
 def save_pool(pool: np.ndarray, directory: str | Path) -> None:
@@ -49,14 +48,27 @@ def save_pool(pool: np.ndarray, directory: str | Path) -> None:
 
 
 def load_pool(directory: str | Path) -> np.ndarray:
-    """The ``(n, d)`` pool; expert files of different lengths raise ``ValueError``."""
+    """The ``(n, d)`` pool; a malformed manifest or expert files of different lengths raise ``ValueError``.
+
+    ``files`` may name only plain file names inside ``directory``.
+    """
     directory = Path(directory)
     manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError("pool manifest must be a JSON object")
+    for key in ("format_version", "n_experts", "dim", "files"):
+        if key not in manifest:
+            raise ValueError(f"pool manifest has no {key!r} field")
     if manifest["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported pool format version {manifest['format_version']}")
-    pool = np.array(
-        [json.loads((directory / name).read_text()) for name in manifest["files"]], dtype=float
-    )
+    if not isinstance(manifest["files"], list):
+        raise ValueError("pool manifest field 'files' must be a list")
+    for name in manifest["files"]:
+        if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+            raise ValueError(f"pool manifest entry {name!r} is not a plain file name")
+    pool = np.array([json.loads((directory / name).read_text()) for name in manifest["files"]], dtype=float)
     if pool.ndim != 2 or len(pool) != manifest["n_experts"]:
         raise ValueError("expert files must hold manifest n_experts vectors of one length")
+    if pool.shape[1] != manifest["dim"]:
+        raise ValueError(f"pool manifest dim {manifest['dim']!r} does not match expert width {pool.shape[1]}")
     return pool

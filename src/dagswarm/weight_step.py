@@ -34,20 +34,20 @@ def sample_assignments(
     slots = rng.integers(pool_size, size=(M, dag.n))
     if M * dag.n >= pool_size:
         for _ in range(_REPAIR_PASSES):
-            absent = np.setdiff1d(np.arange(pool_size), slots)
+            absent = np.flatnonzero(np.bincount(slots.ravel(), minlength=pool_size) == 0)
             if absent.size == 0:
                 break
             for expert in absent:
                 slots[rng.integers(M), rng.integers(dag.n)] = expert
-    return [Assignment(tuple(int(s) for s in row)) for row in slots]
+    return [Assignment(tuple(row)) for row in slots.tolist()]
 
 
 def assignment_counts(assignments: list[Assignment], pool_size: int) -> np.ndarray:
     """counts[i, j] = occurrences of expert i in assignment j."""
     counts = np.zeros((pool_size, len(assignments)), dtype=int)
-    for j, assignment in enumerate(assignments):
-        for expert in assignment.slots:
-            counts[expert, j] += 1
+    experts = [expert for assignment in assignments for expert in assignment.slots]
+    columns = np.repeat(np.arange(len(assignments)), [len(assignment) for assignment in assignments])
+    np.add.at(counts, (np.array(experts, dtype=np.intp), columns), 1)
     return counts
 
 

@@ -429,6 +429,21 @@ def test_evaluate_names_a_system_file_that_is_not_an_object(tmp_path, capsys, mo
     assert error["type"] == "ValueError" and error["message"] == "system root must be a JSON object"
 
 
+@pytest.mark.parametrize("key", ["dag", "assignment", "experts", "best_utility", "best_role_utility"])
+def test_evaluate_names_a_missing_system_key(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    system = tmp_path / "sys.json"
+    write_system(system, diamond_dag(), np.zeros((4, 6)))
+    data = json.loads(system.read_text())
+    del data[key]
+    write(system, data)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n")
+    assert run_cli(["evaluate", "--system", str(system), "--dataset", str(dataset)]) == 1
+    error = cli_error(capsys)
+    assert error == {"type": "ValueError", "message": f"system has no {key!r} field"}
+
+
 def test_evaluate_names_a_dataset_line_that_is_not_an_object(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(ENDPOINT_ENV, raising=False)
     dataset = tmp_path / "data.jsonl"

@@ -184,12 +184,54 @@ def star_cases():
 
 def test_batched_execute_matches_per_item_loop():
     for dag, assignment, pool, inputs in [*decoded_cases(), *star_cases()]:
-        batched = execute(dag, assignment, pool, Message(inputs), AffineEvaluator()).payload
         reference = np.stack([reference_execute(dag, assignment, pool, x) for x in inputs])
-        alone = np.stack([execute(dag, assignment, pool, Message(x), AffineEvaluator()).payload for x in inputs])
-        assert batched.shape == inputs.shape
-        assert np.array_equal(batched, reference)
-        assert np.array_equal(alone, reference)
+        for pool_form in (pool, np.array(pool)):  # the per-node loop, then the one-pass path
+            batched = execute(dag, assignment, pool_form, Message(inputs), AffineEvaluator()).payload
+            alone = np.stack([execute(dag, assignment, pool_form, Message(x), AffineEvaluator()).payload for x in inputs])
+            assert batched.shape == inputs.shape
+            assert np.array_equal(batched, reference)
+            assert np.array_equal(alone, reference)
+
+
+def test_array_pool_runs_one_pass_and_counts_n_calls_per_item():
+    for dag, assignment, pool, inputs in decoded_cases():
+        evaluator = AffineEvaluator()
+        evaluator.evaluate = None  # the one-pass path never dispatches per node
+        evaluator.calls = 7
+        out = execute(dag, assignment, np.array(pool), Message(inputs), evaluator)
+        assert evaluator.calls == 7 + dag.n * len(inputs)
+        assert out.origin == dag.end_node
+        execute(dag, assignment, np.array(pool), Message(inputs[0]), evaluator)
+        assert evaluator.calls == 7 + dag.n * (len(inputs) + 1)
+
+
+def test_array_pool_of_the_wrong_width_fails_at_the_first_node():
+    dag = decode_dag(np.random.default_rng(34).uniform(0, 1, (5, 5)), 0.8, np.random.default_rng(35))
+    with pytest.raises(ExecutionError) as err:
+        execute(dag, Assignment.identity(5), np.zeros((5, 7)), Message(np.zeros((3, 2))), AffineEvaluator())
+    assert err.value.node == dag.topo_order[0]
+    assert str(err.value) == f"evaluator failed at node {dag.topo_order[0]}: expected 6 parameters for dimension 2, got (7,)"
+
+
+def test_fortran_ordered_pool_gives_the_bytes_of_the_per_node_loop():
+    # W's strides follow the pool's layout and can change the last bits of
+    # the products, so such a pool must keep the per-node loop's bytes.
+    for dag, assignment, pool, inputs in decoded_cases():
+        fortran = np.asfortranarray(pool)
+        out = execute(dag, assignment, fortran, Message(inputs), AffineEvaluator()).payload
+        per_node = NodeEvaluator.run(AffineEvaluator(), dag, assignment, fortran, Message(inputs)).payload
+        assert out.tobytes() == per_node.tobytes()
+
+
+def test_one_pass_failure_names_the_node_of_the_per_node_loop():
+    dag = chain_dag(4)
+    pool = np.array([IDENTITY_PLUS_ONE] * 4)
+    pool[2] *= 1e308  # the third node overflows
+    for pool_form in (pool, list(pool)):
+        with np.errstate(over="raise"), pytest.raises(ExecutionError) as err:
+            execute(dag, Assignment((0, 1, 2, 3)), pool_form, Message(np.ones((2, 2))), AffineEvaluator())
+        assert err.value.node == 2
+        assert isinstance(err.value.__cause__, FloatingPointError)
 
 
 @pytest.mark.parametrize("shape", [(2,), (3,), (1, 2), (16, 1), (16, 2), (4, 3)])

@@ -440,16 +440,19 @@ def test_resume_at_any_stop_point_replays_the_uninterrupted_run(mode, tmp_path):
 
 
 def fail_after(utility, calls):
-    """Make the utility's evaluator raise once it has counted more than ``calls`` calls."""
+    """Make the utility's evaluator raise once it has counted more than ``calls`` calls.
+
+    The check wraps ``run``, so the crash lands between two executions.
+    """
     evaluator = utility.evaluator
-    evaluate = evaluator.evaluate
+    run_dag = evaluator.run
 
     def failing(*args):
         if evaluator.calls > calls:
             raise RuntimeError("evaluator crashed")
-        return evaluate(*args)
+        return run_dag(*args)
 
-    evaluator.evaluate = failing
+    evaluator.run = failing
 
 
 def test_resume_after_a_patience_stop_runs_no_iteration(tmp_path):

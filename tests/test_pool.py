@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from dagswarm import RngFactory, build_pool, load_pool, save_pool
 
 
 def test_build_pool_structure():
-    pool = build_pool(3, 2, 4, RngFactory(0).stream("init_experts"), scale=0.5)
+    pool = build_pool(3, 2, 4, RngFactory(0).stream("init_experts"))
     assert pool.shape == (6, 4)
-    assert np.all(np.abs(pool) <= 0.5)
+    assert np.all(np.abs(pool) <= 1.0)
     # repeats are value copies of their base vector
     assert np.array_equal(pool[0], pool[1])
     assert not np.array_equal(pool[0], pool[2])
@@ -20,14 +21,14 @@ def test_build_pool_structure():
     assert pool[1, 0] != 99.0
 
 
-@pytest.mark.parametrize("distinct,repeats,dim,scale", [(1, 1, 1, 1.0), (3, 2, 4, 0.5), (10, 1, 6, 1.0), (2, 5, 7, 2.5)])
-def test_build_pool_matches_per_row_draws(distinct, repeats, dim, scale):
+@pytest.mark.parametrize("distinct,repeats,dim", [(1, 1, 1), (3, 2, 4), (10, 1, 6), (2, 5, 7)])
+def test_build_pool_matches_per_row_draws(distinct, repeats, dim):
     """One (distinct, dim) draw gives the same rows and generator state as one draw per distinct expert."""
     for seed in range(20):
         rng, reference_rng = RngFactory(seed).stream("init_experts"), RngFactory(seed).stream("init_experts")
-        bases = [reference_rng.uniform(-scale, scale, dim) for _ in range(distinct)]
+        bases = [reference_rng.uniform(-1, 1, dim) for _ in range(distinct)]
         reference = [bases[k] for k in range(distinct) for _ in range(repeats)]
-        assert np.array_equal(build_pool(distinct, repeats, dim, rng, scale), reference)
+        assert np.array_equal(build_pool(distinct, repeats, dim, rng), reference)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
@@ -84,3 +85,47 @@ def test_load_rejects_expert_files_that_are_not_vectors_of_one_length(tmp_path, 
         (tmp_path / "pool" / f"expert_{k:03d}.json").write_text(json.dumps(value))
     with pytest.raises(ValueError):
         load_pool(tmp_path / "pool")
+
+
+def saved_manifest(tmp_path, **changes):
+    """A saved two-expert width-6 pool whose manifest gets ``changes``; a value of None drops the key."""
+    save_pool(build_pool(2, 1, 6, RngFactory(0).stream("init_experts")), tmp_path / "pool")
+    manifest_path = tmp_path / "pool" / "manifest.json"
+    manifest = {**json.loads(manifest_path.read_text()), **changes}
+    manifest_path.write_text(json.dumps({key: value for key, value in manifest.items() if value is not None}))
+    return tmp_path / "pool"
+
+
+@pytest.mark.parametrize("key", ["format_version", "n_experts", "dim", "files"])
+def test_load_names_a_missing_manifest_field(tmp_path, key):
+    with pytest.raises(ValueError, match=f"pool manifest has no '{key}' field"):
+        load_pool(saved_manifest(tmp_path, **{key: None}))
+
+
+@pytest.mark.parametrize("manifest", [[1], "pool", 3, None])
+def test_load_rejects_a_manifest_that_is_not_an_object(tmp_path, manifest):
+    directory = saved_manifest(tmp_path)
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="pool manifest must be a JSON object"):
+        load_pool(directory)
+
+
+def test_load_checks_dim_against_the_expert_width(tmp_path):
+    with pytest.raises(ValueError, match="pool manifest dim 99 does not match expert width 6"):
+        load_pool(saved_manifest(tmp_path, dim=99))
+
+
+def test_load_rejects_files_that_are_not_a_list(tmp_path):
+    with pytest.raises(ValueError, match="'files' must be a list"):
+        load_pool(saved_manifest(tmp_path, files="expert_000.json"))
+
+
+@pytest.mark.parametrize("entry", ["../outside.json", "ABSOLUTE", "sub/expert.json", "..", ".", "", 7])
+def test_load_accepts_only_plain_file_names(tmp_path, entry):
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps([0.5] * 6))
+    (tmp_path / "pool" / "sub").mkdir(parents=True)
+    (tmp_path / "pool" / "sub" / "expert.json").write_text(json.dumps([0.5] * 6))
+    entry = str(outside) if entry == "ABSOLUTE" else entry
+    with pytest.raises(ValueError, match=re.escape(f"pool manifest entry {entry!r} is not a plain file name")):
+        load_pool(saved_manifest(tmp_path, files=["expert_000.json", entry]))
