@@ -20,7 +20,7 @@ import numpy as np
 
 from .executor import AffineEvaluator, Message, execute
 from .graph import decode_dag
-from .metrics import analysis_report, bucketize
+from .metrics import ABLATION_FIELDS, analysis_report, bucketize
 from .orchestrate import MODES, OptimizedSystem, RunConfig, RunTrace, config_from_dict, optimize
 from .pool import load_pool
 from .pso import sample_grid_hyperparams
@@ -152,10 +152,21 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _read_fields(path: str, name: str, fields) -> dict:
+    """A JSON object file with every one of ``fields``; anything else raises ``ValueError`` naming ``name``."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} root must be a JSON object")
+    for field in fields:
+        if field not in data:
+            raise ValueError(f"{name} has no {field!r} field")
+    return data
+
+
 def cmd_analyze(args) -> int:
-    data = json.loads(Path(args.correctness).read_text())
+    data = _read_fields(args.correctness, "correctness file", ("per_expert_correct", "system_correct"))
     table = bucketize(data["per_expert_correct"], data["system_correct"])
-    ablation = json.loads(Path(args.ablation).read_text()) if args.ablation else None
+    ablation = _read_fields(args.ablation, "ablation file", ABLATION_FIELDS) if args.ablation else None
     report = analysis_report(table, ablation)
     out = _out_dir(args)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")

@@ -47,11 +47,12 @@ class Assignment:
 class NodeEvaluator:
     """Maps (role, expert parameters or handle, inputs, task input, node) to a message.
 
-    Invocations are counted in ``calls``, one per dataset item, so budgets
-    can be audited; the count is exact when threads share the evaluator.
-    Evaluators whose experts never see the parameter vectors set
-    ``uses_expert_params`` to False. ``jobs`` is how many dataset items a
-    utility may run through the evaluator at once.
+    An evaluator defines either ``evaluate``, which the base ``run`` calls per
+    node, or ``run``, one whole execution. Invocations are counted in
+    ``calls``, one per dataset item, so budgets can be audited; the count is
+    exact when threads share the evaluator. Evaluators whose experts never
+    see the parameter vectors set ``uses_expert_params`` to False. ``jobs``
+    is how many dataset items a utility may run through the evaluator at once.
     """
 
     uses_expert_params = True
@@ -86,67 +87,46 @@ class NodeEvaluator:
 
 
 class AffineEvaluator(NodeEvaluator):
-    """Synthetic expert: output = W @ mean(task and inputs) + b.
+    """Synthetic expert: output = W @ mean(task and inputs) + b, as one pass over the DAG.
 
     Expert parameters pack a d x d matrix row-major followed by a length-d
-    bias. Payloads have shape (d,) for one item or (k, d) for k items.
-    The mean sums the task input and then each input in predecessor order,
-    and divides once, so a (k, d) batch gives every row the bits of that
-    item run alone. Deterministic; the role is ignored.
+    bias; the pool is read once as a C-ordered float (P, d*d + d) array, so
+    outputs depend only on its values. Payloads have shape (d,) for one item
+    or (k, d) for k items. Each node adds the task input, then its
+    predecessors' outputs in topological order, and divides once, so every
+    row of a batch has the bits of that item run alone. n calls per item are
+    counted at once; the role is ignored.
     """
 
-    def evaluate(self, role, params, inputs, task_input, node) -> Message:
-        x = np.asarray(task_input.payload, dtype=float)
-        d = x.shape[-1]
-        params = np.asarray(params, dtype=float)
-        if params.shape != (d * d + d,):
-            raise ValueError(f"expected {d * d + d} parameters for dimension {d}, got {params.shape}")
-        total = x
-        for m in inputs:
-            payload = np.asarray(m.payload, dtype=float)
-            if payload.shape != x.shape:
-                raise ValueError(f"input from node {m.origin} has shape {payload.shape}, expected {x.shape}")
-            total = total + payload
-        mean = total / (len(inputs) + 1)
-        W = params[: d * d].reshape(d, d)
-        b = params[d * d :]
-        # One matrix-vector product per item: unlike mean @ W.T, this keeps
-        # every row bit-identical to W @ mean on that item alone.
-        return Message(np.matmul(W, mean[..., None])[..., 0] + b, origin=node)
-
     def run(self, dag, assignment, pool, task_input) -> Message:
-        """One pass over the DAG with ``evaluate``'s operations, or the per-node loop.
-
-        The pass needs a C-contiguous float64 ``(P, d*d + d)`` pool and a float
-        ``(d,)`` or ``(k, d)`` payload. It slices every W and b from the pool as
-        ``evaluate`` does, so outputs keep their bits; it counts n calls per item
-        at once and never calls ``evaluate``. Any other pool or payload runs
-        the per-node loop, whose errors name their node.
-        """
-        x = task_input.payload
-        fits = (
-            isinstance(pool, np.ndarray) and pool.dtype == np.float64 and pool.ndim == 2 and pool.flags.c_contiguous
-            and isinstance(x, np.ndarray) and x.dtype.kind == "f" and x.ndim in (1, 2)
-            and pool.shape[1] == x.shape[-1] * (x.shape[-1] + 1)
-        )
-        if not fits:
-            return super().run(dag, assignment, pool, task_input)
-        x = x.astype(float, copy=False)
-        d = x.shape[-1]
-        W, b = pool[:, : d * d].reshape(len(pool), d, d), pool[:, d * d :]
-        with self._calls_lock:
-            self.calls += dag.n * (len(x) if x.ndim == 2 else 1)
-        predecessors, slots = dag.predecessor_lists, assignment.slots
-        outputs: dict[int, np.ndarray] = {}
-        for v in dag.topo_order:
+        order, predecessors, slots = dag.topo_order, dag.predecessor_lists, assignment.slots
+        v = order[0]  # the node an error names: the first, until a row or the pass fails
+        try:
+            x = np.asarray(task_input.payload, dtype=float)
+            d = x.shape[-1]
             try:
+                array = np.ascontiguousarray(pool, dtype=float)
+            except (TypeError, ValueError):  # ragged or unreadable rows
+                array = None
+            if array is None or array.shape[1:] != (d * d + d,):
+                for v in order:
+                    if (shape := np.shape(pool[slots[v]])) != (d * d + d,):
+                        raise ValueError(f"expected {d * d + d} parameters for dimension {d}, got {shape}")
+                v = order[0]
+                array = np.ascontiguousarray(pool, dtype=float)  # every used row fits: an unused one is bad
+            W, b = array[:, : d * d].reshape(len(array), d, d), array[:, d * d :]
+            with self._calls_lock:
+                self.calls += dag.n * (len(x) if x.ndim == 2 else 1)
+            outputs: dict[int, np.ndarray] = {}
+            for v in order:
                 total = x
                 for u in predecessors[v]:
                     total = total + outputs[u]
                 mean = total / (len(predecessors[v]) + 1)
+                # matmul per item, not mean @ W.T, gives each row the bits of W @ mean alone.
                 outputs[v] = np.matmul(W[slots[v]], mean[..., None])[..., 0] + b[slots[v]]
-            except Exception as exc:  # noqa: BLE001 - annotate with the failing node
-                raise ExecutionError(v, exc) from exc
+        except Exception as exc:  # noqa: BLE001 - annotate with the failing node
+            raise ExecutionError(v, exc) from exc
         return Message(outputs[dag.end_node], origin=dag.end_node)
 
 

@@ -83,6 +83,9 @@ def collaborative_gain(table: BucketTable) -> float:
     return total
 
 
+ABLATION_FIELDS = ("wo_role", "wo_weight", "role_baseline_avg", "weight_baseline_avg")
+
+
 def ablation_consistent(
     wo_role: float, wo_weight: float, role_baseline_avg: float, weight_baseline_avg: float
 ) -> bool:
@@ -107,10 +110,7 @@ def analysis_report(table: BucketTable, ablation: dict | None = None) -> dict:
         "solved_from_zero_rate": table.accuracy(0),
     }
     if ablation is not None:
-        values = {
-            key: float(ablation[key])
-            for key in ("wo_role", "wo_weight", "role_baseline_avg", "weight_baseline_avg")
-        }
+        values = {key: float(ablation[key]) for key in ABLATION_FIELDS}
         report["ablation"] = {**values, "consistent": ablation_consistent(**values)}
     return report
 

@@ -156,13 +156,19 @@ def exact_match(output, answer) -> bool:
 
 
 def load_dataset(path: str | Path) -> list[dict]:
-    """One JSON object per non-blank line; any other value raises ``ValueError`` naming the path and line."""
+    """One JSON object per non-blank line; bad JSON or another value raises ``ValueError`` naming the path and line."""
+    items = []
     with open(path, encoding="utf-8") as handle:
-        items = [(number, json.loads(line)) for number, line in enumerate(handle, 1) if line.strip()]
-    for number, item in items:
-        if not isinstance(item, dict):
-            raise ValueError(f"{path} line {number}: a dataset item must be a JSON object")
-    return [item for _, item in items]
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                items.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {number}: {exc.msg} at column {exc.colno}") from exc
+            if not isinstance(items[-1], dict):
+                raise ValueError(f"{path} line {number}: a dataset item must be a JSON object")
+    return items
 
 
 _TARGET_BUILDERS = {"chain": chain_dag, "star": star_dag}

@@ -177,6 +177,32 @@ def test_analyze_takes_no_config_or_seed(flag, value, tmp_path, capsys):
     assert not (tmp_path / "an").exists()
 
 
+@pytest.mark.parametrize(
+    "flag,content,message",
+    [
+        ("--correctness", [1, 2], "correctness file root must be a JSON object"),
+        ("--correctness", {"per_expert_correct": [[1]]}, "correctness file has no 'system_correct' field"),
+        (
+            "--ablation",
+            {"wo_role": 0.1, "role_baseline_avg": 0.5, "weight_baseline_avg": 0.4},
+            "ablation file has no 'wo_weight' field",
+        ),
+    ],
+    ids=["list-root", "no-system_correct", "no-wo_weight"],
+)
+def test_analyze_names_the_root_or_missing_field_of_a_malformed_file(flag, content, message, tmp_path, capsys):
+    files = {"--correctness": {"per_expert_correct": [[1]], "system_correct": [1]}, flag: content}
+    args = ["analyze", "--out", str(tmp_path / "an")]
+    for name, data in files.items():
+        args += [name, write(tmp_path / f"{name[2:]}.json", data)]
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "an").exists()
+
+
 def test_optimize_rejects_a_pool_with_a_resume(tmp_path, capsys):
     cfg = write(
         tmp_path / "cfg.json",
@@ -545,19 +571,23 @@ def test_sweep_rejects_fewer_than_one_run_before_any_run(tmp_path, capsys):
 def test_serve_stub_echoes_and_exits_cleanly_on_sigint():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     command = [sys.executable, "-m", "dagswarm.cli", "serve-stub", "--port", "0"]
-    process = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    try:
-        endpoint = json.loads(process.stdout.readline())["endpoint"]
-        evaluator = RemoteEvaluator(endpoint, timeout=5)
+    # Leaving the with block closes the child's pipes, also when the test fails.
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as process:
         try:
-            reply = evaluator.evaluate("entry", None, [], Message("q"), 0)
+            endpoint = json.loads(process.stdout.readline())["endpoint"]
+            evaluator = RemoteEvaluator(endpoint, timeout=5)
+            try:
+                reply = evaluator.evaluate("entry", None, [], Message("q"), 0)
+            finally:
+                evaluator.close()
+            process.send_signal(signal.SIGINT)
+            try:
+                _, stderr = process.communicate(timeout=10)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                pytest.fail(f"serve-stub did not exit within 10 s of SIGINT; stderr:\n{process.communicate()[1]}")
         finally:
-            evaluator.close()
-        process.send_signal(signal.SIGINT)
-        _, stderr = process.communicate(timeout=10)
-    finally:
-        process.kill()
-        process.wait()
+            process.kill()
     assert reply.payload == build_prompt("entry", "q", [])
     assert process.returncode == 0
     assert "Traceback" not in stderr, stderr

@@ -185,7 +185,7 @@ def star_cases():
 def test_batched_execute_matches_per_item_loop():
     for dag, assignment, pool, inputs in [*decoded_cases(), *star_cases()]:
         reference = np.stack([reference_execute(dag, assignment, pool, x) for x in inputs])
-        for pool_form in (pool, np.array(pool)):  # the per-node loop, then the one-pass path
+        for pool_form in (pool, np.array(pool)):  # a list pool, then an array pool
             batched = execute(dag, assignment, pool_form, Message(inputs), AffineEvaluator()).payload
             alone = np.stack([execute(dag, assignment, pool_form, Message(x), AffineEvaluator()).payload for x in inputs])
             assert batched.shape == inputs.shape
@@ -213,14 +213,36 @@ def test_array_pool_of_the_wrong_width_fails_at_the_first_node():
     assert str(err.value) == f"evaluator failed at node {dag.topo_order[0]}: expected 6 parameters for dimension 2, got (7,)"
 
 
-def test_fortran_ordered_pool_gives_the_bytes_of_the_per_node_loop():
-    # W's strides follow the pool's layout and can change the last bits of
-    # the products, so such a pool must keep the per-node loop's bytes.
-    for dag, assignment, pool, inputs in decoded_cases():
-        fortran = np.asfortranarray(pool)
-        out = execute(dag, assignment, fortran, Message(inputs), AffineEvaluator()).payload
-        per_node = NodeEvaluator.run(AffineEvaluator(), dag, assignment, fortran, Message(inputs)).payload
-        assert out.tobytes() == per_node.tobytes()
+def test_pool_layout_does_not_change_the_output_bytes():
+    # The pool is read as one C-ordered array, so outputs depend only on its values.
+    for dag, assignment, pool, inputs in [*decoded_cases(), *star_cases()]:
+        reference = np.stack([reference_execute(dag, assignment, pool, x) for x in inputs])
+        wide = np.zeros((len(pool), 2 * len(pool[0])))
+        wide[:, ::2] = pool
+        for pool_form in (np.asfortranarray(pool), wide[:, ::2], [list(row) for row in pool]):
+            out = execute(dag, assignment, pool_form, Message(inputs), AffineEvaluator()).payload
+            assert out.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [("text", "could not convert string to float: 'text'"), (3.0, "tuple index out of range")],
+)
+def test_unreadable_payload_fails_at_the_first_node(payload, message):
+    dag = decode_dag(np.random.default_rng(36).uniform(0, 1, (5, 5)), 0.8, np.random.default_rng(37))
+    with pytest.raises(ExecutionError) as err:
+        execute(dag, Assignment.identity(5), [IDENTITY_PLUS_ONE] * 5, Message(payload), AffineEvaluator())
+    assert err.value.node == dag.topo_order[0]
+    assert str(err.value) == f"evaluator failed at node {dag.topo_order[0]}: {message}"
+
+
+def test_pool_ragged_only_in_unused_rows_fails_at_the_first_node():
+    dag = chain_dag(3)
+    pool = [IDENTITY_PLUS_ONE, IDENTITY_PLUS_ONE, np.zeros(3), IDENTITY_PLUS_ONE]
+    with pytest.raises(ExecutionError) as err:
+        execute(dag, Assignment((0, 1, 3)), pool, Message(np.zeros(2)), AffineEvaluator())
+    assert err.value.node == dag.topo_order[0]
+    assert isinstance(err.value.__cause__, ValueError)
 
 
 def test_one_pass_failure_names_the_node_of_the_per_node_loop():
@@ -236,23 +258,20 @@ def test_one_pass_failure_names_the_node_of_the_per_node_loop():
 
 @pytest.mark.parametrize("shape", [(2,), (3,), (1, 2), (16, 1), (16, 2), (4, 3)])
 def test_affine_mean_is_numpy_mean_for_payloads_of_more_than_one_element(shape):
+    # star_dag(terms)'s end node averages the task input and terms - 1 entry outputs.
     gen = np.random.default_rng(33)
     d = shape[-1]
     for terms in range(1, 13):
-        messages = [gen.uniform(-1, 1, shape) * 10.0 ** gen.integers(-6, 7, shape) for _ in range(terms)]
-        params = gen.uniform(-1, 1, d * d + d)
-        out = AffineEvaluator().evaluate("middle", params, [Message(m) for m in messages[1:]], Message(messages[0]), 0)
-        mean = np.mean(messages, axis=0)
-        expected = np.matmul(params[: d * d].reshape(d, d), mean[..., None])[..., 0] + params[d * d :]
+        x = gen.uniform(-1, 1, shape) * 10.0 ** gen.integers(-6, 7, shape)
+        scales = gen.uniform(-1, 1, terms - 1) * 10.0 ** gen.integers(-6, 7, terms - 1)
+        pool = [affine_params(c * np.eye(d), gen.uniform(-1, 1, d)) for c in scales]
+        pool.append(gen.uniform(-1, 1, d * d + d))
+        W = [params[: d * d].reshape(d, d) for params in pool]
+        outs = [np.matmul(W[j], x[..., None])[..., 0] + pool[j][d * d :] for j in range(terms - 1)]
+        mean = np.mean([x, *outs], axis=0)
+        expected = np.matmul(W[-1], mean[..., None])[..., 0] + pool[-1][d * d :]
+        out = execute(star_dag(terms), Assignment.identity(terms), np.array(pool), Message(x), AffineEvaluator())
         assert np.array_equal(out.payload, expected)
-
-
-@pytest.mark.parametrize("shape", [(2,), (2, 2), (4, 1), (3, 2, 2)])
-def test_affine_evaluator_rejects_an_input_shaped_unlike_the_task(shape):
-    task = Message(np.zeros((3, 2)))
-    inputs = [Message(np.ones((3, 2)), origin=0), Message(np.ones(shape), origin=1)]
-    with pytest.raises(ValueError, match=r"input from node 1 has shape"):
-        AffineEvaluator().evaluate("middle", IDENTITY_PLUS_ONE, inputs, task, 2)
 
 
 def test_batched_payload_counts_one_call_per_item_and_node():

@@ -219,7 +219,7 @@ def test_evaluator_calls_exact_under_threads(evaluator_type):
     assert evaluator.calls == rounds * threads
 
 
-@pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+@pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null", '{"input": "a" "answer": "b"}'])
 def test_load_dataset_names_the_path_and_line_of_a_non_object(tmp_path, line):
     path = tmp_path / "tasks.jsonl"
     path.write_text(json.dumps({"input": "2+2", "answer": "4"}) + "\n\n" + line + "\n")
