@@ -1,7 +1,7 @@
 """Command-line entry points binding the modules into runnable workflows.
 
 Subcommands: optimize (full run), decode (one structure decode), evaluate
-(run a saved system on a dataset), analyze (bucket metrics from
+(score a saved system on its config's task), analyze (bucket metrics from
 correctness files), sweep (random hyperparameter draws from the preset
 grid), serve-stub (echo server for remote-mode testing). All failures
 exit nonzero with a one-line error JSON on stderr.
@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .executor import AffineEvaluator, Message, execute
 from .graph import decode_dag
 from .metrics import ABLATION_FIELDS, analysis_report, bucketize
 from .orchestrate import MODES, OptimizedSystem, RunConfig, RunTrace, config_from_dict, optimize
@@ -26,22 +25,16 @@ from .pool import load_pool
 from .pso import sample_grid_hyperparams
 from .remote import RemoteEvaluator, StubServer
 from .rng import RngFactory
-from .utilities import build_utility, exact_match, load_dataset, run_text_items
+from .utilities import UtilityFunction, build_utility
 
 ENDPOINT_ENV = "DAGSWARM_ENDPOINT"
 
 
 def parse_config(path: str | None) -> RunConfig:
     """Read a JSON config file; an empty file means full defaults."""
-    if path is None:
+    if path is None or not Path(path).read_text().strip():
         return RunConfig()
-    text = Path(path).read_text()
-    if not text.strip():
-        return RunConfig()
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("config root must be a JSON object")
-    return config_from_dict(data)
+    return config_from_dict(_read_fields(path, "config", ()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +65,11 @@ def _node_evaluator(jobs: int | None = None):
         evaluator.close()
 
 
+def _task(cfg: RunConfig, evaluator) -> UtilityFunction:
+    """The utility ``optimize`` scores a run of ``cfg`` with: the config's task drawn from its seed."""
+    return build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"), evaluator)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -81,7 +79,7 @@ def _out_dir(args) -> Path:
 def cmd_optimize(args) -> int:
     cfg = _apply_overrides(parse_config(args.config), args)
     with _node_evaluator(args.jobs) as evaluator:
-        utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"), evaluator)
+        utility = _task(cfg, evaluator)
         pool = load_pool(args.pool) if args.pool else None
         system, trace = optimize(
             cfg, pool, utility, checkpoint_path=args.checkpoint, resume_from=args.resume
@@ -115,35 +113,14 @@ def cmd_decode(args) -> int:
 
 def cmd_evaluate(args) -> int:
     system = OptimizedSystem.from_dict(json.loads(Path(args.system).read_text()))
-    items = load_dataset(args.dataset)
-    if not items:
-        raise ValueError("dataset is empty")
-    if any("input" not in item for item in items):
-        raise ValueError("dataset items need an 'input' field")
-    inputs = [item["input"] for item in items]
-    instance = (system.dag, system.assignment, system.expert_params)
+    cfg = parse_config(args.config)
     with _node_evaluator() as evaluator:
-        if evaluator is not None:
-            outputs = run_text_items(*instance, inputs, evaluator)
-        else:
-            stacked = np.asarray(inputs, dtype=float)
-            if stacked.ndim != 2:
-                raise ValueError("local dataset inputs must be vectors of one length")
-            outputs = execute(*instance, Message(stacked), AffineEvaluator()).payload.tolist()
-    results = []
-    for item, output in zip(items, outputs):
-        entry: dict = {"input": item["input"], "output": output}
-        if "answer" in item and evaluator is not None:
-            entry["correct"] = exact_match(output, item["answer"])
-        elif "answer" in item:
-            expected = np.asarray(item["answer"], dtype=float)
-            entry["correct"] = bool(np.allclose(expected, output, atol=1e-9))
-        results.append(entry)
-    scored = [entry["correct"] for entry in results if "correct" in entry]
+        utility = _task(cfg, evaluator)
+        outputs, scores = utility.item_results(system.dag, system.assignment, system.expert_params)
     payload = {
-        "format_version": 1,
-        "accuracy": sum(scored) / len(scored) if scored else None,
-        "results": results,
+        "format_version": 2,
+        "utility": utility.mean(scores),
+        "results": [{"output": output, "score": score} for output, score in zip(outputs, scores)],
     }
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
@@ -167,11 +144,12 @@ def cmd_analyze(args) -> int:
     data = _read_fields(args.correctness, "correctness file", ("per_expert_correct", "system_correct"))
     table = bucketize(data["per_expert_correct"], data["system_correct"])
     ablation = _read_fields(args.ablation, "ablation file", ABLATION_FIELDS) if args.ablation else None
+    metrics = RunTrace.from_jsonl(Path(args.trace).read_text()).to_csv() if args.trace else None
     report = analysis_report(table, ablation)
-    out = _out_dir(args)
+    out = _out_dir(args)  # every input is read before anything is written
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if args.trace:
-        (out / "metrics.csv").write_text(RunTrace.from_jsonl(Path(args.trace).read_text()).to_csv())
+    if metrics is not None:
+        (out / "metrics.csv").write_text(metrics)
     print(
         json.dumps({"collaborative_gain": report["collaborative_gain"], "out": str(out)}, sort_keys=True),
         flush=True,
@@ -187,8 +165,7 @@ def cmd_sweep(args) -> int:
         for run in range(args.runs):
             hp = sample_grid_hyperparams(rng.stream("sweep", run))
             run_cfg = replace(cfg, role_hp=hp, weight_hp=hp, seed=cfg.seed + run)
-            utility = build_utility(run_cfg.utility_spec, RngFactory(run_cfg.seed).stream("task"), evaluator)
-            system, trace = optimize(run_cfg, None, utility)
+            system, trace = optimize(run_cfg, None, _task(run_cfg, evaluator))
             entries.append(
                 {
                     "run": run,
@@ -242,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional output file")
     p.set_defaults(handler=cmd_decode)
 
-    p = sub.add_parser("evaluate", help="execute a saved system on a JSONL dataset")
+    p = sub.add_parser("evaluate", help="score a saved system on its run's task, item by item")
     p.add_argument("--system", required=True, help="best_system.json file")
-    p.add_argument("--dataset", required=True, help="JSONL of {input, answer} items")
+    p.add_argument("--config", required=True, help="the run's JSON config file; its utility_spec and seed set the task")
     p.add_argument("--out", help="optional output file")
     p.set_defaults(handler=cmd_evaluate)
 

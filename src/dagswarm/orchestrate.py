@@ -26,7 +26,7 @@ from .pool import build_pool
 from .pso import PsoHyperparams, Swarm
 from .rng import RngFactory
 from .role_step import RoleRecord, SparsityConfig, role_step
-from .utilities import UtilityFunction
+from .utilities import UtilityFunction, json_lines
 from .weight_step import weight_step
 
 MODES = ("full", "role_only", "weight_only")
@@ -141,8 +141,16 @@ class RunTrace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RunTrace":
-        """Rows of a ``to_jsonl`` text; blank lines are skipped and wall times read 0."""
-        return cls([TraceRow(**json.loads(line)) for line in text.splitlines() if line.strip()])
+        """Rows of a ``to_jsonl`` text (blank lines skipped, wall times 0); a bad line raises ``ValueError("trace line <n>: ...")``."""
+        rows = []
+        for number, record in json_lines(text.splitlines(), "trace", "a trace row"):
+            missing = [name for name in cls.COLUMNS if name not in record]
+            unknown = sorted(set(record) - set(cls.COLUMNS))
+            if missing or unknown:
+                problem = f"no {missing[0]!r} field" if missing else f"unknown field {unknown[0]!r}"
+                raise ValueError(f"trace line {number}: {problem}")
+            rows.append(TraceRow(**record))
+        return cls(rows)
 
     def to_csv(self) -> str:
         """Per-iteration table for external plotting: the JSONL keys in ``TraceRow`` order, flags as 0/1."""

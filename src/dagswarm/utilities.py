@@ -19,14 +19,30 @@ from .graph import DagStructure
 
 
 class UtilityFunction:
-    """Interface: ``evaluate`` is pure given the instance's dataset."""
+    """Interface: ``evaluate`` is pure given the instance's dataset.
+
+    A utility over items defines ``item_results``, and ``evaluate`` is the ``mean`` of
+    their scores, the number ``dagswarm evaluate`` reports; one over no items defines ``evaluate``.
+    """
 
     dataset_size: int = 1
     evaluator: NodeEvaluator | None = None
     expert_dim: int | None = None  # the expert vector length the evaluator reads; None if it reads none
 
+    def item_results(self, dag: DagStructure, assignment: Assignment, pool) -> tuple[list, list[float]]:
+        """End-node outputs and scores, one of each per item, in item order."""
+        raise ValueError(f"{type(self).__name__} scores no items")
+
+    def mean(self, scores: list[float]) -> float:
+        # In item order from -0.0, the identity of float addition: a single
+        # np.sum would pair the scores differently and change the last bits.
+        total = -0.0
+        for score in scores:
+            total += score
+        return total / self.dataset_size
+
     def evaluate(self, dag: DagStructure, assignment: Assignment, pool) -> float:
-        raise NotImplementedError
+        return self.mean(self.item_results(dag, assignment, pool)[1])
 
     @property
     def evaluator_calls(self) -> int:
@@ -76,7 +92,7 @@ class DagRecoveryUtility(UtilityFunction):
 
 
 class AffineTargetUtility(UtilityFunction):
-    """Negative mean squared error against target vectors; one execution runs all (k, d) stacked items."""
+    """Negative mean squared error over (k, d) stacked items, run as one execution; an item scores -(its squared error)."""
 
     def __init__(self, inputs, targets):
         self.inputs = np.asarray(inputs, dtype=float)
@@ -87,14 +103,9 @@ class AffineTargetUtility(UtilityFunction):
         self.evaluator = AffineEvaluator()
         self.expert_dim = self.inputs.shape[1] * (self.inputs.shape[1] + 1)  # a d x d matrix and a length-d bias
 
-    def evaluate(self, dag, assignment, pool) -> float:
-        out = execute(dag, assignment, pool, Message(self.inputs), self.evaluator)
-        # Per-item errors added in item order: a single np.sum would pair
-        # them up differently and change the last bits of the score.
-        error = 0.0
-        for item_error in np.sum((out.payload - self.targets) ** 2, axis=1).tolist():
-            error += item_error
-        return -error / self.dataset_size
+    def item_results(self, dag, assignment, pool) -> tuple[list, list[float]]:
+        out = execute(dag, assignment, pool, Message(self.inputs), self.evaluator).payload
+        return out.tolist(), (-np.sum((out - self.targets) ** 2, axis=1)).tolist()
 
 
 def make_affine_task(
@@ -133,7 +144,7 @@ def run_text_items(dag: DagStructure, assignment: Assignment, pool, inputs: list
 
 
 class DatasetUtility(UtilityFunction):
-    """Exact-match accuracy over text items (remote mode), run through ``run_text_items``."""
+    """Accuracy over text items run by ``run_text_items``: 1.0 per output equal to its answer once both are stripped."""
 
     def __init__(self, items: list[dict], evaluator: NodeEvaluator):
         if not items:
@@ -145,30 +156,30 @@ class DatasetUtility(UtilityFunction):
         self.dataset_size = len(items)
         self.evaluator = evaluator
 
-    def evaluate(self, dag, assignment, pool) -> float:
+    def item_results(self, dag, assignment, pool) -> tuple[list, list[float]]:
         outputs = run_text_items(dag, assignment, pool, [item["input"] for item in self.items], self.evaluator)
-        return sum(exact_match(out, item["answer"]) for out, item in zip(outputs, self.items)) / self.dataset_size
+        answers = [str(item["answer"]).strip() for item in self.items]
+        return outputs, [float(str(out).strip() == answer) for out, answer in zip(outputs, answers)]
 
 
-def exact_match(output, answer) -> bool:
-    """Text answers match when equal after stripping surrounding whitespace."""
-    return str(output).strip() == str(answer).strip()
+def json_lines(lines, where, what: str):
+    """``(number, object)`` for each non-blank line; anything but a JSON object raises ``ValueError("<where> line <n>: ...")``."""
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where} line {number}: {exc.msg} at column {exc.colno}") from exc
+        if not isinstance(record, dict):
+            raise ValueError(f"{where} line {number}: {what} must be a JSON object")
+        yield number, record
 
 
 def load_dataset(path: str | Path) -> list[dict]:
     """One JSON object per non-blank line; bad JSON or another value raises ``ValueError`` naming the path and line."""
-    items = []
     with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                items.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} line {number}: {exc.msg} at column {exc.colno}") from exc
-            if not isinstance(items[-1], dict):
-                raise ValueError(f"{path} line {number}: a dataset item must be a JSON object")
-    return items
+        return [item for _, item in json_lines(handle, path, "a dataset item")]
 
 
 _TARGET_BUILDERS = {"chain": chain_dag, "star": star_dag}

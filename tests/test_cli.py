@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -14,10 +15,12 @@ from dagswarm import (
     AffineEvaluator,
     Assignment,
     Message,
+    OptimizedSystem,
     RemoteEvaluator,
     RngFactory,
     build_pool,
     build_prompt,
+    build_utility,
     cli,
     execute,
     save_pool,
@@ -203,6 +206,34 @@ def test_analyze_names_the_root_or_missing_field_of_a_malformed_file(flag, conte
     assert not (tmp_path / "an").exists()
 
 
+@pytest.mark.parametrize(
+    "trace,message",
+    [
+        ("[1, 2]\n", "trace line 1: a trace row must be a JSON object"),
+        ('{"iteration": 0}\n', "trace line 1: no 'ran_role' field"),
+        (
+            json.dumps({
+                "iteration": 0, "ran_role": True, "ran_weight": True, "best_role_utility": 0.5,
+                "best_utility": 0.5, "best_contribution": None, "evaluator_calls": 8, "note": "x",
+            }) + "\n",
+            "trace line 1: unknown field 'note'",
+        ),
+    ],
+    ids=["list", "missing-field", "unknown-field"],
+)
+def test_analyze_reads_a_malformed_trace_before_writing_anything(trace, message, tmp_path, capsys):
+    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[1]], "system_correct": [1]})
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text(trace)
+    args = ["analyze", "--correctness", correctness, "--trace", str(trace_path), "--out", str(tmp_path / "an")]
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "an").exists()
+
+
 def test_optimize_rejects_a_pool_with_a_resume(tmp_path, capsys):
     cfg = write(
         tmp_path / "cfg.json",
@@ -288,7 +319,7 @@ def test_commands_close_the_remote_evaluator(tmp_path, capsys, monkeypatch, keep
     out = tmp_path / "run"
     assert run_cli(["optimize", "--config", cfg, "--out", str(out)]) == 0
     assert run_cli(["sweep", "--config", cfg, "--runs", "2", "--out", str(tmp_path / "sw")]) == 0
-    assert run_cli(["evaluate", "--system", str(out / "best_system.json"), "--dataset", str(dataset)]) == 0
+    assert run_cli(["evaluate", "--system", str(out / "best_system.json"), "--config", cfg]) == 0
     capsys.readouterr()
     assert len(closed) == 3
     assert len(keepalive_stub.requests) == 2 * 2 * 3 * 3 + 2 * 3
@@ -326,30 +357,93 @@ def test_analyze_writes_report_and_csv(tmp_path, capsys):
     assert len(csv_text.splitlines()) == 2
 
 
-def test_evaluate_affine_system(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
-    cfg = write(
-        tmp_path / "cfg.json",
-        {
-            "n_experts": 3,
-            "matrix_swarm_size": 3,
-            "assignments_per_step": 3,
-            "max_iterations": 2,
-            "patience": 2,
-            "utility_spec": {"name": "affine_target", "n": 3, "points": 2},
-        },
-    )
-    assert run_cli(["optimize", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    capsys.readouterr()
+def write_system(path, dag, experts):
+    system = {
+        "format_version": 1,
+        "dag": dag.to_dict(),
+        "assignment": list(range(dag.n)),
+        "experts": np.asarray(experts).tolist(),
+        "best_utility": 0.0,
+        "best_role_utility": 0.0,
+    }
+    return write(path, system)
+
+
+def affine_config(tmp_path, **fields):
+    """A small affine_target run whose task fits ``write_system(..., diamond_dag(), (4, 6) experts)``."""
+    cfg = {
+        "n_experts": 4,
+        "matrix_swarm_size": 3,
+        "assignments_per_step": 3,
+        "max_iterations": 2,
+        "patience": 2,
+        "utility_spec": {"name": "affine_target", "n": 4, "points": 3},
+        **fields,
+    }
+    return write(tmp_path / "cfg.json", cfg)
+
+
+def dataset_config(tmp_path, lines):
+    """A two-expert role_only run on a JSONL dataset of ``lines`` (objects are dumped, strings written as is)."""
     dataset = tmp_path / "data.jsonl"
-    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n")
-    rc = run_cli(
-        ["evaluate", "--system", str(tmp_path / "run" / "best_system.json"), "--dataset", str(dataset)]
-    )
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["accuracy"] is None  # no answers supplied
-    assert len(payload["results"][0]["output"]) == 2
+    dataset.write_text("".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines))
+    cfg = {
+        "n_experts": 2,
+        "matrix_swarm_size": 2,
+        "max_iterations": 2,
+        "patience": 2,
+        "mode": "role_only",
+        "utility_spec": {"name": "dataset", "path": str(dataset)},
+    }
+    return write(tmp_path / "cfg.json", cfg)
+
+
+def test_evaluate_affine_system(tmp_path, capsys, monkeypatch):
+    """In every mode, evaluate prints the utility the run's own task gives the returned system, bit for bit."""
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    # The task comes from the config alone, so a seed given to optimize on the command line goes into its config.
+    cfg_path = affine_config(tmp_path, seed=3)
+    task = json.loads(Path(cfg_path).read_text())["utility_spec"]
+    for mode in ("full", "role_only", "weight_only"):
+        out = tmp_path / mode
+        assert run_cli(["optimize", "--config", cfg_path, "--mode", mode, "--out", str(out)]) == 0
+        best_utility = json.loads(capsys.readouterr().out)["best_utility"]
+        assert run_cli(["evaluate", "--system", str(out / "best_system.json"), "--config", cfg_path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        system = OptimizedSystem.from_dict(json.loads((out / "best_system.json").read_text()))
+        utility = build_utility(task, RngFactory(3).stream("task"))
+        expected = utility.evaluate(system.dag, system.assignment, system.expert_params)
+        assert payload["format_version"] == 2 and len(payload["results"]) == 3
+        assert payload["utility"].hex() == expected.hex(), mode
+        if mode == "role_only":
+            assert payload["utility"].hex() == best_utility.hex()
+
+
+def test_evaluate_local_items_match_a_per_item_execute(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    dag = diamond_dag()
+    experts = np.random.default_rng(3).uniform(-0.9, 0.9, (4, 6))
+    system = write_system(tmp_path / "sys.json", dag, experts)
+    out = tmp_path / "eval.json"
+    assert run_cli(["evaluate", "--system", system, "--config", affine_config(tmp_path), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    payload = json.loads(printed)
+    task = build_utility({"name": "affine_target", "n": 4, "points": 3}, RngFactory(0).stream("task"))
+    for entry, x, y in zip(payload["results"], task.inputs, task.targets, strict=True):
+        output = execute(dag, Assignment.identity(4), experts, Message(x), AffineEvaluator()).payload
+        assert np.array_equal(entry["output"], output)
+        assert entry["score"] == -float(np.sum((output - y) ** 2))
+    assert payload["utility"] == task.evaluate(dag, Assignment.identity(4), experts)
+
+
+@pytest.mark.parametrize("spec", [{"name": "constant"}, {"name": "hidden_dag", "n": 4}])
+def test_evaluate_rejects_a_utility_that_scores_no_items(spec, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    system = write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 6)))
+    assert run_cli(["evaluate", "--system", system, "--config", write(tmp_path / "cfg.json", {"utility_spec": spec})]) == 1
+    error = cli_error(capsys)
+    assert error["type"] == "ValueError" and error["message"].endswith("Utility scores no items")
 
 
 def test_evaluate_remote_system(tmp_path, capsys, monkeypatch, clean_stub):
@@ -363,54 +457,31 @@ def test_evaluate_remote_system(tmp_path, capsys, monkeypatch, clean_stub):
         "best_role_utility": 0.0,
     }
     system_path = write(tmp_path / "sys.json", system)
-    dataset = tmp_path / "data.jsonl"
-    dataset.write_text(json.dumps({"input": "2+2", "answer": "4"}) + "\n")
-    assert run_cli(["evaluate", "--system", system_path, "--dataset", str(dataset)]) == 0
+    cfg = dataset_config(tmp_path, [{"input": "2+2", "answer": "4"}])
+    assert run_cli(["evaluate", "--system", system_path, "--config", cfg]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["accuracy"] == 0.0  # the echo stub answers with the prompt
-    assert payload["results"][0]["output"].startswith("Please answer")
+    assert payload["utility"] == 0.0  # the echo stub answers with the prompt
+    (entry,) = payload["results"]
+    assert entry["output"].startswith("Please answer") and entry["score"] == 0.0
 
 
-def write_system(path, dag, experts):
-    system = {
-        "format_version": 1,
-        "dag": dag.to_dict(),
-        "assignment": list(range(dag.n)),
-        "experts": np.asarray(experts).tolist(),
-        "best_utility": 0.0,
-        "best_role_utility": 0.0,
-    }
-    return write(path, system)
-
-
-def test_evaluate_local_items_match_a_per_item_execute(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
-    rng = RngFactory(3).stream("task")
-    dag = diamond_dag()
-    experts = rng.uniform(-0.9, 0.9, (4, 6))
-    inputs = rng.uniform(-1, 1, (5, 2))
-    expected = [execute(dag, Assignment.identity(4), experts, Message(x), AffineEvaluator()).payload for x in inputs]
-    dataset = tmp_path / "data.jsonl"
-    items = [{"input": x.tolist(), "answer": (y if k % 2 else y + 1).tolist()} for k, (x, y) in enumerate(zip(inputs, expected))]
-    dataset.write_text("".join(json.dumps(item) + "\n" for item in items))
-    system = write_system(tmp_path / "sys.json", dag, experts)
-    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 0
+def test_evaluate_reproduces_a_remote_role_only_run(tmp_path, capsys, monkeypatch, clean_stub):
+    monkeypatch.setenv(ENDPOINT_ENV, clean_stub.endpoint)
+    # Each answer is the echo of one of the two 2-node wirings, so every system matches one item.
+    question = "2+2"
+    answers = [
+        build_prompt("end", question, [{"node": entry, "text": build_prompt("entry", question, [])}])
+        for entry in (0, 1)
+    ]
+    cfg = dataset_config(tmp_path, [{"input": question, "answer": answer} for answer in answers])
+    assert run_cli(["optimize", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    best_utility = json.loads(capsys.readouterr().out)["best_utility"]
+    requests = len(clean_stub.requests)
+    assert run_cli(["evaluate", "--system", str(tmp_path / "run" / "best_system.json"), "--config", cfg]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert np.array_equal([entry["output"] for entry in payload["results"]], expected)
-    assert [entry["correct"] for entry in payload["results"]] == [False, True, False, True, False]
-    assert payload["accuracy"] == 2 / 5
-
-
-@pytest.mark.parametrize("inputs", [[[0.1, 0.2], [0.1]], [0.5, 0.7], [[[0.1, 0.2]]]])
-def test_evaluate_local_inputs_must_stack_to_a_matrix(tmp_path, capsys, monkeypatch, inputs):
-    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
-    dataset = tmp_path / "data.jsonl"
-    dataset.write_text("".join(json.dumps({"input": x}) + "\n" for x in inputs))
-    system = write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 6)))
-    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"]["type"] == "ValueError"
+    assert payload["utility"].hex() == best_utility.hex() == (0.5).hex()
+    assert sorted(entry["score"] for entry in payload["results"]) == [0.0, 1.0]
+    assert len(clean_stub.requests) - requests == 2 * len(answers)  # n requests per item: each item ran once
 
 
 def test_evaluate_rejects_an_unknown_system_version(tmp_path, capsys, monkeypatch):
@@ -418,25 +489,23 @@ def test_evaluate_rejects_an_unknown_system_version(tmp_path, capsys, monkeypatc
     system = tmp_path / "sys.json"
     write_system(system, diamond_dag(), np.zeros((4, 6)))
     system.write_text(json.dumps({**json.loads(system.read_text()), "format_version": 99}))
-    dataset = tmp_path / "data.jsonl"
-    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n")
-    assert run_cli(["evaluate", "--system", str(system), "--dataset", str(dataset)]) == 1
+    assert run_cli(["evaluate", "--system", str(system), "--config", affine_config(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error["type"] == "ValueError" and "99" in error["message"]
 
 
-def test_evaluate_names_a_missing_input_field(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
-    dataset = tmp_path / "data.jsonl"
-    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n" + json.dumps({"question": [0.1, 0.2]}) + "\n")
-    system = write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 6)))
-    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 1
+def test_evaluate_names_a_missing_input_field(tmp_path, capsys, monkeypatch, clean_stub):
+    monkeypatch.setenv(ENDPOINT_ENV, clean_stub.endpoint)
+    cfg = dataset_config(tmp_path, [{"input": "2+2", "answer": "4"}, {"question": "3+3", "answer": "6"}])
+    system = write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 1)))
+    assert run_cli(["evaluate", "--system", system, "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error["type"] == "ValueError" and "'input'" in error["message"]
+    assert clean_stub.requests == []
 
 
 def cli_error(capsys) -> dict:
@@ -448,9 +517,7 @@ def cli_error(capsys) -> dict:
 def test_evaluate_names_a_system_file_that_is_not_an_object(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(ENDPOINT_ENV, raising=False)
     system = write(tmp_path / "sys.json", [1, 2])
-    dataset = tmp_path / "data.jsonl"
-    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n")
-    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 1
+    assert run_cli(["evaluate", "--system", system, "--config", affine_config(tmp_path)]) == 1
     error = cli_error(capsys)
     assert error["type"] == "ValueError" and error["message"] == "system root must be a JSON object"
 
@@ -463,21 +530,19 @@ def test_evaluate_names_a_missing_system_key(tmp_path, capsys, monkeypatch, key)
     data = json.loads(system.read_text())
     del data[key]
     write(system, data)
-    dataset = tmp_path / "data.jsonl"
-    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n")
-    assert run_cli(["evaluate", "--system", str(system), "--dataset", str(dataset)]) == 1
+    assert run_cli(["evaluate", "--system", str(system), "--config", affine_config(tmp_path)]) == 1
     error = cli_error(capsys)
     assert error == {"type": "ValueError", "message": f"system has no {key!r} field"}
 
 
-def test_evaluate_names_a_dataset_line_that_is_not_an_object(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
-    dataset = tmp_path / "data.jsonl"
-    dataset.write_text(json.dumps({"input": [0.1, 0.2]}) + "\n\n5\n")
-    system = write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 6)))
-    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 1
+def test_evaluate_names_a_dataset_line_that_is_not_an_object(tmp_path, capsys, monkeypatch, clean_stub):
+    monkeypatch.setenv(ENDPOINT_ENV, clean_stub.endpoint)
+    cfg = dataset_config(tmp_path, [{"input": "2+2", "answer": "4"}, "", "5"])
+    system = write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 1)))
+    assert run_cli(["evaluate", "--system", system, "--config", cfg]) == 1
     error = cli_error(capsys)
-    assert error["type"] == "ValueError" and error["message"].startswith(f"{dataset} line 3: ")
+    assert error["type"] == "ValueError" and error["message"].startswith(f"{tmp_path / 'data.jsonl'} line 3: ")
+
 
 
 def test_optimize_names_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
@@ -524,16 +589,15 @@ def test_evaluate_remote_items_come_back_in_item_order(tmp_path, capsys, monkeyp
     monkeypatch.setenv(ENDPOINT_ENV, clean_stub.endpoint)
     dag = diamond_dag()
     questions = [f"{k}+{k}" for k in range(7)]
-    dataset = tmp_path / "data.jsonl"
-    dataset.write_text("".join(json.dumps({"input": q, "answer": "x"}) + "\n" for q in questions))
+    cfg = dataset_config(tmp_path, [{"input": q, "answer": "x"} for q in questions])
     system = write_system(tmp_path / "sys.json", dag, np.zeros((4, 1)))
-    assert run_cli(["evaluate", "--system", system, "--dataset", str(dataset)]) == 0
+    assert run_cli(["evaluate", "--system", system, "--config", cfg]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert [entry["input"] for entry in payload["results"]] == questions
+    assert len(payload["results"]) == len(questions)
     for entry, question in zip(payload["results"], questions):
         entry_reply = build_prompt("entry", question, [])
         middle = [{"node": v, "text": build_prompt("middle", question, [{"node": 0, "text": entry_reply}])} for v in (1, 2)]
-        assert entry["output"] == build_prompt("end", question, middle)
+        assert entry == {"output": build_prompt("end", question, middle), "score": 0.0}
     assert len(clean_stub.requests) == dag.n * len(questions)
 
 
@@ -591,3 +655,14 @@ def test_serve_stub_echoes_and_exits_cleanly_on_sigint():
     assert reply.payload == build_prompt("entry", "q", [])
     assert process.returncode == 0
     assert "Traceback" not in stderr, stderr
+
+
+def test_readme_cli_lines_parse():
+    """Every ``dagswarm ...`` line of README's CLI block parses, so a removed or renamed flag fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["dagswarm"]]
+    assert [words[0] for words in commands] == ["optimize", "decode", "evaluate", "analyze", "sweep", "serve-stub"]
+    for words in commands:
+        cli.build_parser().parse_args(words)

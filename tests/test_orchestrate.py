@@ -307,6 +307,29 @@ def test_trace_csv_matches_the_pinned_table():
     assert RunTrace.from_jsonl(trace.to_jsonl()).to_csv() == PINNED_CSV
 
 
+GOOD_LINE = RunTrace(PINNED_ROWS[:1]).to_jsonl().strip()
+GOOD_RECORD = json.loads(GOOD_LINE)
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("[1, 2]", "trace line 3: a trace row must be a JSON object"),
+        ("{bad", "trace line 3: Expecting property name enclosed in double quotes at column 2"),
+        (
+            json.dumps({key: value for key, value in GOOD_RECORD.items() if key != "evaluator_calls"}),
+            "trace line 3: no 'evaluator_calls' field",
+        ),
+        (json.dumps({**GOOD_RECORD, "wall_time_s": 0.5}), "trace line 3: unknown field 'wall_time_s'"),
+    ],
+    ids=["list", "not-json", "missing-field", "unknown-field"],
+)
+def test_trace_reader_names_the_line_and_field_of_a_bad_row(line, message):
+    with pytest.raises(ValueError) as error:
+        RunTrace.from_jsonl(f"{GOOD_LINE}\n\n{line}\n")  # the blank line 2 is skipped but counted
+    assert str(error.value) == message
+
+
 def test_trace_csv_columns_are_the_jsonl_keys_in_row_order():
     _, trace = run(small_cfg(max_iterations=2))
     header = trace.to_csv().splitlines()[0].split(",")

@@ -28,7 +28,7 @@ from dagswarm import (
     normalized_edit_distance,
     star_dag,
 )
-from dagswarm.utilities import DagRecoveryUtility
+from dagswarm.utilities import AffineTargetUtility, ConstantUtility, DagRecoveryUtility
 
 
 def diamond_dag() -> DagStructure:
@@ -127,6 +127,52 @@ def test_dataset_utility_exact_match(tmp_path):
     dag = DagStructure(1, 0, frozenset(), (0,))
     assert utility.evaluate(dag, Assignment.identity(1), [np.zeros(1)]) == 0.5
     assert utility.dataset_size == 2
+
+
+def test_dataset_item_results_are_exact_matches_in_item_order():
+    items = [{"input": "2+2", "answer": " 4\n"}, {"input": "3+3", "answer": "6"}, {"input": "1+1", "answer": "2"}]
+    utility = DatasetUtility(items, CannedEvaluator({"2+2": "4 ", "3+3": "7", "1+1": "2"}))
+    dag = DagStructure(1, 0, frozenset(), (0,))
+    outputs, scores = utility.item_results(dag, Assignment.identity(1), [np.zeros(1)])
+    assert outputs == ["4 ", "7", "2"] and scores == [1.0, 0.0, 1.0]
+    assert utility.evaluate(dag, Assignment.identity(1), [np.zeros(1)]) == utility.mean(scores) == 2 / 3
+
+
+def test_affine_item_results_are_per_item_outputs_and_negated_errors():
+    utility = make_affine_task(np.random.default_rng(4), n=4, points=5)
+    pool = np.random.default_rng(5).uniform(-0.9, 0.9, (4, 6))
+    outputs, scores = utility.item_results(diamond_dag(), Assignment.identity(4), pool)
+    error = 0.0
+    for output, score, x, y in zip(outputs, scores, utility.inputs, utility.targets, strict=True):
+        alone = execute(diamond_dag(), Assignment.identity(4), pool, Message(x), AffineEvaluator()).payload
+        assert output == alone.tolist()
+        assert score == -float(np.sum((alone - y) ** 2))
+        error += -score
+    assert utility.evaluate(diamond_dag(), Assignment.identity(4), pool) == -error / 5
+
+
+def test_mean_of_negated_errors_keeps_the_bits_of_the_negated_mean_error():
+    utility = make_affine_task(np.random.default_rng(0), points=4)
+    rng = np.random.default_rng(6)
+    for errors in [[0.0] * 4, *rng.exponential(size=(2000, 4)) ** rng.integers(-3, 4, size=(2000, 1))]:
+        total = 0.0
+        for item_error in np.asarray(errors).tolist():
+            total += item_error
+        assert utility.mean([-e for e in np.asarray(errors).tolist()]).hex() == (-total / 4).hex()
+
+
+def test_affine_task_at_zero_error_scores_negative_zero():
+    inputs = np.random.default_rng(1).uniform(-1, 1, (4, 2))
+    pool = np.random.default_rng(2).uniform(-0.9, 0.9, (3, 6))
+    targets = execute(chain_dag(3), Assignment.identity(3), pool, Message(inputs), AffineEvaluator()).payload
+    exact = AffineTargetUtility(inputs, targets)
+    assert exact.evaluate(chain_dag(3), Assignment.identity(3), pool).hex() == (-0.0).hex()
+
+
+@pytest.mark.parametrize("utility", [ConstantUtility(1.0), DagRecoveryUtility(chain_dag(2))], ids=lambda u: type(u).__name__)
+def test_a_utility_over_no_items_has_no_item_results(utility):
+    with pytest.raises(ValueError, match=f"^{type(utility).__name__} scores no items$"):
+        utility.item_results(chain_dag(2), Assignment.identity(2), np.zeros((2, 6)))
 
 
 class SlowEvaluator(CannedEvaluator):
