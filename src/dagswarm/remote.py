@@ -10,14 +10,16 @@ Wire protocol, one POST per node evaluation:
 The prompt preamble depends on the node's position in the graph; the task
 text and predecessor responses (in topological order) are appended.
 
-``RemoteEvaluator`` keeps the connections it opens and reuses them for later
-requests, so a run pays one connect per item in flight rather than one per
-node evaluation.
+``RemoteEvaluator`` speaks HTTP/1.1 itself over the sockets it keeps in a
+pool, so a run pays one connect per item in flight rather than one per node
+evaluation, and each request is one write of its head and body.
 """
 from __future__ import annotations
 
-import http.client
+import io
 import json
+import socket
+import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
@@ -37,6 +39,12 @@ PROMPT_PREAMBLES = {
     ),
 }
 
+_Connection = tuple[socket.socket, io.BufferedReader]
+
+# http.client's limits on one line of a reply's head and on its header count.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
 
 def build_prompt(role: str, task_text: str, prior: list[dict]) -> str:
     parts = [PROMPT_PREAMBLES[role], f"Question: {task_text}"]
@@ -50,11 +58,15 @@ class RemoteEvaluator(NodeEvaluator):
     Expert parameters are not transmitted; the endpoint is the model. Weight
     optimization over remote experts is rejected upstream for that reason.
     Up to ``jobs`` dataset items are in flight at once. Connections are kept
-    in a pool on the evaluator and reused while the endpoint keeps them open;
-    ``close`` closes the idle ones. A pooled connection that the endpoint has
-    closed in the meantime is replaced by a fresh one without using up a
-    retry. Transport errors and 5xx replies are retried up to ``retries``
-    times; any other bad reply fails at once.
+    in a pool on the evaluator and reused while the endpoint keeps them open
+    (an HTTP/1.1 reply without ``Connection: close`` whose body was read in
+    full); ``close`` closes the idle ones. A pooled connection that the
+    endpoint has closed in the meantime is replaced by a fresh one without
+    using up a retry. Each request goes out in one write, with the head that
+    ``http.client`` would send. A reply body is framed by ``Content-Length``,
+    by chunked transfer coding, or by the end of the connection. Transport
+    errors (including a malformed or truncated reply) and 5xx replies are
+    retried up to ``retries`` times; any other bad reply fails at once.
     """
 
     uses_expert_params = False
@@ -68,10 +80,24 @@ class RemoteEvaluator(NodeEvaluator):
             raise ValueError("endpoint must not carry credentials")
         if jobs < 1 or retries < 0:
             raise ValueError("jobs must be >= 1 and retries >= 0")
-        self._connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-        self._address = (url.hostname, url.port or self._connection.default_port)
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._idle: list[http.client.HTTPConnection] = []
+        default_port = 443 if url.scheme == "https" else 80
+        host = url.hostname
+        self._address = (host, url.port or default_port)
+        self._tls = None
+        if url.scheme == "https":
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if not path.isascii() or any(c <= " " or c == "\x7f" for c in path):
+            raise ValueError(f"endpoint path must be printable ASCII, got {path!r}")
+        # The Host header as http.client's putrequest writes it.
+        host_header = host.encode("ascii") if host.isascii() else host.encode("idna")
+        if ":" in host:
+            host_header = b"[%s]" % host_header.partition(b"%")[0]
+        if url.port not in (None, default_port):
+            host_header += b":%d" % url.port
+        self._head = b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % (path.encode(), host_header)
+        self._idle: list[_Connection] = []
         self._idle_lock = threading.Lock()
         self.endpoint = endpoint
         self.timeout = timeout
@@ -82,8 +108,9 @@ class RemoteEvaluator(NodeEvaluator):
         """Close the idle connections; a later request opens new ones."""
         with self._idle_lock:
             idle, self._idle = self._idle, []
-        for connection in idle:
-            connection.close()
+        for sock, reader in idle:
+            reader.close()
+            sock.close()
 
     def evaluate(self, role, params, inputs, task_input, node) -> Message:
         if not isinstance(task_input.payload, str):
@@ -100,7 +127,7 @@ class RemoteEvaluator(NodeEvaluator):
         for _ in range(self.retries + 1):
             try:
                 status, data = self._post(body)
-            except (OSError, http.client.HTTPException) as exc:
+            except OSError as exc:
                 error = exc
                 continue
             error = f"HTTP status {status}"
@@ -125,23 +152,97 @@ class RemoteEvaluator(NodeEvaluator):
                 return self._exchange(connection, body)
             except ConnectionError:
                 pass  # the endpoint closed it while it sat idle; a fresh connection is free
-        return self._exchange(self._connection(*self._address, timeout=self.timeout), body)
+        return self._exchange(self._connect(), body)
 
-    def _exchange(self, connection: http.client.HTTPConnection, body: bytes) -> tuple[int, bytes]:
-        """Send ``body`` and read the whole reply; the connection is pooled again only if the endpoint keeps it."""
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection(self._address, self.timeout)
         try:
-            connection.request("POST", self._path, body, {"Content-Type": "application/json"})
-            response = connection.getresponse()
-            status, data = response.status, response.read()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
         except BaseException:
-            connection.close()
+            sock.close()
             raise
-        if response.will_close:
-            connection.close()
-        else:
+        return sock, sock.makefile("rb")
+
+    def _exchange(self, connection: _Connection, body: bytes) -> tuple[int, bytes]:
+        """Send ``body`` and read the whole reply; the connection is pooled again only if the endpoint keeps it."""
+        sock, reader = connection
+        keep = False
+        try:
+            sock.sendall(b"%sContent-Length: %d\r\nContent-Type: application/json\r\n\r\n%s" % (self._head, len(body), body))
+            status, data, keep = _read_reply(reader)
+        finally:
+            if not keep:
+                reader.close()
+                sock.close()
+        if keep:
             with self._idle_lock:
                 self._idle.append(connection)
         return status, data
+
+
+def _line(reader) -> bytes:
+    """One line of a reply's head or chunk framing; b"" at the end of the connection."""
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise OSError(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _count(field: bytes, base: int = 10) -> int:
+    try:
+        count = int(field, base)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise OSError(f"bad length in reply: {field[:80]!r}")
+    return count
+
+
+def _read_reply(reader) -> tuple[int, bytes, bool]:
+    """Read one reply: (status, body, whether the connection can carry another request)."""
+    status = 0
+    while status < 200:  # 1xx replies are interim: no body, the final reply follows
+        line = _line(reader)
+        if not line:
+            raise ConnectionError("endpoint closed the connection without replying")
+        version, code = (line.split(None, 2) + [b"", b""])[:2]
+        status = int(code) if len(code) == 3 and code.isdigit() else 0
+        if status < 100 or not version.startswith(b"HTTP/1."):
+            raise OSError(f"malformed status line: {line[:80]!r}")
+        headers: dict[bytes, bytes] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = _line(reader)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                raise OSError("reply ended inside its headers")
+            name, _, value = line.partition(b":")
+            headers.setdefault(name.strip().lower(), value.strip())
+        else:
+            raise OSError(f"reply has more than {_MAX_HEADERS} headers")
+    keep = version == b"HTTP/1.1" and b"close" not in headers.get(b"connection", b"").lower()
+    if status in (204, 304):
+        return status, b"", keep
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks = []
+        while size := _count(_line(reader).partition(b";")[0].strip(), 16):
+            chunk = reader.read(size + 2)
+            if len(chunk) < size + 2:
+                raise OSError("reply body ended early")
+            chunks.append(chunk[:size])
+        while (line := _line(reader)) not in (b"\r\n", b"\n"):  # trailer fields
+            if not line:
+                raise OSError("reply ended inside its trailer")
+        return status, b"".join(chunks), keep
+    if b"content-length" not in headers:
+        return status, reader.read(), False
+    size = _count(headers[b"content-length"])
+    body = reader.read(size)
+    if len(body) < size:
+        raise OSError("reply body ended early")
+    return status, body, keep
 
 
 class _StubHandler(BaseHTTPRequestHandler):

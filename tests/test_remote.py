@@ -3,7 +3,9 @@ from __future__ import annotations
 import http.client
 import itertools
 import json
+import re
 import socket
+import socketserver
 import sys
 import threading
 from dataclasses import replace
@@ -364,3 +366,231 @@ def test_a_stale_pooled_connection_costs_no_retry():
         server.stop()
     assert len(server.requests) == 3
     assert len(server.peers) == 3
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    """Reads each request by hand and answers it with the server's next scripted ``(reply, close)``.
+
+    The reply's bytes go out as they are. With ``close`` the server then ends
+    its side of the connection, so the client reads EOF after them.
+    """
+
+    timeout = 5  # a client that never closes its end cannot hang the server
+
+    def handle(self):
+        self.server.connections += 1
+        try:
+            while True:
+                head = b""
+                while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                    head += line
+                if not line:
+                    return
+                length = int(re.search(rb"Content-Length: (\d+)", head)[1])
+                self.server.received.append(head + line + self.rfile.read(length))
+                reply, close = self.server.replies.pop(0)
+                self.wfile.write(reply)
+                if close:
+                    self.connection.shutdown(socket.SHUT_WR)
+                    self.rfile.read()  # until the client closes its end
+                    return
+        except OSError:  # the client closed a connection whose reply it rejected
+            pass
+
+
+@pytest.fixture()
+def raw():
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _RawHandler)
+    server.replies, server.received, server.connections = [], [], 0
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _endpoint(server):
+    host, port = server.server_address[:2]
+    return f"http://{host}:{port}/"
+
+
+def _sized(body=b'{"text": "ok"}', head=b"HTTP/1.1 200 OK\r\n"):
+    return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+LONG_TEXT = b'{"text": "' + b"x" * 20 + b'"}'
+CHUNKED = (
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    + b"1a;name=value\r\n" + LONG_TEXT[:26] + b"\r\n"
+    + b"6\r\n" + LONG_TEXT[26:] + b"\r\n"
+    + b"0\r\nX-Trailer: t\r\n\r\n"
+)
+
+
+@no_leaked_sockets
+@pytest.mark.parametrize(
+    "reply, close, pooled, text",
+    [
+        (_sized(), False, True, "ok"),
+        (CHUNKED, False, True, "x" * 20),
+        (b'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{"text": "ok"}', True, False, "ok"),
+        (_sized(head=b"HTTP/1.0 200 OK\r\n"), False, False, "ok"),
+        (_sized(head=b"HTTP/1.1 200 OK\r\nConnection: Close\r\n"), False, False, "ok"),
+        (b"HTTP/1.1 100 Continue\r\n\r\n" + _sized(), False, True, "ok"),
+        (_sized(head=b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (65536 - 10) + b"\r\n"), False, True, "ok"),
+        (_sized(head=b"HTTP/1.1 200 OK\r\n" + b"X-H: 1\r\n" * 99), False, True, "ok"),
+    ],
+    ids=["content-length", "chunked", "close-delimited", "http-1.0", "connection-close", "interim-100",
+         "65536-byte-line", "100-headers"],
+)
+def test_reply_framings_and_which_connections_are_pooled(raw, reply, close, pooled, text):
+    raw.replies = [(reply, close)] * 2
+    evaluator = RemoteEvaluator(_endpoint(raw), timeout=5)
+    try:
+        for _ in range(2):
+            assert evaluator("end", None, [], Message("q"), 0).payload == text
+            assert len(evaluator._idle) == pooled
+    finally:
+        evaluator.close()
+    assert len(raw.received) == 2
+    assert raw.connections == (1 if pooled else 2)
+
+
+@no_leaked_sockets
+def test_a_204_reply_has_no_body_and_keeps_the_connection(raw):
+    raw.replies = [(b"HTTP/1.1 204 No Content\r\n\r\n", False), (_sized(), False)]
+    evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=2)
+    try:
+        with pytest.raises(RuntimeError, match="not a JSON object"):
+            evaluator("end", None, [], Message("q"), 0)
+        assert evaluator("end", None, [], Message("q"), 0).payload == "ok"
+    finally:
+        evaluator.close()
+    assert len(raw.received) == 2
+    assert raw.connections == 1
+
+
+@no_leaked_sockets
+def test_eof_before_the_status_line_of_a_pooled_connection_costs_no_retry(raw):
+    # The server ends its side after each reply but still reads, so the
+    # pooled connection's next request meets EOF rather than a reset.
+    raw.replies = [(_sized(), True)] * 2
+    evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=0)
+    try:
+        for _ in range(2):
+            assert evaluator("end", None, [], Message("q"), 0).payload == "ok"
+    finally:
+        evaluator.close()
+    assert len(raw.received) == raw.connections == 2
+
+
+@no_leaked_sockets
+@pytest.mark.parametrize(
+    "reply, reason",
+    [
+        (_sized(head=b"HTTP/1.1 2x0 OK\r\n"), "malformed status line"),
+        (_sized(head=b"ICY 200 OK\r\n"), "malformed status line"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b'{"text": "ok"}', "reply body ended early"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{\"te", "reply body ended early"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "bad length in reply"),
+        (_sized(head=b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (65537 - 10) + b"\r\n"), "longer than 65536 bytes"),
+        (_sized(head=b"HTTP/1.1 200 OK\r\n" + b"X-H: 1\r\n" * 100), "more than 100 headers"),
+    ],
+    ids=["status-code", "protocol", "truncated-body", "truncated-chunk", "negative-length",
+         "65537-byte-line", "101-headers"],
+)
+def test_malformed_replies_are_retried_transport_errors(raw, reply, reason):
+    raw.replies = [(reply, True)] * 3 + [(reply, True), (_sized(), False)]
+    evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=2)
+    try:
+        with pytest.raises(RuntimeError, match=re.escape(f"remote evaluation failed at {_endpoint(raw)}: ") + ".*" + reason):
+            evaluator("end", None, [], Message("q"), 0)
+        assert len(raw.received) == raw.connections == 3
+        assert evaluator("end", None, [], Message("q"), 0).payload == "ok"
+    finally:
+        evaluator.close()
+    assert len(raw.received) == raw.connections == 5
+
+
+class _SendCounting:
+    """Delegates to a socket and records the name and data of every send call."""
+
+    def __init__(self, sock, sends):
+        self._sock, self._sends = sock, sends
+
+    def __getattr__(self, name):
+        attr = getattr(self._sock, name)
+        if not name.startswith("send"):
+            return attr
+
+        def send(data, *args):
+            self._sends.append((name, data))
+            return attr(data, *args)
+
+        return send
+
+
+@no_leaked_sockets
+@pytest.mark.parametrize(
+    "endpoint, address, path",
+    [
+        ("http://localhost/", ("localhost", 80), "/"),
+        ("http://127.0.0.1:8099", ("127.0.0.1", 8099), "/"),
+        ("http://[::1]/", ("::1", 80), "/"),
+        ("http://[::1]:8099/x", ("::1", 8099), "/x"),
+        ("http://127.0.0.1:80/v1/echo?model=a&n=1", ("127.0.0.1", 80), "/v1/echo?model=a&n=1"),
+    ],
+)
+def test_requests_are_the_bytes_of_http_client_in_one_sendall(raw, monkeypatch, endpoint, address, path):
+    connect = socket.create_connection
+    opened, sends = [], []
+
+    def redirect(requested, timeout=None, *args):
+        opened.append(requested)
+        return _SendCounting(connect(raw.server_address, timeout), sends)
+
+    monkeypatch.setattr(socket, "create_connection", redirect)
+    raw.replies = [(_sized(), False)] * 3
+    evaluator = RemoteEvaluator(endpoint, timeout=5)
+    try:
+        for text in ("q", "r"):
+            evaluator("end", None, [], Message(text), 0)
+    finally:
+        evaluator.close()
+    assert sends == [("sendall", request) for request in raw.received]
+    reference = http.client.HTTPConnection(*address, timeout=5)
+    reference._create_connection = redirect
+    try:
+        reference.request("POST", path, raw.received[1].partition(b"\r\n\r\n")[2], {"Content-Type": "application/json"})
+        reference.getresponse().read()
+    finally:
+        reference.close()
+    assert raw.received[2] == raw.received[1]
+    assert opened == [address, address]
+
+
+@no_leaked_sockets
+def test_https_endpoint_on_a_plain_http_server_fails_its_handshake(clean_stub, monkeypatch):
+    connect = socket.create_connection
+    opened = []
+
+    def counted(address, *args):
+        opened.append(address)
+        return connect(address, *args)
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    host, port = clean_stub.server_address[:2]
+    evaluator = RemoteEvaluator(f"https://{host}:{port}/", timeout=0.5, retries=2)
+    with pytest.raises(RuntimeError, match=r"remote evaluation failed at https://.*(SSL|handshake)"):
+        evaluator("end", None, [], Message("q"), 0)
+    evaluator.close()
+    assert opened == [(host, port)] * 3
+    assert clean_stub.requests == []
+
+
+@pytest.mark.parametrize("endpoint", ["http://127.0.0.1:9/a b", "http://127.0.0.1:9/\u00e9", "http://127.0.0.1:9/a\x00"])
+def test_endpoint_path_must_be_printable_ascii(endpoint):
+    with pytest.raises(ValueError, match="printable ASCII"):
+        RemoteEvaluator(endpoint)
