@@ -37,10 +37,14 @@ def parse_config(path: str | None) -> RunConfig:
     return config_from_dict(_read_fields(path, "config", ()))
 
 
+def _usage_error(message: str) -> int:
+    print(json.dumps({"error": {"type": "UsageError", "message": message}}), file=sys.stderr)
+    return 2
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(json.dumps({"error": {"type": "UsageError", "message": message}}), file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_usage_error(message))
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -202,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=None,
-            help="dataset items in flight at once at a remote endpoint (default 8), over reused connections",
+            help=f"dataset items in flight at once at the remote endpoint in {ENDPOINT_ENV} (default 8); needs it set",
         )
 
     p = sub.add_parser("optimize", help="run the alternating optimization loop")
@@ -250,8 +254,9 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     for flag in ("jobs", "runs"):
         if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
-            print(json.dumps({"error": {"type": "UsageError", "message": f"--{flag} must be >= 1"}}), file=sys.stderr)
-            return 2
+            return _usage_error(f"--{flag} must be >= 1")
+    if getattr(args, "jobs", None) is not None and not os.environ.get(ENDPOINT_ENV):
+        return _usage_error(f"--jobs needs a remote endpoint in {ENDPOINT_ENV}; no local evaluator runs items concurrently")
     try:
         return args.handler(args)
     except BrokenPipeError:

@@ -3,12 +3,13 @@
 Nodes run in topological order; each node sees the task input plus the
 outputs of its predecessors and produces one message. The end node's
 message is the system output. Payloads are real vectors in synthetic mode
-and text in remote mode, homogeneous within one execution; a (k, d) array
-carries k dataset items, and each node counts k evaluator calls for it.
+and text in remote mode; a (k, d) array or a list of k texts carries k
+dataset items, and each node counts k evaluator calls for them.
 """
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ ROLE_END = "end"
 
 @dataclass
 class Message:
-    payload: np.ndarray | str
+    payload: np.ndarray | str | list[str]
     origin: int = -1
 
 
@@ -51,8 +52,10 @@ class NodeEvaluator:
     node, or ``run``, one whole execution. Invocations are counted in
     ``calls``, one per dataset item, so budgets can be audited; the count is
     exact when threads share the evaluator. Evaluators whose experts never
-    see the parameter vectors set ``uses_expert_params`` to False. ``jobs``
-    is how many dataset items a utility may run through the evaluator at once.
+    see the parameter vectors set ``uses_expert_params`` to False. The base
+    ``run`` executes each item of a list payload alone, ``jobs`` at a time on
+    worker threads: outputs come in item order, the first failing item in that
+    order raises, and items not yet started then never run.
     """
 
     uses_expert_params = True
@@ -73,6 +76,10 @@ class NodeEvaluator:
 
     def run(self, dag: DagStructure, assignment: Assignment, pool, task_input: Message) -> Message:
         """One execution, checked by ``execute``: each node through ``__call__`` in topological order."""
+        if isinstance(task_input.payload, list):
+            with ThreadPoolExecutor(min(self.jobs, len(task_input.payload))) as workers:
+                runs = workers.map(lambda x: self.run(dag, assignment, pool, Message(x)), task_input.payload)
+                return Message([m.payload for m in runs], origin=dag.end_node)
         predecessors = dag.predecessor_lists
         outputs: dict[int, Message] = {}
         for v in dag.topo_order:

@@ -1,9 +1,10 @@
 """Expert pools: an ``(n, d)`` array of parameter vectors with a diversity spec.
 
 A pool of ``a`` distinct experts each repeated ``b`` times has a * b rows;
-repeats start as value copies and drift apart once weight optimization
-moves them. Pools persist as a manifest plus one JSON file per expert,
-repeats included.
+repeats start as value copies. Weight optimization moves every expert only
+within the affine hull of the a distinct ones, so copies drift apart only
+when a >= 2, and with a = 1 no expert ever moves. Pools persist as a
+manifest plus one JSON file per expert, repeats included.
 """
 from __future__ import annotations
 

@@ -41,9 +41,11 @@ PROMPT_PREAMBLES = {
 
 _Connection = tuple[socket.socket, io.BufferedReader]
 
-# http.client's limits on one line of a reply's head and on its header count.
+# http.client's limits on one line of a reply's head and on its header count,
+# and the most body bytes one reply may hold however it is framed.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+_MAX_BODY = 1 << 24
 
 
 def build_prompt(role: str, task_text: str, prior: list[dict]) -> str:
@@ -57,15 +59,17 @@ class RemoteEvaluator(NodeEvaluator):
 
     Expert parameters are not transmitted; the endpoint is the model. Weight
     optimization over remote experts is rejected upstream for that reason.
-    Up to ``jobs`` dataset items are in flight at once. Connections are kept
+    Up to ``jobs`` items of a list payload run at once. Connections are kept
     in a pool on the evaluator and reused while the endpoint keeps them open
     (an HTTP/1.1 reply without ``Connection: close`` whose body was read in
     full); ``close`` closes the idle ones. A pooled connection that the
     endpoint has closed in the meantime is replaced by a fresh one without
     using up a retry. Each request goes out in one write, with the head that
     ``http.client`` would send. A reply body is framed by ``Content-Length``,
-    by chunked transfer coding, or by the end of the connection. Transport
-    errors (including a malformed or truncated reply) and 5xx replies are
+    by chunked transfer coding, or by the end of the connection, and holds at
+    most ``_MAX_BODY`` bytes. ``timeout`` bounds each socket operation (a
+    connect, a write, one read), not a whole request. Transport errors
+    (including a malformed, truncated or over-long reply) and 5xx replies are
     retried up to ``retries`` times; any other bad reply fails at once.
     """
 
@@ -190,6 +194,13 @@ def _line(reader) -> bytes:
     return line
 
 
+def _capped(total: int) -> int:
+    """``total`` body bytes of one reply, checked before they are read."""
+    if total > _MAX_BODY:
+        raise OSError(f"reply body longer than {_MAX_BODY} bytes")
+    return total
+
+
 def _count(field: bytes, base: int = 10) -> int:
     try:
         count = int(field, base)
@@ -226,8 +237,9 @@ def _read_reply(reader) -> tuple[int, bytes, bool]:
     if status in (204, 304):
         return status, b"", keep
     if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
-        chunks = []
+        chunks, total = [], 0
         while size := _count(_line(reader).partition(b";")[0].strip(), 16):
+            total = _capped(total + size)
             chunk = reader.read(size + 2)
             if len(chunk) < size + 2:
                 raise OSError("reply body ended early")
@@ -237,8 +249,12 @@ def _read_reply(reader) -> tuple[int, bytes, bool]:
                 raise OSError("reply ended inside its trailer")
         return status, b"".join(chunks), keep
     if b"content-length" not in headers:
-        return status, reader.read(), False
-    size = _count(headers[b"content-length"])
+        pieces, total = [], 0
+        while piece := reader.read1(min(1 << 16, _MAX_BODY + 1 - total)):
+            total = _capped(total + len(piece))
+            pieces.append(piece)
+        return status, b"".join(pieces), False
+    size = _capped(_count(headers[b"content-length"]))
     body = reader.read(size)
     if len(body) < size:
         raise OSError("reply body ended early")
@@ -295,7 +311,8 @@ class StubServer(ThreadingHTTPServer):
         return f"http://{host}:{port}/"
 
     def start(self) -> "StubServer":
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # A short poll lets ``stop`` return within 0.05 s rather than serve_forever's default 0.5 s.
+        self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         self._thread.start()
         return self
 

@@ -9,7 +9,6 @@ and text datasets scored by exact match (remote mode).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -132,19 +131,8 @@ def make_affine_task(
     return AffineTargetUtility(inputs, hidden.payload)
 
 
-def run_text_items(dag: DagStructure, assignment: Assignment, pool, inputs: list, evaluator: NodeEvaluator) -> list:
-    """End-node payloads of ``inputs``, each run as one text task; up to ``evaluator.jobs`` run at once.
-
-    Payloads are gathered in item order, the first failing item in that
-    order raises, and after a failure items not yet started never run.
-    """
-    with ThreadPoolExecutor(min(evaluator.jobs, len(inputs))) as workers:
-        runs = workers.map(lambda x: execute(dag, assignment, pool, Message(str(x)), evaluator), inputs)
-        return [m.payload for m in runs]
-
-
 class DatasetUtility(UtilityFunction):
-    """Accuracy over text items run by ``run_text_items``: 1.0 per output equal to its answer once both are stripped."""
+    """Accuracy over text items run as one execution: 1.0 per output equal to its answer once both are stripped."""
 
     def __init__(self, items: list[dict], evaluator: NodeEvaluator):
         if not items:
@@ -152,14 +140,14 @@ class DatasetUtility(UtilityFunction):
         for item in items:
             if "input" not in item or "answer" not in item:
                 raise ValueError("dataset items need 'input' and 'answer' fields")
-        self.items = items
+        self.inputs = [str(item["input"]) for item in items]
+        self.answers = [str(item["answer"]).strip() for item in items]
         self.dataset_size = len(items)
         self.evaluator = evaluator
 
     def item_results(self, dag, assignment, pool) -> tuple[list, list[float]]:
-        outputs = run_text_items(dag, assignment, pool, [item["input"] for item in self.items], self.evaluator)
-        answers = [str(item["answer"]).strip() for item in self.items]
-        return outputs, [float(str(out).strip() == answer) for out, answer in zip(outputs, answers)]
+        outputs = execute(dag, assignment, pool, Message(self.inputs), self.evaluator).payload
+        return outputs, [float(str(out).strip() == answer) for out, answer in zip(outputs, self.answers)]
 
 
 def json_lines(lines, where, what: str):

@@ -163,6 +163,15 @@ def test_jobs_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+def test_jobs_without_an_endpoint_is_a_usage_error(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    assert run_cli([command, "--jobs", "2", "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "UsageError" and ENDPOINT_ENV in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_has_no_jobs_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(["analyze", "--jobs", "2", "--correctness", "unused.json"])
@@ -634,7 +643,8 @@ def test_sweep_rejects_fewer_than_one_run_before_any_run(tmp_path, capsys):
 @no_leaked_sockets
 def test_serve_stub_echoes_and_exits_cleanly_on_sigint():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    command = [sys.executable, "-m", "dagswarm.cli", "serve-stub", "--port", "0"]
+    # faulthandler dumps every thread's stack to stderr on SIGABRT, which a hang below sends.
+    command = [sys.executable, "-X", "faulthandler", "-m", "dagswarm.cli", "serve-stub", "--port", "0"]
     # Leaving the with block closes the child's pipes, also when the test fails.
     with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as process:
         try:
@@ -648,8 +658,13 @@ def test_serve_stub_echoes_and_exits_cleanly_on_sigint():
             try:
                 _, stderr = process.communicate(timeout=10)
             except subprocess.TimeoutExpired:
-                process.kill()
-                pytest.fail(f"serve-stub did not exit within 10 s of SIGINT; stderr:\n{process.communicate()[1]}")
+                process.send_signal(signal.SIGABRT)
+                try:
+                    stderr = process.communicate(timeout=5)[1]
+                except subprocess.TimeoutExpired:
+                    process.kill()
+                    stderr = process.communicate()[1]
+                pytest.fail(f"serve-stub did not exit within 10 s of SIGINT; stderr:\n{stderr}")
         finally:
             process.kill()
     assert reply.payload == build_prompt("entry", "q", [])

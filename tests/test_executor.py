@@ -288,3 +288,25 @@ def test_predecessors_match_rebuilt_lists():
         for v in range(dag.n):
             expected = sorted((u for u, w in dag.edges if w == v), key=position.get)
             assert dag.predecessor_lists[v] == tuple(expected)
+
+
+class ComposingEvaluator(NodeEvaluator):
+    """Text outputs that spell out each node's role, expert and inputs, so a mixed-up item or node shows."""
+
+    def evaluate(self, role, params, inputs, task_input, node):
+        prior = ",".join(m.payload for m in inputs)
+        return Message(f"{role}{node}/{params}({task_input.payload};{prior})", origin=node)
+
+
+@pytest.mark.parametrize("jobs", [1, 3, 16])
+def test_list_payload_equals_one_execute_per_item_in_order(jobs):
+    texts = [f"q{k}" for k in range(7)]
+    for dag, assignment, _, _ in decoded_cases():
+        pool = [f"e{k}" for k in range(dag.n)]
+        evaluator = ComposingEvaluator()
+        evaluator.jobs = jobs
+        batch = execute(dag, assignment, pool, Message(texts), evaluator)
+        alone = [execute(dag, assignment, pool, Message(text), ComposingEvaluator()).payload for text in texts]
+        assert batch.payload == alone
+        assert batch.origin == dag.end_node
+        assert evaluator.calls == dag.n * len(texts)

@@ -113,6 +113,16 @@ def test_drawn_pool_takes_its_expert_length_from_the_task():
     assert np.array_equal(repeated[0::2], repeated[1::2]) and not np.array_equal(repeated[0], repeated[2])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_pool_of_one_distinct_expert_never_moves(seed):
+    # Weight steps move experts only within the affine hull of the distinct ones, a point here.
+    cfg = small_cfg(pool_repeats=4, mode="full", max_iterations=6, patience=6, seed=seed)
+    drawn = build_pool(1, 4, 6, RngFactory(seed).stream("init_experts"))
+    system, trace = run(cfg)
+    assert sum(row.ran_weight for row in trace.rows) == len(trace.rows) == 6
+    assert np.array_equal(system.expert_params, drawn)
+
+
 def test_pool_of_the_wrong_expert_length_rejected_before_any_evaluation():
     cfg = small_cfg()  # affine_target at dim 2 reads experts of length 6
     utility = task_utility(cfg)

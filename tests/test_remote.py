@@ -28,7 +28,7 @@ from dagswarm import (
     execute,
     optimize,
 )
-from dagswarm.utilities import run_text_items
+import dagswarm.remote as remote
 from conftest import KeepAliveStub, _KeepAliveHandler, no_leaked_sockets
 
 ENTRY = "Please answer the following question."
@@ -334,7 +334,7 @@ def test_pool_hands_each_connection_to_one_thread_at_a_time(keepalive_stub):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        outputs = run_text_items(chain_dag(2), Assignment.identity(2), [None] * 2, questions, evaluator)
+        outputs = execute(chain_dag(2), Assignment.identity(2), [None] * 2, Message(questions), evaluator).payload
         pooled = list(evaluator._idle)
     finally:
         sys.setswitchinterval(interval)
@@ -344,6 +344,25 @@ def test_pool_hands_each_connection_to_one_thread_at_a_time(keepalive_stub):
         assert output == build_prompt("end", question, [{"node": 0, "text": entry}])
     assert len(keepalive_stub.requests) == 2 * len(questions)
     assert len({id(c) for c in pooled}) == len(pooled) == len(keepalive_stub.peers) <= 8
+
+
+@no_leaked_sockets
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_list_payload_equals_one_execute_per_item_at_the_echo_stub(clean_stub, jobs):
+    dag = DagStructure(4, 3, frozenset({(0, 2), (1, 2), (2, 3), (0, 3)}), (0, 1, 2, 3))
+    questions = [f"What is {k} + {k}?" for k in range(5)]
+    alone = RemoteEvaluator(clean_stub.endpoint)
+    evaluator = RemoteEvaluator(clean_stub.endpoint, jobs=jobs)
+    try:
+        expected = [execute(dag, Assignment.identity(4), [None] * 4, Message(q), alone).payload for q in questions]
+        clean_stub.requests.clear()
+        batch = execute(dag, Assignment.identity(4), [None] * 4, Message(questions), evaluator)
+    finally:
+        alone.close()
+        evaluator.close()
+    assert batch.payload == expected
+    assert evaluator.calls == len(clean_stub.requests) == dag.n * len(questions)
+    assert sorted(r["task_input"] for r in clean_stub.requests) == sorted(questions * dag.n)
 
 
 class _SilentCloseHandler(_KeepAliveHandler):
@@ -512,6 +531,51 @@ def test_malformed_replies_are_retried_transport_errors(raw, reply, reason):
     finally:
         evaluator.close()
     assert len(raw.received) == raw.connections == 5
+
+
+def _framed(framing, body):
+    """A 200 reply carrying ``body`` in one framing, and whether the server then ends the connection."""
+    if framing == "content-length":
+        return _sized(body), False
+    if framing == "chunked":
+        halves = (body[: len(body) // 2], body[len(body) // 2 :])
+        chunks = b"".join(b"%x\r\n%s\r\n" % (len(half), half) for half in halves)
+        return b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks + b"0\r\n\r\n", False
+    return b"HTTP/1.1 200 OK\r\n\r\n" + body, True
+
+
+@no_leaked_sockets
+@pytest.mark.parametrize(
+    "head",
+    [b"Content-Length: 1000000000000000\r\n", b"Transfer-Encoding: chunked\r\n\r\n%x" % 10**15],
+    ids=["declared-length", "declared-chunk-size"],
+)
+def test_a_huge_declared_body_is_a_retried_transport_error_not_a_memory_error(raw, head):
+    raw.replies = [(b"HTTP/1.1 200 OK\r\n" + head + b"\r\n", False)] * 3
+    evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=2)
+    try:
+        with pytest.raises(RuntimeError, match=re.escape(f"remote evaluation failed at {_endpoint(raw)}: reply body longer than {remote._MAX_BODY} bytes")):
+            evaluator("end", None, [], Message("q"), 0)
+    finally:
+        evaluator.close()
+    assert len(raw.received) == raw.connections == 3
+
+
+@no_leaked_sockets
+@pytest.mark.parametrize("framing", ["content-length", "chunked", "eof"])
+def test_a_body_over_the_cap_is_a_retried_transport_error_and_one_at_the_cap_is_read(raw, monkeypatch, framing):
+    raw.replies = [_framed(framing, LONG_TEXT)] * 4
+    evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=2)
+    try:
+        monkeypatch.setattr(remote, "_MAX_BODY", len(LONG_TEXT) - 1)
+        with pytest.raises(RuntimeError, match=f"reply body longer than {len(LONG_TEXT) - 1} bytes"):
+            evaluator("end", None, [], Message("q"), 0)
+        assert len(raw.received) == raw.connections == 3
+        monkeypatch.setattr(remote, "_MAX_BODY", len(LONG_TEXT))
+        assert evaluator("end", None, [], Message("q"), 0).payload == "x" * 20
+    finally:
+        evaluator.close()
+    assert len(raw.received) == raw.connections == 4
 
 
 class _SendCounting:
