@@ -4,7 +4,7 @@ Nodes run in topological order; each node sees the task input plus the
 outputs of its predecessors and produces one message. The end node's
 message is the system output. Payloads are real vectors in synthetic mode
 and text in remote mode; a (k, d) array or a list of k texts carries k
-dataset items, and each node counts k evaluator calls for them.
+dataset items. ``execute`` alone counts evaluator calls: n per item.
 """
 from __future__ import annotations
 
@@ -49,8 +49,8 @@ class NodeEvaluator:
     """Maps (role, expert parameters or handle, inputs, task input, node) to a message.
 
     An evaluator defines either ``evaluate``, which the base ``run`` calls per
-    node, or ``run``, one whole execution. Invocations are counted in
-    ``calls``, one per dataset item, so budgets can be audited; the count is
+    node, or ``run``, one whole execution. ``execute`` counts n ``calls`` per
+    dataset item once a run returns, so budgets can be audited; the count is
     exact when threads share the evaluator. Evaluators whose experts never
     see the parameter vectors set ``uses_expert_params`` to False. The base
     ``run`` executes each item of a list payload alone, ``jobs`` at a time on
@@ -65,17 +65,11 @@ class NodeEvaluator:
         self.calls = 0
         self._calls_lock = threading.Lock()
 
-    def __call__(self, role, params, inputs, task_input, node) -> Message:
-        payload = task_input.payload
-        with self._calls_lock:
-            self.calls += len(payload) if isinstance(payload, np.ndarray) and payload.ndim == 2 else 1
-        return self.evaluate(role, params, inputs, task_input, node)
-
     def evaluate(self, role, params, inputs, task_input, node) -> Message:
         raise NotImplementedError
 
     def run(self, dag: DagStructure, assignment: Assignment, pool, task_input: Message) -> Message:
-        """One execution, checked by ``execute``: each node through ``__call__`` in topological order."""
+        """One execution, checked and counted by ``execute``: each node's ``evaluate`` in topological order."""
         if isinstance(task_input.payload, list):
             with ThreadPoolExecutor(min(self.jobs, len(task_input.payload))) as workers:
                 runs = workers.map(lambda x: self.run(dag, assignment, pool, Message(x)), task_input.payload)
@@ -87,7 +81,7 @@ class NodeEvaluator:
             inputs = [outputs[u] for u in preds]
             role = node_role(dag, v, len(preds))
             try:
-                outputs[v] = self(role, pool[assignment.slots[v]], inputs, task_input, v)
+                outputs[v] = self.evaluate(role, pool[assignment.slots[v]], inputs, task_input, v)
             except Exception as exc:  # noqa: BLE001 - annotate with the failing node
                 raise ExecutionError(v, exc) from exc
         return outputs[dag.end_node]
@@ -101,8 +95,7 @@ class AffineEvaluator(NodeEvaluator):
     outputs depend only on its values. Payloads have shape (d,) for one item
     or (k, d) for k items. Each node adds the task input, then its
     predecessors' outputs in topological order, and divides once, so every
-    row of a batch has the bits of that item run alone. n calls per item are
-    counted at once; the role is ignored.
+    row of a batch has the bits of that item run alone. The role is ignored.
     """
 
     def run(self, dag, assignment, pool, task_input) -> Message:
@@ -122,8 +115,6 @@ class AffineEvaluator(NodeEvaluator):
                 v = order[0]
                 array = np.ascontiguousarray(pool, dtype=float)  # every used row fits: an unused one is bad
             W, b = array[:, : d * d].reshape(len(array), d, d), array[:, d * d :]
-            with self._calls_lock:
-                self.calls += dag.n * (len(x) if x.ndim == 2 else 1)
             outputs: dict[int, np.ndarray] = {}
             for v in order:
                 total = x
@@ -165,5 +156,11 @@ def execute(
         raise ValueError("expert pool is empty")
     if any(s >= len(pool) for s in assignment.slots):
         raise ValueError("assignment references an expert outside the pool")
-
-    return evaluator.run(dag, assignment, pool, task_input)
+    payload = task_input.payload
+    if isinstance(payload, list) and not payload:
+        raise ValueError("task input payload holds no items")
+    output = evaluator.run(dag, assignment, pool, task_input)
+    items = len(payload) if isinstance(payload, list) or isinstance(payload, np.ndarray) and payload.ndim == 2 else 1
+    with evaluator._calls_lock:
+        evaluator.calls += dag.n * items
+    return output

@@ -282,6 +282,49 @@ def test_batched_payload_counts_one_call_per_item_and_node():
         assert evaluator.calls == 7 + dag.n * len(inputs)
 
 
+class FailingAtEvaluator(RecordingEvaluator):
+    """Records like ``RecordingEvaluator`` and raises at one node."""
+
+    def __init__(self, node):
+        super().__init__()
+        self.node = node
+
+    def evaluate(self, role, params, inputs, task_input, node):
+        if node == self.node:
+            raise RuntimeError(f"no reply at node {node}")
+        return super().evaluate(role, params, inputs, task_input, node)
+
+
+def test_an_execution_that_raises_counts_no_calls():
+    dag = chain_dag(4)
+    per_node = FailingAtEvaluator(node=2)
+    pool = np.array([IDENTITY_PLUS_ONE] * 4)
+    pool[2] *= 1e308  # the third node overflows
+    for evaluator, payload in [
+        (per_node, np.ones((2, 2))),  # the per-node loop fails at a middle node, after two nodes ran
+        (AffineEvaluator(), "text"),  # unreadable payload
+        (AffineEvaluator(), np.ones((2, 2))),  # the one pass overflows at node 2
+    ]:
+        evaluator.calls = 7
+        with np.errstate(over="raise"), pytest.raises(ExecutionError) as err:
+            execute(dag, Assignment.identity(4), pool, Message(payload), evaluator)
+        assert evaluator.calls == 7, err.value
+    assert [node for node, _, _ in per_node.visits] == [0, 1]
+
+
+def test_an_empty_item_list_fails_before_the_evaluator_runs():
+    dag = chain_dag(3)
+    evaluator = RecordingEvaluator()
+    with pytest.raises(ValueError, match="^task input payload holds no items$"):
+        execute(dag, Assignment.identity(3), ["e0", "e1", "e2"], Message([]), evaluator)
+    assert evaluator.visits == [] and evaluator.calls == 0
+    # A (0, d) array is a batch of no items: every node runs once and counts nothing.
+    out = execute(dag, Assignment.identity(3), [IDENTITY_PLUS_ONE] * 3, Message(np.zeros((0, 2))), AffineEvaluator())
+    assert out.payload.shape == (0, 2)
+    execute(dag, Assignment.identity(3), [None] * 3, Message(np.zeros((0, 2))), evaluator)
+    assert [node for node, _, _ in evaluator.visits] == [0, 1, 2] and evaluator.calls == 0
+
+
 def test_predecessors_match_rebuilt_lists():
     for dag, _, _, _ in decoded_cases():
         position = {node: k for k, node in enumerate(dag.topo_order)}

@@ -8,6 +8,7 @@ import socket
 import socketserver
 import sys
 import threading
+import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -238,7 +239,7 @@ def scripted():
 def _ask(server, retries):
     host, port = server.server_address[:2]
     evaluator = RemoteEvaluator(f"http://{host}:{port}/", timeout=5, retries=retries)
-    return evaluator("end", None, [], Message("q"), 0)
+    return evaluator.evaluate("end", None, [], Message("q"), 0)
 
 
 OK = (200, b'{"text": "ok"}')
@@ -379,7 +380,7 @@ def test_a_stale_pooled_connection_costs_no_retry():
     evaluator = RemoteEvaluator(server.endpoint, retries=0)
     try:
         for _ in range(3):
-            assert evaluator("end", None, [], Message("q"), 0).payload.startswith(PROMPT_PREAMBLES["end"])
+            assert evaluator.evaluate("end", None, [], Message("q"), 0).payload.startswith(PROMPT_PREAMBLES["end"])
     finally:
         evaluator.close()
         server.stop()
@@ -387,11 +388,15 @@ def test_a_stale_pooled_connection_costs_no_retry():
     assert len(server.peers) == 3
 
 
+DRIP = 0.1  # seconds between the pieces of a dripping reply
+
+
 class _RawHandler(socketserver.StreamRequestHandler):
     """Reads each request by hand and answers it with the server's next scripted ``(reply, close)``.
 
-    The reply's bytes go out as they are. With ``close`` the server then ends
-    its side of the connection, so the client reads EOF after them.
+    The reply's bytes go out as they are; a reply given as a list of pieces
+    goes out one piece every ``DRIP`` seconds. With ``close`` the server then
+    ends its side of the connection, so the client reads EOF after them.
     """
 
     timeout = 5  # a client that never closes its end cannot hang the server
@@ -408,7 +413,9 @@ class _RawHandler(socketserver.StreamRequestHandler):
                 length = int(re.search(rb"Content-Length: (\d+)", head)[1])
                 self.server.received.append(head + line + self.rfile.read(length))
                 reply, close = self.server.replies.pop(0)
-                self.wfile.write(reply)
+                for k, piece in enumerate(reply if isinstance(reply, list) else [reply]):
+                    time.sleep(DRIP if k else 0)
+                    self.wfile.write(piece)
                 if close:
                     self.connection.shutdown(socket.SHUT_WR)
                     self.rfile.read()  # until the client closes its end
@@ -469,7 +476,7 @@ def test_reply_framings_and_which_connections_are_pooled(raw, reply, close, pool
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=5)
     try:
         for _ in range(2):
-            assert evaluator("end", None, [], Message("q"), 0).payload == text
+            assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == text
             assert len(evaluator._idle) == pooled
     finally:
         evaluator.close()
@@ -478,13 +485,28 @@ def test_reply_framings_and_which_connections_are_pooled(raw, reply, close, pool
 
 
 @no_leaked_sockets
+def test_timeout_bounds_each_socket_read_not_the_whole_reply(raw):
+    # Four pieces DRIP apart: no read waits longer than DRIP, but the reply takes longer than the timeout.
+    reply = _sized(LONG_TEXT)
+    raw.replies = [([reply[:10], reply[10:30], reply[30:50], reply[50:]], False)]
+    evaluator = RemoteEvaluator(_endpoint(raw), timeout=0.25)
+    start = time.perf_counter()
+    try:
+        assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == "x" * 20
+    finally:
+        evaluator.close()
+    assert time.perf_counter() - start >= 3 * DRIP > evaluator.timeout
+    assert raw.connections == 1
+
+
+@no_leaked_sockets
 def test_a_204_reply_has_no_body_and_keeps_the_connection(raw):
     raw.replies = [(b"HTTP/1.1 204 No Content\r\n\r\n", False), (_sized(), False)]
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=2)
     try:
         with pytest.raises(RuntimeError, match="not a JSON object"):
-            evaluator("end", None, [], Message("q"), 0)
-        assert evaluator("end", None, [], Message("q"), 0).payload == "ok"
+            evaluator.evaluate("end", None, [], Message("q"), 0)
+        assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == "ok"
     finally:
         evaluator.close()
     assert len(raw.received) == 2
@@ -499,7 +521,7 @@ def test_eof_before_the_status_line_of_a_pooled_connection_costs_no_retry(raw):
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=0)
     try:
         for _ in range(2):
-            assert evaluator("end", None, [], Message("q"), 0).payload == "ok"
+            assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == "ok"
     finally:
         evaluator.close()
     assert len(raw.received) == raw.connections == 2
@@ -525,9 +547,9 @@ def test_malformed_replies_are_retried_transport_errors(raw, reply, reason):
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=2)
     try:
         with pytest.raises(RuntimeError, match=re.escape(f"remote evaluation failed at {_endpoint(raw)}: ") + ".*" + reason):
-            evaluator("end", None, [], Message("q"), 0)
+            evaluator.evaluate("end", None, [], Message("q"), 0)
         assert len(raw.received) == raw.connections == 3
-        assert evaluator("end", None, [], Message("q"), 0).payload == "ok"
+        assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == "ok"
     finally:
         evaluator.close()
     assert len(raw.received) == raw.connections == 5
@@ -555,7 +577,7 @@ def test_a_huge_declared_body_is_a_retried_transport_error_not_a_memory_error(ra
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=2)
     try:
         with pytest.raises(RuntimeError, match=re.escape(f"remote evaluation failed at {_endpoint(raw)}: reply body longer than {remote._MAX_BODY} bytes")):
-            evaluator("end", None, [], Message("q"), 0)
+            evaluator.evaluate("end", None, [], Message("q"), 0)
     finally:
         evaluator.close()
     assert len(raw.received) == raw.connections == 3
@@ -569,10 +591,10 @@ def test_a_body_over_the_cap_is_a_retried_transport_error_and_one_at_the_cap_is_
     try:
         monkeypatch.setattr(remote, "_MAX_BODY", len(LONG_TEXT) - 1)
         with pytest.raises(RuntimeError, match=f"reply body longer than {len(LONG_TEXT) - 1} bytes"):
-            evaluator("end", None, [], Message("q"), 0)
+            evaluator.evaluate("end", None, [], Message("q"), 0)
         assert len(raw.received) == raw.connections == 3
         monkeypatch.setattr(remote, "_MAX_BODY", len(LONG_TEXT))
-        assert evaluator("end", None, [], Message("q"), 0).payload == "x" * 20
+        assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == "x" * 20
     finally:
         evaluator.close()
     assert len(raw.received) == raw.connections == 4
@@ -620,7 +642,7 @@ def test_requests_are_the_bytes_of_http_client_in_one_sendall(raw, monkeypatch, 
     evaluator = RemoteEvaluator(endpoint, timeout=5)
     try:
         for text in ("q", "r"):
-            evaluator("end", None, [], Message(text), 0)
+            evaluator.evaluate("end", None, [], Message(text), 0)
     finally:
         evaluator.close()
     assert sends == [("sendall", request) for request in raw.received]
@@ -648,7 +670,7 @@ def test_https_endpoint_on_a_plain_http_server_fails_its_handshake(clean_stub, m
     host, port = clean_stub.server_address[:2]
     evaluator = RemoteEvaluator(f"https://{host}:{port}/", timeout=0.5, retries=2)
     with pytest.raises(RuntimeError, match=r"remote evaluation failed at https://.*(SSL|handshake)"):
-        evaluator("end", None, [], Message("q"), 0)
+        evaluator.evaluate("end", None, [], Message("q"), 0)
     evaluator.close()
     assert opened == [(host, port)] * 3
     assert clean_stub.requests == []

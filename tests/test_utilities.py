@@ -230,7 +230,14 @@ def test_items_not_started_are_cancelled_after_a_failure():
     assert len(evaluator.started) < len(items) // 2
 
 
-class PropertyCountEvaluator(CannedEvaluator):
+class InstantEvaluator(NodeEvaluator):
+    """Returns the task input at once, so a test of ``execute``'s count spends its time in ``execute``."""
+
+    def run(self, dag, assignment, pool, task_input):
+        return task_input
+
+
+class PropertyCountEvaluator(InstantEvaluator):
     """Reads and writes ``calls`` through Python code, so a thread switch can fall between the two."""
 
     @property
@@ -242,14 +249,15 @@ class PropertyCountEvaluator(CannedEvaluator):
         self._count = value
 
 
-@pytest.mark.parametrize("evaluator_type", [CannedEvaluator, PropertyCountEvaluator])
+@pytest.mark.parametrize("evaluator_type", [InstantEvaluator, PropertyCountEvaluator])
 def test_evaluator_calls_exact_under_threads(evaluator_type):
-    evaluator = evaluator_type({})
+    evaluator = evaluator_type()
     task, rounds, threads = Message("q"), 20_000, 8
+    assignment, pool = Assignment.identity(1), [np.zeros(1)]
 
     def hammer():
         for _ in range(rounds):
-            evaluator("end", None, [], task, 0)
+            execute(DAG1, assignment, pool, task, evaluator)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
