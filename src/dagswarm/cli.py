@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .graph import decode_dag
-from .metrics import ABLATION_FIELDS, analysis_report, bucketize
+from .metrics import analysis_report, bucketize
 from .orchestrate import MODES, OptimizedSystem, RunConfig, RunTrace, config_from_dict, optimize
 from .pool import load_pool
 from .pso import sample_grid_hyperparams
 from .remote import RemoteEvaluator, StubServer
 from .rng import RngFactory
-from .utilities import UtilityFunction, build_utility
+from .utilities import UtilityFunction, build_utility, json_field, json_object, read_json
 
 ENDPOINT_ENV = "DAGSWARM_ENDPOINT"
 
@@ -34,7 +34,7 @@ def parse_config(path: str | None) -> RunConfig:
     """Read a JSON config file; an empty file means full defaults."""
     if path is None or not Path(path).read_text().strip():
         return RunConfig()
-    return config_from_dict(_read_fields(path, "config", ()))
+    return config_from_dict(json_object(read_json(path), "config"))
 
 
 def _usage_error(message: str) -> int:
@@ -103,8 +103,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    data = json.loads(Path(args.matrix).read_text())
-    matrix = data.get("matrix") if isinstance(data, dict) else data  # decode_dag rejects a non-square one
+    data = read_json(args.matrix)
+    matrix = json_field(data, "matrix file", "matrix") if isinstance(data, dict) else data  # decode_dag rejects a non-square one
     with np.errstate(over="ignore"):  # exp overflowing to inf is part of the decode, not a second error line
         dag = decode_dag(matrix, args.top_p, RngFactory(args.seed).stream("decode", 0, 0))
     record = {"format_version": 1, "top_p": args.top_p, "seed": args.seed, "dag": dag.to_dict()}
@@ -116,7 +116,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    system = OptimizedSystem.from_dict(json.loads(Path(args.system).read_text()))
+    system = OptimizedSystem.from_dict(read_json(args.system))
     cfg = parse_config(args.config)
     with _node_evaluator() as evaluator:
         utility = _task(cfg, evaluator)
@@ -133,21 +133,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _read_fields(path: str, name: str, fields) -> dict:
-    """A JSON object file with every one of ``fields``; anything else raises ``ValueError`` naming ``name``."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{name} root must be a JSON object")
-    for field in fields:
-        if field not in data:
-            raise ValueError(f"{name} has no {field!r} field")
-    return data
-
-
 def cmd_analyze(args) -> int:
-    data = _read_fields(args.correctness, "correctness file", ("per_expert_correct", "system_correct"))
+    data = json_object(read_json(args.correctness), "correctness file", "per_expert_correct", "system_correct")
     table = bucketize(data["per_expert_correct"], data["system_correct"])
-    ablation = _read_fields(args.ablation, "ablation file", ABLATION_FIELDS) if args.ablation else None
+    ablation = json_object(read_json(args.ablation), "ablation file") if args.ablation else None
     metrics = RunTrace.from_jsonl(Path(args.trace).read_text()).to_csv() if args.trace else None
     report = analysis_report(table, ablation)
     out = _out_dir(args)  # every input is read before anything is written

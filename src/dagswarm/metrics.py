@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .utilities import json_field
+
 
 @dataclass(frozen=True)
 class BucketTable:
@@ -103,6 +105,7 @@ def ablation_consistent(
 
 
 def analysis_report(table: BucketTable, ablation: dict | None = None) -> dict:
+    """The report of ``table``; an ``ablation`` that lacks one of ``ABLATION_FIELDS`` or holds a non-number raises ``ValueError`` naming it."""
     report = {
         "format_version": 1,
         "bucket_table": table.to_dict(),
@@ -110,7 +113,7 @@ def analysis_report(table: BucketTable, ablation: dict | None = None) -> dict:
         "solved_from_zero_rate": table.accuracy(0),
     }
     if ablation is not None:
-        values = {key: float(ablation[key]) for key in ABLATION_FIELDS}
+        values = {key: json_field(ablation, "ablation file", key, float) for key in ABLATION_FIELDS}
         report["ablation"] = {**values, "consistent": ablation_consistent(**values)}
     return report
 

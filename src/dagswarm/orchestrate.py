@@ -16,6 +16,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .pool import build_pool
 from .pso import PsoHyperparams, Swarm
 from .rng import RngFactory
 from .role_step import RoleRecord, SparsityConfig, role_step
-from .utilities import UtilityFunction, json_lines
+from .utilities import UtilityFunction, json_field, json_lines, json_object, read_json
 from .weight_step import weight_step
 
 MODES = ("full", "role_only", "weight_only")
@@ -71,23 +72,30 @@ class RunConfig:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build a validated RunConfig; unknown keys, nested ones too, are rejected by name."""
-    plain = dict(data)
-    for key in plain:
-        if key not in RunConfig.__dataclass_fields__:
-            raise ValueError(f"unknown config key: {key!r}")
-    for key, cls in (("role_hp", PsoHyperparams), ("weight_hp", PsoHyperparams), ("sparsity", SparsityConfig)):
-        if key in plain:
-            sub = plain[key]
-            if not isinstance(sub, dict):
-                raise ValueError(f"{key} must be an object")
-            for name in sub:
-                if name not in cls.__dataclass_fields__:
-                    raise ValueError(f"unknown config key: {key}.{name}")
-            plain[key] = cls(**sub)
-    if "utility_spec" in plain and not isinstance(plain["utility_spec"], dict):
-        raise ValueError("utility_spec must be an object")
-    return RunConfig(**plain)
+    """Build a validated RunConfig; unknown keys and values of the wrong JSON type, nested ones too, are rejected by name."""
+    return _config_section(RunConfig, data, "config")
+
+
+_JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,)}  # exact types: a boolean is no integer
+_SECTIONS = {"PsoHyperparams": PsoHyperparams, "SparsityConfig": SparsityConfig}
+
+
+def _config_section(cls, data: dict, name: str, prefix: str = ""):
+    """``cls`` built from ``data``, each value checked against the JSON type its field in ``fields(cls)`` names."""
+    types = {f.name: f.type for f in fields(cls)}
+    plain = {}
+    for key, value in data.items():
+        if key not in types:
+            raise ValueError(f"unknown config key: {prefix + key!r}")
+        kind = types[key]
+        if kind in _JSON_KINDS:
+            json_field(data, name, key, kinds=_JSON_KINDS[kind])
+        elif not isinstance(value, dict):
+            raise ValueError(f"{key} must be an object")
+        elif kind in _SECTIONS:
+            value = _config_section(_SECTIONS[kind], value, key, f"{key}.")
+        plain[key] = value
+    return cls(**plain)
 
 
 def dropout_gate(d_r: float, d_w: float, rng: np.random.Generator) -> tuple[bool, bool]:
@@ -190,20 +198,14 @@ class OptimizedSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizedSystem":
-        """Inverse of ``to_dict``; a non-object, an unknown ``format_version``, a missing key or a bad DAG raises ``ValueError``."""
-        if not isinstance(data, dict):
-            raise ValueError("system root must be a JSON object")
-        if data.get("format_version") != SYSTEM_VERSION:
-            raise ValueError(f"unsupported system version: {data.get('format_version')}")
-        for key in ("dag", "assignment", "experts", "best_utility", "best_role_utility"):
-            if key not in data:
-                raise ValueError(f"system has no {key!r} field")
+        """Inverse of ``to_dict``; a non-object, an unknown ``format_version``, or a key that is missing or cannot be read raises ``ValueError``."""
+        read = partial(json_field, json_object(data, "system", version=SYSTEM_VERSION), "system")
         return cls(
-            dag=DagStructure.from_dict(data["dag"]),
-            assignment=Assignment(tuple(int(slot) for slot in data["assignment"])),
-            expert_params=np.array(data["experts"], dtype=float),
-            best_utility=float(data["best_utility"]),
-            best_role_utility=float(data["best_role_utility"]),
+            dag=read("dag", DagStructure.from_dict),
+            assignment=read("assignment", lambda slots: Assignment(tuple(int(slot) for slot in slots))),
+            expert_params=read("experts", lambda experts: np.array(experts, dtype=float)),
+            best_utility=read("best_utility", float),
+            best_role_utility=read("best_role_utility", float),
         )
 
 
@@ -284,35 +286,20 @@ class RunState:
     @classmethod
     def from_checkpoint(cls, payload, cfg: RunConfig) -> "RunState":
         """Inverse of ``to_checkpoint``; raises ``ValueError`` unless the payload resumes ``cfg``'s run."""
-        if not isinstance(payload, dict):
-            raise ValueError("checkpoint root must be a JSON object")
-        if payload.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')}")
-
-        def required(key: str, parse=lambda value: value):
-            if key not in payload:
-                raise ValueError(f"checkpoint has no {key!r} field")
-            try:
-                return parse(payload[key])
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"checkpoint field {key!r} cannot be read: {exc!r}") from exc
-        stored = required("config", lambda config: {**config})
+        read = partial(json_field, json_object(payload, "checkpoint", version=CHECKPOINT_VERSION), "checkpoint")
+        stored = read("config", lambda config: {**config})
         for name, value in json.loads(json.dumps(asdict(cfg))).items():
             if name not in ("max_iterations", "patience") and stored.get(name) != value:
                 raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
         if not isinstance(payload.get("record"), dict):
             raise ValueError("checkpoint holds no structure record")
-        for key, kinds in (("iteration", (int,)), ("stall", (int,)), ("best_utility", (int, float))):
-            value = required(key)
-            if type(value) not in kinds:  # exact types, so a boolean is no integer
-                raise ValueError(f"checkpoint field {key!r} cannot be read: {value!r} is a {type(value).__name__}")
         return cls(
-            iteration=payload["iteration"],
-            stall=payload["stall"],
-            best_utility=payload["best_utility"],
-            matrix_swarm=required("matrix_swarm", _unpack_swarm),
-            expert_swarm=required("expert_swarm", _unpack_swarm),
-            record=required("record", lambda record: RoleRecord(
+            iteration=read("iteration", kinds=(int,)),
+            stall=read("stall", kinds=(int,)),
+            best_utility=read("best_utility", kinds=(int, float)),
+            matrix_swarm=read("matrix_swarm", _unpack_swarm),
+            expert_swarm=read("expert_swarm", _unpack_swarm),
+            record=read("record", lambda record: RoleRecord(
                 _unpack(record["matrix"]), DagStructure.from_dict(record["dag"]), float(record["utility"]))),
         )
 
@@ -344,7 +331,7 @@ def optimize(
     identity = Assignment.identity(cfg.n_experts)
     budget = cfg.n_experts * (cfg.matrix_swarm_size + cfg.assignments_per_step) * utility.dataset_size
     if resume_from is not None:
-        state = RunState.from_checkpoint(json.loads(Path(resume_from).read_text()), cfg)
+        state = RunState.from_checkpoint(read_json(resume_from), cfg)
     else:
         state = RunState.initial(cfg, pool, utility.expert_dim, rng)
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .utilities import json_object, read_json
+
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
 
@@ -54,20 +56,16 @@ def load_pool(directory: str | Path) -> np.ndarray:
     ``files`` may name only plain file names inside ``directory``.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / MANIFEST_NAME).read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError("pool manifest must be a JSON object")
-    for key in ("format_version", "n_experts", "dim", "files"):
-        if key not in manifest:
-            raise ValueError(f"pool manifest has no {key!r} field")
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported pool format version {manifest['format_version']}")
+    manifest = json_object(
+        read_json(directory / MANIFEST_NAME), "pool manifest", "format_version", "n_experts", "dim", "files",
+        version=FORMAT_VERSION,
+    )
     if not isinstance(manifest["files"], list):
         raise ValueError("pool manifest field 'files' must be a list")
     for name in manifest["files"]:
         if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
             raise ValueError(f"pool manifest entry {name!r} is not a plain file name")
-    pool = np.array([json.loads((directory / name).read_text()) for name in manifest["files"]], dtype=float)
+    pool = np.array([read_json(directory / name) for name in manifest["files"]], dtype=float)
     if pool.ndim != 2 or len(pool) != manifest["n_experts"]:
         raise ValueError("expert files must hold manifest n_experts vectors of one length")
     if pool.shape[1] != manifest["dim"]:

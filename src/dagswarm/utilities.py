@@ -164,6 +164,38 @@ def json_lines(lines, where, what: str):
         yield number, record
 
 
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``; bad JSON raises ``ValueError("<path> line <n>: ...")``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} line {exc.lineno}: {exc.msg} at column {exc.colno}") from exc
+
+
+def json_object(data, name: str, *keys: str, version=None) -> dict:
+    """``data`` if it is a JSON object with ``keys`` (checked in order) and, given ``version``, that ``format_version``; else ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} root must be a JSON object")
+    for key in keys:
+        json_field(data, name, key)
+    if version is not None and data.get("format_version") != version:
+        raise ValueError(f"unsupported {name} version: {data.get('format_version')}")
+    return data
+
+
+def json_field(data: dict, name: str, key: str, parse=lambda value: value, kinds: tuple | None = None):
+    """``parse(data[key])``; a missing key, a type not in ``kinds`` (exact, so a boolean is no ``int``) or a parse error raises ``ValueError``."""
+    if key not in data:
+        raise ValueError(f"{name} has no {key!r} field")
+    value = data[key]
+    if kinds is not None and type(value) not in kinds:
+        raise ValueError(f"{name} field {key!r} cannot be read: {value!r} is a {type(value).__name__}")
+    try:
+        return parse(value)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{name} field {key!r} cannot be read: {exc!r}") from exc
+
+
 def load_dataset(path: str | Path) -> list[dict]:
     """One JSON object per non-blank line; bad JSON or another value raises ``ValueError`` naming the path and line."""
     with open(path, encoding="utf-8") as handle:

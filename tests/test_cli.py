@@ -65,6 +65,12 @@ def test_decode_accepts_wrapped_matrix_and_writes_file(tmp_path, capsys):
     assert json.loads(out.read_text())["dag"]["end_node"] == 1
 
 
+def test_decode_names_a_matrix_file_without_its_matrix_field(tmp_path, capsys):
+    matrix = write(tmp_path / "m.json", {"mtx": [[0.1]]})
+    assert run_cli(["decode", "--matrix", matrix]) == 1
+    assert cli_error(capsys) == {"type": "ValueError", "message": "matrix file has no 'matrix' field"}
+
+
 def test_decode_rejects_top_p_out_of_range_for_a_single_node(tmp_path, capsys):
     matrix = write(tmp_path / "m.json", [[0.0]])
     assert run_cli(["decode", "--matrix", matrix, "--top-p", "5"]) == 1
@@ -212,6 +218,19 @@ def test_analyze_names_the_root_or_missing_field_of_a_malformed_file(flag, conte
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert json.loads(line)["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "an").exists()
+
+
+@pytest.mark.parametrize("value,error", [(None, "TypeError"), ("x", "ValueError")])
+def test_analyze_names_an_ablation_value_it_cannot_read(value, error, tmp_path, capsys):
+    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[1]], "system_correct": [1]})
+    ablation = write(
+        tmp_path / "ablation.json",
+        {"wo_role": value, "wo_weight": 0.2, "role_baseline_avg": 0.5, "weight_baseline_avg": 0.4},
+    )
+    assert run_cli(["analyze", "--correctness", correctness, "--ablation", ablation, "--out", str(tmp_path / "an")]) == 1
+    message = cli_error(capsys)["message"]
+    assert message.startswith(f"ablation file field 'wo_role' cannot be read: {error}(")
     assert not (tmp_path / "an").exists()
 
 
@@ -542,6 +561,58 @@ def test_evaluate_names_a_missing_system_key(tmp_path, capsys, monkeypatch, key)
     assert run_cli(["evaluate", "--system", str(system), "--config", affine_config(tmp_path)]) == 1
     error = cli_error(capsys)
     assert error == {"type": "ValueError", "message": f"system has no {key!r} field"}
+
+
+def test_evaluate_names_a_system_field_it_cannot_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    system = tmp_path / "sys.json"
+    write_system(system, diamond_dag(), np.zeros((4, 6)))
+    write(system, {**json.loads(system.read_text()), "dag": {}})
+    assert run_cli(["evaluate", "--system", str(system), "--config", affine_config(tmp_path)]) == 1
+    assert cli_error(capsys) == {"type": "ValueError", "message": "system field 'dag' cannot be read: KeyError('n')"}
+
+
+def test_optimize_names_a_config_value_of_the_wrong_json_type(tmp_path, capsys):
+    cfg = affine_config(tmp_path, n_experts="4")
+    assert run_cli(["optimize", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    assert cli_error(capsys) == {"type": "ValueError", "message": "config field 'n_experts' cannot be read: '4' is a str"}
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("bad", ["config", "matrix", "system", "correctness", "ablation", "resume", "manifest", "expert"])
+def test_a_json_input_file_that_is_not_json_names_itself(bad, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    cfg = affine_config(tmp_path)
+    pool = tmp_path / "pool"
+    save_pool(np.zeros((4, 6)), pool)
+    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[1]], "system_correct": [1]})
+    paths = {
+        "config": cfg,
+        "matrix": write(tmp_path / "m.json", [[0.0]]),
+        "system": write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 6))),
+        "correctness": correctness,
+        "ablation": write(tmp_path / "ablation.json", {}),
+        "resume": str(tmp_path / "ck.json"),
+        "manifest": str(pool / "manifest.json"),
+        "expert": str(pool / "expert_001.json"),
+    }
+    commands = {
+        "config": ["optimize", "--config", cfg],
+        "matrix": ["decode", "--matrix", paths["matrix"]],
+        "system": ["evaluate", "--system", paths["system"], "--config", cfg],
+        "correctness": ["analyze", "--correctness", correctness],
+        "ablation": ["analyze", "--correctness", correctness, "--ablation", paths["ablation"]],
+        "resume": ["optimize", "--config", cfg, "--resume", paths["resume"]],
+        "manifest": ["optimize", "--config", cfg, "--pool", str(pool)],
+        "expert": ["optimize", "--config", cfg, "--pool", str(pool)],
+    }
+    Path(paths[bad]).write_text('{\n  "x": 1,\n}')
+    assert run_cli(commands[bad] + ["--out", str(tmp_path / "out")]) == 1
+    assert cli_error(capsys) == {
+        "type": "ValueError",
+        "message": f"{paths[bad]} line 3: Expecting property name enclosed in double quotes at column 1",
+    }
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_names_a_dataset_line_that_is_not_an_object(tmp_path, capsys, monkeypatch, clean_stub):

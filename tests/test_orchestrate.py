@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -80,6 +81,29 @@ def test_config_rejects_non_object_nested_values_by_name(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be an object$"):
         config_from_dict({key: value})
 
+
+@pytest.mark.parametrize("data,message", [
+    ({"max_iterations": 2.5}, "config field 'max_iterations' cannot be read: 2.5 is a float"),
+    ({"max_iterations": 1e3}, "config field 'max_iterations' cannot be read: 1000.0 is a float"),
+    ({"seed": 1.5}, "config field 'seed' cannot be read: 1.5 is a float"),
+    ({"n_experts": "4"}, "config field 'n_experts' cannot be read: '4' is a str"),
+    ({"n_experts": 4.0}, "config field 'n_experts' cannot be read: 4.0 is a float"),
+    ({"n_experts": True}, "config field 'n_experts' cannot be read: True is a bool"),
+    ({"top_p": "0.8"}, "config field 'top_p' cannot be read: '0.8' is a str"),
+    ({"dropout_role": False}, "config field 'dropout_role' cannot be read: False is a bool"),
+    ({"mode": 1}, "config field 'mode' cannot be read: 1 is a int"),
+    ({"role_hp": {"inertia": None}}, "role_hp field 'inertia' cannot be read: None is a NoneType"),
+    ({"sparsity": {"mode": ["l1"]}}, "sparsity field 'mode' cannot be read: ['l1'] is a list"),
+], ids=["iterations-float", "iterations-1e3", "seed-float", "experts-str", "experts-float", "experts-bool",
+        "top_p-str", "dropout-bool", "mode-int", "role_hp-null", "sparsity-list"])
+def test_config_rejects_a_value_of_the_wrong_json_type_by_name(data, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict(data)
+
+
+def test_config_float_fields_take_integers():
+    cfg = config_from_dict({"top_p": 1, "dropout_weight": 0, "role_hp": {"inertia": 1}, "sparsity": {"tau": 0}})
+    assert (cfg.top_p, cfg.dropout_weight, cfg.role_hp.inertia, cfg.sparsity.tau) == (1, 0, 1, 0)
 
 def test_config_range_validation():
     with pytest.raises(ValueError):
@@ -361,6 +385,17 @@ def test_system_from_dict_names_an_unknown_version(version):
     with pytest.raises(ValueError, match=f"version: {version}"):
         OptimizedSystem.from_dict(data)
 
+
+@pytest.mark.parametrize("key,value,error", [
+    ("dag", {}, "KeyError"),
+    ("dag", [1], "TypeError"),
+    ("assignment", 5, "TypeError"),
+    ("best_utility", None, "TypeError"),
+])
+def test_system_from_dict_names_a_field_it_cannot_read(key, value, error):
+    data = {**run(small_cfg(max_iterations=1))[0].to_dict(), key: value}
+    with pytest.raises(ValueError, match=f"^system field {key!r} cannot be read: {error}"):
+        OptimizedSystem.from_dict(data)
 
 def test_system_from_dict_validates_the_dag():
     data = run(small_cfg(max_iterations=1))[0].to_dict()

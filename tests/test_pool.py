@@ -106,7 +106,7 @@ def test_load_names_a_missing_manifest_field(tmp_path, key):
 def test_load_rejects_a_manifest_that_is_not_an_object(tmp_path, manifest):
     directory = saved_manifest(tmp_path)
     (directory / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="pool manifest must be a JSON object"):
+    with pytest.raises(ValueError, match="pool manifest root must be a JSON object"):
         load_pool(directory)
 
 
