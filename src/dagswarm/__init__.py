@@ -36,7 +36,7 @@ from .orchestrate import (
 )
 from .pool import build_pool, load_pool, save_pool
 from .pso import GRID, PsoHyperparams, Swarm, pso_step, sample_grid_hyperparams
-from .remote import PROMPT_PREAMBLES, RemoteEvaluator, StubServer, build_prompt
+from .remote import PROMPT_PREAMBLES, RemoteEvaluator, build_prompt
 from .rng import RngFactory
 from .role_step import RoleRecord, SparsityConfig, role_step, shaped_utility
 from .utilities import (
@@ -62,3 +62,12 @@ from .weight_step import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``StubServer``, loaded from ``dagswarm.stub`` on first use so that importing dagswarm loads no HTTP server."""
+    if name == "StubServer":
+        from .stub import StubServer
+
+        return StubServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,7 @@ from .metrics import analysis_report, bucketize
 from .orchestrate import MODES, OptimizedSystem, RunConfig, RunTrace, config_from_dict, optimize
 from .pool import load_pool
 from .pso import sample_grid_hyperparams
-from .remote import RemoteEvaluator, StubServer
+from .remote import RemoteEvaluator
 from .rng import RngFactory
 from .utilities import UtilityFunction, build_utility, json_field, json_object, read_json
 
@@ -31,10 +31,11 @@ ENDPOINT_ENV = "DAGSWARM_ENDPOINT"
 
 
 def parse_config(path: str | None) -> RunConfig:
-    """Read a JSON config file; an empty file means full defaults."""
-    if path is None or not Path(path).read_text().strip():
+    """Read a JSON config file once; an empty file means full defaults."""
+    text = "" if path is None else Path(path).read_text()
+    if not text.strip():
         return RunConfig()
-    return config_from_dict(json_object(read_json(path), "config"))
+    return config_from_dict(json_object(read_json(path, text), "config"))
 
 
 def _usage_error(message: str) -> int:
@@ -176,6 +177,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_serve_stub(args) -> int:
+    from .stub import StubServer  # the only command that needs http.server
+
     with StubServer(args.host, args.port) as server, suppress(KeyboardInterrupt):
         print(json.dumps({"endpoint": server.endpoint}), flush=True)
         server.serve_forever()

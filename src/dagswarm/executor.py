@@ -9,7 +9,6 @@ dataset items. ``execute`` alone counts evaluator calls: n per item.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +70,8 @@ class NodeEvaluator:
     def run(self, dag: DagStructure, assignment: Assignment, pool, task_input: Message) -> Message:
         """One execution, checked and counted by ``execute``: each node's ``evaluate`` in topological order."""
         if isinstance(task_input.payload, list):
+            from concurrent.futures import ThreadPoolExecutor  # only list payloads pay for loading it
+
             with ThreadPoolExecutor(min(self.jobs, len(task_input.payload))) as workers:
                 runs = workers.map(lambda x: self.run(dag, assignment, pool, Message(x)), task_input.payload)
                 return Message([m.payload for m in runs], origin=dag.end_node)

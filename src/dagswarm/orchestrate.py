@@ -76,7 +76,8 @@ def config_from_dict(data: dict) -> RunConfig:
     return _config_section(RunConfig, data, "config")
 
 
-_JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,)}  # exact types: a boolean is no integer
+# The JSON types a field's annotation takes, exactly: a boolean is no integer.
+_JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "float | None": (int, float, type(None))}
 _SECTIONS = {"PsoHyperparams": PsoHyperparams, "SparsityConfig": SparsityConfig}
 
 
@@ -141,6 +142,7 @@ class RunTrace:
     # The serialized columns. Wall time is kept in memory only; serialized
     # traces must be byte-identical across reruns of the same config and seed.
     COLUMNS = tuple(f.name for f in fields(TraceRow) if f.name != "wall_time_s")
+    _KINDS = {f.name: _JSON_KINDS[f.type] for f in fields(TraceRow)}
     rows: list[TraceRow] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
@@ -149,7 +151,7 @@ class RunTrace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RunTrace":
-        """Rows of a ``to_jsonl`` text (blank lines skipped, wall times 0); a bad line raises ``ValueError("trace line <n>: ...")``."""
+        """Rows of a ``to_jsonl`` text (blank lines skipped, wall times 0); a bad line or value raises ``ValueError("trace line <n>...")``."""
         rows = []
         for number, record in json_lines(text.splitlines(), "trace", "a trace row"):
             missing = [name for name in cls.COLUMNS if name not in record]
@@ -157,7 +159,8 @@ class RunTrace:
             if missing or unknown:
                 problem = f"no {missing[0]!r} field" if missing else f"unknown field {unknown[0]!r}"
                 raise ValueError(f"trace line {number}: {problem}")
-            rows.append(TraceRow(**record))
+            where = f"trace line {number}"
+            rows.append(TraceRow(**{name: json_field(record, where, name, kinds=cls._KINDS[name]) for name in cls.COLUMNS}))
         return cls(rows)
 
     def to_csv(self) -> str:
@@ -203,10 +206,25 @@ class OptimizedSystem:
         return cls(
             dag=read("dag", DagStructure.from_dict),
             assignment=read("assignment", lambda slots: Assignment(tuple(int(slot) for slot in slots))),
-            expert_params=read("experts", lambda experts: np.array(experts, dtype=float)),
-            best_utility=read("best_utility", float),
-            best_role_utility=read("best_role_utility", float),
+            expert_params=read("experts", _expert_array),
+            best_utility=read("best_utility", _number),
+            best_role_utility=read("best_role_utility", _number),
         )
+
+
+def _expert_array(value) -> np.ndarray:
+    """A list of equal-length lists of JSON numbers as a float ``(n, d)`` array; anything else raises ``ValueError``."""
+    array = np.array(value)
+    if array.ndim != 2 or array.dtype.kind not in "iuf":
+        raise ValueError(f"expected a list of equal-length lists of numbers, got a {array.ndim}-d {array.dtype} array")
+    return array.astype(float)
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a string, a boolean or null raises ``TypeError``."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is a {type(value).__name__}")
+    return float(value)
 
 
 def _pack(value):

@@ -1,4 +1,4 @@
-"""Remote node evaluation over HTTP plus a stub server for tests.
+"""Remote node evaluation over HTTP.
 
 Wire protocol, one POST per node evaluation:
 
@@ -19,9 +19,7 @@ from __future__ import annotations
 import io
 import json
 import socket
-import ssl
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 from .executor import Message, NodeEvaluator, ROLE_END, ROLE_ENTRY, ROLE_MIDDLE
@@ -89,6 +87,8 @@ class RemoteEvaluator(NodeEvaluator):
         self._address = (host, url.port or default_port)
         self._tls = None
         if url.scheme == "https":
+            import ssl  # only an https evaluator pays for loading TLS
+
             self._tls = ssl.create_default_context()
             self._tls.set_alpn_protocols(["http/1.1"])
         path = (url.path or "/") + (f"?{url.query}" if url.query else "")
@@ -261,63 +261,10 @@ def _read_reply(reader) -> tuple[int, bytes, bool]:
     return status, body, keep
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    """Echoes the constructed prompt back as the response text."""
+def __getattr__(name: str):
+    """``StubServer`` and ``_StubHandler`` from ``dagswarm.stub``, loaded on first use so that importing this module loads no HTTP server."""
+    if name in ("StubServer", "_StubHandler"):
+        from . import stub
 
-    # The reply's headers and body go out in two writes; without this the
-    # body of a reply on a reused connection waits for a delayed ACK.
-    disable_nagle_algorithm = True
-
-    def do_POST(self):  # noqa: N802 - http.server API
-        length = self.headers.get("Content-Length", "0").strip()
-        sized = length.isdecimal()  # "-1" or "abc" leave the end of the body unknown
-        try:
-            request = json.loads(self.rfile.read(int(length))) if sized else None
-        except ValueError:  # not JSON, or not UTF-8
-            request = None
-        if not isinstance(request, dict) or "prompt" not in request:
-            self.send_response(400)
-            self.send_header("Content-Length", "0")
-            if not sized:  # nothing more can be read from this connection
-                self.send_header("Connection", "close")
-            self.end_headers()
-            return
-        self.server.requests.append(request)
-        body = json.dumps({"text": request["prompt"]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):  # silence per-request stderr noise
-        pass
-
-
-class StubServer(ThreadingHTTPServer):
-    """In-process echo endpoint; records every request for inspection."""
-
-    # socketserver's backlog of 5 drops connects when more items are in flight.
-    request_queue_size = 128
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _StubHandler)
-        self.requests: list[dict] = []
-        self._thread: threading.Thread | None = None
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}/"
-
-    def start(self) -> "StubServer":
-        # A short poll lets ``stop`` return within 0.05 s rather than serve_forever's default 0.5 s.
-        self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        return getattr(stub, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

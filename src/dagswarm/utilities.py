@@ -164,10 +164,10 @@ def json_lines(lines, where, what: str):
         yield number, record
 
 
-def read_json(path: str | Path):
-    """The JSON value in the file at ``path``; bad JSON raises ``ValueError("<path> line <n>: ...")``."""
+def read_json(path: str | Path, text: str | None = None):
+    """The JSON value in the file at ``path``, or in ``text`` already read from it; bad JSON raises ``ValueError("<path> line <n>: ...")``."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text() if text is None else text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} line {exc.lineno}: {exc.msg} at column {exc.colno}") from exc
 

@@ -50,6 +50,26 @@ def test_parse_config_rejects_non_object(tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize("text", ["", "  \n", '{"n_experts": 3}'])
+def test_parse_config_reads_the_file_once(text, tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *args, **kwargs: reads.append(self) or read_text(self, *args, **kwargs))
+    cfg = parse_config(str(path))
+    assert reads == [path]
+    assert cfg.n_experts == (3 if text.strip() else 10)
+
+
+def test_parse_config_names_the_line_of_bad_json(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{\n  "n_experts": 3,\n}')
+    with pytest.raises(ValueError) as error:
+        parse_config(str(path))
+    assert str(error.value) == f"{path} line 3: Expecting property name enclosed in double quotes at column 1"
+
+
 def test_decode_command_deterministic_small_p(tmp_path, capsys):
     matrix = write(tmp_path / "m.json", [[0.0, 0.99], [0.01, 0.0]])
     assert run_cli(["decode", "--matrix", matrix, "--top-p", "0.05"]) == 0
@@ -570,6 +590,31 @@ def test_evaluate_names_a_system_field_it_cannot_read(tmp_path, capsys, monkeypa
     write(system, {**json.loads(system.read_text()), "dag": {}})
     assert run_cli(["evaluate", "--system", str(system), "--config", affine_config(tmp_path)]) == 1
     assert cli_error(capsys) == {"type": "ValueError", "message": "system field 'dag' cannot be read: KeyError('n')"}
+
+
+def test_evaluate_names_an_experts_value_that_is_not_a_matrix(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    system = tmp_path / "sys.json"
+    write_system(system, diamond_dag(), np.zeros((4, 6)))
+    write(system, {**json.loads(system.read_text()), "experts": 5})
+    assert run_cli(["evaluate", "--system", str(system), "--config", affine_config(tmp_path)]) == 1
+    message = "system field 'experts' cannot be read: ValueError('expected a list of equal-length lists of numbers, got a 0-d int64 array')"
+    assert cli_error(capsys) == {"type": "ValueError", "message": message}
+
+
+def test_analyze_names_a_trace_value_of_the_wrong_json_type_before_writing_anything(tmp_path, capsys):
+    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[1]], "system_correct": [1]})
+    row = {
+        "iteration": 0, "ran_role": True, "ran_weight": True, "best_role_utility": 0.5,
+        "best_utility": 0.5, "best_contribution": None, "evaluator_calls": 8,
+    }
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text(json.dumps(row) + "\n" + json.dumps({**row, "iteration": 1, "evaluator_calls": "7"}) + "\n")
+    args = ["analyze", "--correctness", correctness, "--trace", str(trace_path), "--out", str(tmp_path / "an")]
+    assert run_cli(args) == 1
+    message = "trace line 2 field 'evaluator_calls' cannot be read: '7' is a str"
+    assert cli_error(capsys) == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "an").exists()
 
 
 def test_optimize_names_a_config_value_of_the_wrong_json_type(tmp_path, capsys):

@@ -364,6 +364,31 @@ def test_trace_reader_names_the_line_and_field_of_a_bad_row(line, message):
     assert str(error.value) == message
 
 
+@pytest.mark.parametrize("key,value,kind", [
+    ("iteration", 0.0, "float"),
+    ("iteration", True, "bool"),
+    ("ran_role", 1, "int"),
+    ("ran_weight", "true", "str"),
+    ("best_role_utility", "0.5", "str"),
+    ("best_utility", None, "NoneType"),
+    ("best_utility", False, "bool"),
+    ("best_contribution", "x", "str"),
+    ("evaluator_calls", "7", "str"),
+    ("evaluator_calls", 7.0, "float"),
+])
+def test_trace_reader_names_the_line_and_field_of_a_value_of_the_wrong_json_type(key, value, kind):
+    with pytest.raises(ValueError) as error:
+        RunTrace.from_jsonl(f"{GOOD_LINE}\n\n{json.dumps({**GOOD_RECORD, key: value})}\n")
+    assert str(error.value) == f"trace line 3 field {key!r} cannot be read: {value!r} is a {kind}"
+
+
+def test_trace_reader_takes_integer_utilities_and_a_null_or_numeric_contribution():
+    for contribution in (None, 0, 0.25):
+        record = {**GOOD_RECORD, "best_role_utility": 1, "best_utility": 0, "best_contribution": contribution}
+        (row,) = RunTrace.from_jsonl(json.dumps(record)).rows
+        assert (row.best_role_utility, row.best_utility, row.best_contribution) == (1, 0, contribution)
+
+
 def test_trace_csv_columns_are_the_jsonl_keys_in_row_order():
     _, trace = run(small_cfg(max_iterations=2))
     header = trace.to_csv().splitlines()[0].split(",")
@@ -396,6 +421,32 @@ def test_system_from_dict_names_a_field_it_cannot_read(key, value, error):
     data = {**run(small_cfg(max_iterations=1))[0].to_dict(), key: value}
     with pytest.raises(ValueError, match=f"^system field {key!r} cannot be read: {error}"):
         OptimizedSystem.from_dict(data)
+
+@pytest.mark.parametrize("key,value,error", [
+    ("experts", 5, "ValueError('expected a list of equal-length lists of numbers, got a 0-d int64 array')"),
+    ("experts", [0.5, 1.5], "ValueError('expected a list of equal-length lists of numbers, got a 1-d float64 array')"),
+    ("experts", [[[0.5]]], "ValueError('expected a list of equal-length lists of numbers, got a 3-d float64 array')"),
+    ("experts", [["0.5"]], "ValueError('expected a list of equal-length lists of numbers, got a 2-d <U3 array')"),
+    ("experts", [[True]], "ValueError('expected a list of equal-length lists of numbers, got a 2-d bool array')"),
+    ("best_utility", "0.5", "TypeError(\"'0.5' is a str\")"),
+    ("best_utility", True, "TypeError('True is a bool')"),
+    ("best_role_utility", "0.5", "TypeError(\"'0.5' is a str\")"),
+    ("best_role_utility", False, "TypeError('False is a bool')"),
+])
+def test_system_from_dict_rejects_a_value_of_the_wrong_json_type(key, value, error):
+    data = {**run(small_cfg(max_iterations=1))[0].to_dict(), key: value}
+    with pytest.raises(ValueError) as caught:
+        OptimizedSystem.from_dict(data)
+    assert str(caught.value) == f"system field {key!r} cannot be read: {error}"
+
+
+def test_system_from_dict_reads_integers_as_floats():
+    data = {**run(small_cfg(max_iterations=1))[0].to_dict(), "best_utility": 1, "best_role_utility": -2}
+    data["experts"] = [[int(x) for x in row] for row in data["experts"]]
+    system = OptimizedSystem.from_dict(data)
+    assert type(system.best_utility) is float and type(system.best_role_utility) is float
+    assert system.expert_params.dtype == float and system.expert_params.shape == (len(data["experts"]), len(data["experts"][0]))
+
 
 def test_system_from_dict_validates_the_dag():
     data = run(small_cfg(max_iterations=1))[0].to_dict()
