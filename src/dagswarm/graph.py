@@ -67,6 +67,15 @@ def _top_p(probs: list[float], p: float, uniform: float) -> int:
     return order[min(bisect_right(cdf, uniform * cdf[kept - 1], 0, kept), cutoff - 1)]
 
 
+def integers(name: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple; a value whose type is not exactly ``int`` (so not a boolean) raises ``ValueError`` naming ``name``."""
+    values = tuple(values)
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"{name} holds {value!r}, a {type(value).__name__}, not an integer")
+    return values
+
+
 @dataclass(frozen=True)
 class DagStructure:
     """Decoded graph: edge (u, v) feeds u's output into v.
@@ -90,6 +99,9 @@ class DagStructure:
         return {v: tuple(us) for v, us in preds.items()}
 
     def validate(self) -> None:
+        for name, values in (("n", [self.n]), ("end_node", [self.end_node]), ("topo_order", self.topo_order),
+                             ("edges", [node for edge in self.edges for node in edge])):
+            integers(name, values)
         if sorted(self.topo_order) != list(range(self.n)):
             raise ValueError("topo_order is not a permutation of nodes")
         pos = {node: k for k, node in enumerate(self.topo_order)}
@@ -117,10 +129,10 @@ class DagStructure:
     @classmethod
     def from_dict(cls, data: dict) -> "DagStructure":
         dag = cls(
-            n=int(data["n"]),
-            end_node=int(data["end_node"]),
-            edges=frozenset((int(u), int(v)) for u, v in data["edges"]),
-            topo_order=tuple(int(x) for x in data["topo_order"]),
+            n=data["n"],
+            end_node=data["end_node"],
+            edges=frozenset((u, v) for u, v in data["edges"]),
+            topo_order=tuple(data["topo_order"]),
         )
         dag.validate()
         return dag

@@ -113,7 +113,7 @@ def analysis_report(table: BucketTable, ablation: dict | None = None) -> dict:
         "solved_from_zero_rate": table.accuracy(0),
     }
     if ablation is not None:
-        values = {key: json_field(ablation, "ablation file", key, float) for key in ABLATION_FIELDS}
+        values = {key: json_field(ablation, "ablation file", key, float, kinds=(int, float)) for key in ABLATION_FIELDS}
         report["ablation"] = {**values, "consistent": ablation_consistent(**values)}
     return report
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .executor import Assignment
-from .graph import DagStructure, decode_dag, init_adjacency_swarm  # noqa: F401 - decode_dag: perfbench wraps it here
+from .graph import DagStructure, decode_dag, init_adjacency_swarm, integers  # noqa: F401 - decode_dag: perfbench wraps it here
 from .pool import build_pool
 from .pso import PsoHyperparams, Swarm
 from .rng import RngFactory
@@ -154,13 +154,10 @@ class RunTrace:
         """Rows of a ``to_jsonl`` text (blank lines skipped, wall times 0); a bad line or value raises ``ValueError("trace line <n>...")``."""
         rows = []
         for number, record in json_lines(text.splitlines(), "trace", "a trace row"):
-            missing = [name for name in cls.COLUMNS if name not in record]
-            unknown = sorted(set(record) - set(cls.COLUMNS))
-            if missing or unknown:
-                problem = f"no {missing[0]!r} field" if missing else f"unknown field {unknown[0]!r}"
-                raise ValueError(f"trace line {number}: {problem}")
             where = f"trace line {number}"
             rows.append(TraceRow(**{name: json_field(record, where, name, kinds=cls._KINDS[name]) for name in cls.COLUMNS}))
+            if unknown := sorted(set(record) - set(cls.COLUMNS)):
+                raise ValueError(f"{where}: unknown field {unknown[0]!r}")
         return cls(rows)
 
     def to_csv(self) -> str:
@@ -205,10 +202,10 @@ class OptimizedSystem:
         read = partial(json_field, json_object(data, "system", version=SYSTEM_VERSION), "system")
         return cls(
             dag=read("dag", DagStructure.from_dict),
-            assignment=read("assignment", lambda slots: Assignment(tuple(int(slot) for slot in slots))),
+            assignment=read("assignment", lambda slots: Assignment(integers("assignment", slots))),
             expert_params=read("experts", _expert_array),
-            best_utility=read("best_utility", _number),
-            best_role_utility=read("best_role_utility", _number),
+            best_utility=read("best_utility", float, kinds=(int, float)),
+            best_role_utility=read("best_role_utility", float, kinds=(int, float)),
         )
 
 
@@ -218,13 +215,6 @@ def _expert_array(value) -> np.ndarray:
     if array.ndim != 2 or array.dtype.kind not in "iuf":
         raise ValueError(f"expected a list of equal-length lists of numbers, got a {array.ndim}-d {array.dtype} array")
     return array.astype(float)
-
-
-def _number(value) -> float:
-    """A JSON number as a float; a string, a boolean or null raises ``TypeError``."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{value!r} is a {type(value).__name__}")
-    return float(value)
 
 
 def _pack(value):
@@ -251,7 +241,10 @@ def _pack_swarm(swarm: Swarm) -> dict:
 
 
 def _unpack_swarm(data: dict) -> Swarm:
-    return Swarm(**{name: _unpack(value) for name, value in data.items()})
+    swarm = Swarm(**{name: _unpack(value) for name, value in data.items()})
+    for name in ("global_best_score", "global_worst_score"):
+        json_field(vars(swarm), "swarm", name, kinds=(int, float))
+    return swarm
 
 
 def save_checkpoint(path: str | Path, payload: dict) -> None:
@@ -309,8 +302,6 @@ class RunState:
         for name, value in json.loads(json.dumps(asdict(cfg))).items():
             if name not in ("max_iterations", "patience") and stored.get(name) != value:
                 raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
-        if not isinstance(payload.get("record"), dict):
-            raise ValueError("checkpoint holds no structure record")
         return cls(
             iteration=read("iteration", kinds=(int,)),
             stall=read("stall", kinds=(int,)),
@@ -318,7 +309,8 @@ class RunState:
             matrix_swarm=read("matrix_swarm", _unpack_swarm),
             expert_swarm=read("expert_swarm", _unpack_swarm),
             record=read("record", lambda record: RoleRecord(
-                _unpack(record["matrix"]), DagStructure.from_dict(record["dag"]), float(record["utility"]))),
+                _unpack(record["matrix"]), DagStructure.from_dict(record["dag"]),
+                json_field(record, "record", "utility", float, kinds=(int, float))), kinds=(dict,)),
         )
 
 

@@ -9,11 +9,12 @@ manifest plus one JSON file per expert, repeats included.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .utilities import json_object, read_json
+from .utilities import json_field, json_object, read_json
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
@@ -56,18 +57,15 @@ def load_pool(directory: str | Path) -> np.ndarray:
     ``files`` may name only plain file names inside ``directory``.
     """
     directory = Path(directory)
-    manifest = json_object(
-        read_json(directory / MANIFEST_NAME), "pool manifest", "format_version", "n_experts", "dim", "files",
-        version=FORMAT_VERSION,
-    )
-    if not isinstance(manifest["files"], list):
-        raise ValueError("pool manifest field 'files' must be a list")
-    for name in manifest["files"]:
+    manifest = json_object(read_json(directory / MANIFEST_NAME), "pool manifest", "format_version", version=FORMAT_VERSION)
+    read = partial(json_field, manifest, "pool manifest")
+    n_experts, dim, files = read("n_experts", kinds=(int,)), read("dim", kinds=(int,)), read("files", kinds=(list,))
+    for name in files:
         if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
             raise ValueError(f"pool manifest entry {name!r} is not a plain file name")
-    pool = np.array([read_json(directory / name) for name in manifest["files"]], dtype=float)
-    if pool.ndim != 2 or len(pool) != manifest["n_experts"]:
+    pool = np.array([read_json(directory / name) for name in files], dtype=float)
+    if pool.ndim != 2 or len(pool) != n_experts:
         raise ValueError("expert files must hold manifest n_experts vectors of one length")
-    if pool.shape[1] != manifest["dim"]:
-        raise ValueError(f"pool manifest dim {manifest['dim']!r} does not match expert width {pool.shape[1]}")
+    if pool.shape[1] != dim:
+        raise ValueError(f"pool manifest dim {dim!r} does not match expert width {pool.shape[1]}")
     return pool

@@ -78,7 +78,7 @@ def role_step(
         try:
             raw = float(utility.evaluate(dag, assignment, pool))
         except Exception as exc:  # noqa: BLE001 - annotate with the particle
-            raise RuntimeError(f"utility evaluation failed for particle {i}") from exc
+            raise RuntimeError(f"utility evaluation failed for particle {i}: {exc}") from exc
         shaped_scores.append(shaped_utility(raw, matrix, sparsity))
         if record is None or raw > record.utility:
             record = RoleRecord(matrix.copy(), dag, raw)

@@ -204,14 +204,17 @@ def load_dataset(path: str | Path) -> list[dict]:
 
 _TARGET_BUILDERS = {"chain": chain_dag, "star": star_dag}
 _DEFAULT_TARGETS = {"hidden_dag": "star", "affine_target": "chain"}
+# The JSON type of each option, exactly: a boolean is no integer and a string is no number.
+_SPEC_KINDS = {"name": (str,), "target": (str,), "path": (str,), "n": (int,), "dim": (int,), "points": (int,),
+               "scale": (int, float), "value": (int, float)}
 
 
 def build_utility(spec: dict, rng: np.random.Generator, evaluator: NodeEvaluator | None = None) -> UtilityFunction:
-    """Construct a registry utility from a config dictionary."""
-    spec = dict(spec)
+    """Construct a registry utility from a config dictionary; an option of the wrong JSON type raises ``ValueError`` naming it."""
+    spec = {key: json_field(spec, "utility_spec", key, kinds=_SPEC_KINDS.get(key)) for key in json_object(spec, "utility_spec")}
     name = spec.pop("name", None)
     if name in _DEFAULT_TARGETS:
-        n = int(spec.pop("n", 4))
+        n = spec.pop("n", 4)
         shape = spec.pop("target", _DEFAULT_TARGETS[name])
         if shape not in _TARGET_BUILDERS:
             raise ValueError(f"unknown {name} target: {shape!r}")
@@ -223,8 +226,8 @@ def build_utility(spec: dict, rng: np.random.Generator, evaluator: NodeEvaluator
     elif name == "affine_target":
         utility = make_affine_task(
             rng,
-            dim=int(spec.pop("dim", 2)),
-            points=int(spec.pop("points", 4)),
+            dim=spec.pop("dim", 2),
+            points=spec.pop("points", 4),
             scale=float(spec.pop("scale", 0.9)),
             structure=target,
         )

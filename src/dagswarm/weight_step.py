@@ -96,7 +96,7 @@ def weight_step(
         try:
             utilities.append(float(utility.evaluate(dag_best, assignment, pool)))
         except Exception as exc:  # noqa: BLE001 - annotate with the assignment
-            raise RuntimeError(f"utility evaluation failed for assignment {j}") from exc
+            raise RuntimeError(f"utility evaluation failed for assignment {j}: {exc}") from exc
     scores, counts = contribution_scores(assignments, utilities, len(pool))
     experts = pso_step(experts, scores, hp, rng.stream("weight_pso", iteration))
     return experts, ContributionReport(assignments, utilities, counts, scores)

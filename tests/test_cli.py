@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -241,7 +242,9 @@ def test_analyze_names_the_root_or_missing_field_of_a_malformed_file(flag, conte
     assert not (tmp_path / "an").exists()
 
 
-@pytest.mark.parametrize("value,error", [(None, "TypeError"), ("x", "ValueError")])
+@pytest.mark.parametrize("value,error", [
+    (None, "None is a NoneType"), ("x", "'x' is a str"), ("0.5", "'0.5' is a str"), (True, "True is a bool"),
+])
 def test_analyze_names_an_ablation_value_it_cannot_read(value, error, tmp_path, capsys):
     correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[1]], "system_correct": [1]})
     ablation = write(
@@ -250,7 +253,7 @@ def test_analyze_names_an_ablation_value_it_cannot_read(value, error, tmp_path, 
     )
     assert run_cli(["analyze", "--correctness", correctness, "--ablation", ablation, "--out", str(tmp_path / "an")]) == 1
     message = cli_error(capsys)["message"]
-    assert message.startswith(f"ablation file field 'wo_role' cannot be read: {error}(")
+    assert message == f"ablation file field 'wo_role' cannot be read: {error}"
     assert not (tmp_path / "an").exists()
 
 
@@ -258,7 +261,7 @@ def test_analyze_names_an_ablation_value_it_cannot_read(value, error, tmp_path, 
     "trace,message",
     [
         ("[1, 2]\n", "trace line 1: a trace row must be a JSON object"),
-        ('{"iteration": 0}\n', "trace line 1: no 'ran_role' field"),
+        ('{"iteration": 0}\n', "trace line 1 has no 'ran_role' field"),
         (
             json.dumps({
                 "iteration": 0, "ran_role": True, "ran_weight": True, "best_role_utility": 0.5,
@@ -280,6 +283,24 @@ def test_analyze_reads_a_malformed_trace_before_writing_anything(trace, message,
     (line,) = captured.err.splitlines()
     assert json.loads(line)["error"] == {"type": "ValueError", "message": message}
     assert not (tmp_path / "an").exists()
+
+
+@no_leaked_sockets
+def test_optimize_error_names_the_particle_node_and_endpoint_of_a_failed_evaluation(tmp_path, capsys, monkeypatch):
+    endpoint = "http://127.0.0.1:9/"  # the discard port: nothing listens there
+    monkeypatch.setenv(ENDPOINT_ENV, endpoint)
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(json.dumps({"input": "2+2", "answer": "4"}) + "\n")
+    cfg = write(
+        tmp_path / "cfg.json",
+        {"n_experts": 2, "matrix_swarm_size": 2, "mode": "role_only", "utility_spec": {"name": "dataset", "path": str(dataset)}},
+    )
+    assert run_cli(["optimize", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    error = cli_error(capsys)
+    assert error["type"] == "RuntimeError"
+    pattern = rf"utility evaluation failed for particle 0: evaluator failed at node \d: remote evaluation failed at {re.escape(endpoint)}: \S"
+    assert re.match(pattern, error["message"]), error["message"]
+    assert not (tmp_path / "a").exists()
 
 
 def test_optimize_rejects_a_pool_with_a_resume(tmp_path, capsys):

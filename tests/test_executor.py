@@ -98,6 +98,8 @@ def test_assignment_validation():
         execute(dag, Assignment((0,)), [np.zeros(6)], Message(np.zeros(2)), AffineEvaluator())
     with pytest.raises(ValueError):
         execute(dag, Assignment((0, 5)), [np.zeros(6)], Message(np.zeros(2)), AffineEvaluator())
+    with pytest.raises(ValueError, match="^expert pool is empty$"):
+        execute(dag, Assignment((0, 0)), [], Message(np.zeros(2)), AffineEvaluator())
 
 
 def test_evaluator_failure_carries_node_id():

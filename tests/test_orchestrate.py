@@ -28,6 +28,7 @@ from dagswarm import (
 )
 from dagswarm.cli import run_cli
 from dagswarm.orchestrate import RunState, _pack_swarm, _unpack_swarm, save_checkpoint
+from dagswarm.utilities import AffineTargetUtility
 from test_golden import GOLDEN, run_digest
 
 
@@ -352,7 +353,7 @@ GOOD_RECORD = json.loads(GOOD_LINE)
         ("{bad", "trace line 3: Expecting property name enclosed in double quotes at column 2"),
         (
             json.dumps({key: value for key, value in GOOD_RECORD.items() if key != "evaluator_calls"}),
-            "trace line 3: no 'evaluator_calls' field",
+            "trace line 3 has no 'evaluator_calls' field",
         ),
         (json.dumps({**GOOD_RECORD, "wall_time_s": 0.5}), "trace line 3: unknown field 'wall_time_s'"),
     ],
@@ -397,6 +398,19 @@ def test_trace_csv_columns_are_the_jsonl_keys_in_row_order():
     assert set(header) == set(record)
 
 
+def test_an_iteration_over_its_evaluator_budget_fails():
+    class Twice(AffineTargetUtility):
+        def evaluate(self, dag, assignment, pool):
+            super().evaluate(dag, assignment, pool)
+            return super().evaluate(dag, assignment, pool)
+
+    cfg = small_cfg()
+    task = task_utility(cfg)
+    # Budget n * (N + M) * |f| = 4 * (4 + 4) * 2; the role and the weight step each spend all of it.
+    with pytest.raises(RuntimeError, match="^evaluator budget exceeded: 128 > 64 calls in iteration 0$"):
+        optimize(cfg, None, Twice(task.inputs, task.targets))
+
+
 def test_system_round_trips_through_from_dict():
     for mode in ("full", "role_only", "weight_only"):
         system, _ = run(small_cfg(mode=mode))
@@ -415,7 +429,7 @@ def test_system_from_dict_names_an_unknown_version(version):
     ("dag", {}, "KeyError"),
     ("dag", [1], "TypeError"),
     ("assignment", 5, "TypeError"),
-    ("best_utility", None, "TypeError"),
+    ("best_utility", None, "None is a NoneType"),
 ])
 def test_system_from_dict_names_a_field_it_cannot_read(key, value, error):
     data = {**run(small_cfg(max_iterations=1))[0].to_dict(), key: value}
@@ -428,10 +442,10 @@ def test_system_from_dict_names_a_field_it_cannot_read(key, value, error):
     ("experts", [[[0.5]]], "ValueError('expected a list of equal-length lists of numbers, got a 3-d float64 array')"),
     ("experts", [["0.5"]], "ValueError('expected a list of equal-length lists of numbers, got a 2-d <U3 array')"),
     ("experts", [[True]], "ValueError('expected a list of equal-length lists of numbers, got a 2-d bool array')"),
-    ("best_utility", "0.5", "TypeError(\"'0.5' is a str\")"),
-    ("best_utility", True, "TypeError('True is a bool')"),
-    ("best_role_utility", "0.5", "TypeError(\"'0.5' is a str\")"),
-    ("best_role_utility", False, "TypeError('False is a bool')"),
+    ("best_utility", "0.5", "'0.5' is a str"),
+    ("best_utility", True, "True is a bool"),
+    ("best_role_utility", "0.5", "'0.5' is a str"),
+    ("best_role_utility", False, "False is a bool"),
 ])
 def test_system_from_dict_rejects_a_value_of_the_wrong_json_type(key, value, error):
     data = {**run(small_cfg(max_iterations=1))[0].to_dict(), key: value}
@@ -446,6 +460,32 @@ def test_system_from_dict_reads_integers_as_floats():
     system = OptimizedSystem.from_dict(data)
     assert type(system.best_utility) is float and type(system.best_role_utility) is float
     assert system.expert_params.dtype == float and system.expert_params.shape == (len(data["experts"]), len(data["experts"][0]))
+
+
+@pytest.mark.parametrize("path,convert,name", [
+    (("dag", "n"), float, "n"),
+    (("dag", "n"), str, "n"),
+    (("dag", "end_node"), float, "end_node"),
+    (("dag", "topo_order", 0), str, "topo_order"),
+    (("dag", "edges", 0, 0), float, "edges"),
+    (("dag", "edges", 0, 1), str, "edges"),
+    (("assignment", 0), bool, "assignment"),
+    (("assignment", 1), bool, "assignment"),
+    (("assignment", 2), float, "assignment"),
+    (("assignment", 3), str, "assignment"),
+])
+def test_system_from_dict_reads_the_dag_and_assignment_integers_exactly(path, convert, name):
+    # int() reads each of these values as the integer it was made from, so only a type check rejects it.
+    data = run(small_cfg(max_iterations=1))[0].to_dict()
+    *parents, last = path
+    target = data
+    for step in parents:
+        target = target[step]
+    value = target[last] = convert(target[last])
+    with pytest.raises(ValueError) as caught:
+        OptimizedSystem.from_dict(data)
+    inner = ValueError(f"{name} holds {value!r}, a {type(value).__name__}, not an integer")
+    assert str(caught.value) == f"system field {path[0]!r} cannot be read: {inner!r}"
 
 
 def test_system_from_dict_validates_the_dag():
@@ -651,11 +691,15 @@ def test_resume_from_format_2_checkpoint_names_the_version(tmp_path):
 
 COUNTERS = {"iteration": 1, "stall": 0, "best_utility": 0.0}
 ARRAYS = {"positions": [], "velocities": [], "personal_best": [], "personal_best_scores": []}
+DAG1 = {"n": 1, "end_node": 0, "edges": [], "topo_order": [0]}
 
 
 @pytest.mark.parametrize("payload,message", [
     ([1], "checkpoint root must be a JSON object"),
-    ({"format_version": 3, "record": None}, "no structure record"),
+    (
+        {"format_version": 3, "record": None, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        "field 'record' cannot be read: None is a NoneType$",
+    ),
     ({"format_version": 3, "record": {}}, "checkpoint has no 'iteration' field"),
     ({"format_version": 3, "record": {}, **COUNTERS}, "no 'matrix_swarm' field"),
     ({"format_version": 3, "config": 5, "record": {}}, "field 'config' cannot be read: TypeError"),
@@ -673,6 +717,26 @@ ARRAYS = {"positions": [], "velocities": [], "personal_best": [], "personal_best
     (
         {"format_version": 3, "record": {"matrix": [], "dag": {"n": 1}}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
         r"field 'record' cannot be read: KeyError\('end_node'\)",
+    ),
+    (
+        {"format_version": 3, "record": {"matrix": [], "dag": DAG1, "utility": "0.5"}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        r"field 'record' cannot be read: ValueError\(\"record field 'utility' cannot be read: '0.5' is a str\"\)$",
+    ),
+    (
+        {"format_version": 3, "record": {"matrix": [], "dag": DAG1, "utility": True}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        r"field 'record' cannot be read: ValueError\(\"record field 'utility' cannot be read: True is a bool\"\)$",
+    ),
+    (
+        {"format_version": 3, "record": {"matrix": [], "dag": {**DAG1, "n": 1.0}, "utility": 0.5}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        r"field 'record' cannot be read: ValueError\('n holds 1.0, a float, not an integer'\)$",
+    ),
+    (
+        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": {**ARRAYS, "global_best_score": "x"}},
+        r"field 'matrix_swarm' cannot be read: ValueError\(\"swarm field 'global_best_score' cannot be read: 'x' is a str\"\)$",
+    ),
+    (
+        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": {**ARRAYS, "global_worst_score": None}},
+        r"field 'expert_swarm' cannot be read: ValueError\(\"swarm field 'global_worst_score' cannot be read: None is a NoneType\"\)$",
     ),
     ({"format_version": 3, "record": {}, **COUNTERS, "iteration": "1"}, "field 'iteration' cannot be read: '1' is a str$"),
     ({"format_version": 3, "record": {}, **COUNTERS, "iteration": 1.0}, "field 'iteration' cannot be read: 1.0 is a float$"),

@@ -116,8 +116,15 @@ def test_load_checks_dim_against_the_expert_width(tmp_path):
 
 
 def test_load_rejects_files_that_are_not_a_list(tmp_path):
-    with pytest.raises(ValueError, match="'files' must be a list"):
+    with pytest.raises(ValueError, match="^pool manifest field 'files' cannot be read: 'expert_000.json' is a str$"):
         load_pool(saved_manifest(tmp_path, files="expert_000.json"))
+
+
+@pytest.mark.parametrize("key,value", [("n_experts", 2.0), ("dim", 6.0), ("n_experts", "2"), ("dim", True)])
+def test_load_reads_the_manifest_counts_as_exact_integers(tmp_path, key, value):
+    with pytest.raises(ValueError) as caught:
+        load_pool(saved_manifest(tmp_path, **{key: value}))
+    assert str(caught.value) == f"pool manifest field {key!r} cannot be read: {value!r} is a {type(value).__name__}"
 
 
 @pytest.mark.parametrize("entry", ["../outside.json", "ABSOLUTE", "sub/expert.json", "..", ".", "", 7])

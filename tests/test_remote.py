@@ -536,10 +536,15 @@ def test_eof_before_the_status_line_of_a_pooled_connection_costs_no_retry(raw):
         (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b'{"text": "ok"}', "reply body ended early"),
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{\"te", "reply body ended early"),
         (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "bad length in reply"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n", "bad length in reply"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad length in reply"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n", "reply ended inside its headers"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\nX-Trailer: t\r\n", "reply ended inside its trailer"),
         (_sized(head=b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (65537 - 10) + b"\r\n"), "longer than 65536 bytes"),
         (_sized(head=b"HTTP/1.1 200 OK\r\n" + b"X-H: 1\r\n" * 100), "more than 100 headers"),
     ],
-    ids=["status-code", "protocol", "truncated-body", "truncated-chunk", "negative-length",
+    ids=["status-code", "protocol", "truncated-body", "truncated-chunk", "negative-length", "non-numeric-length",
+         "non-numeric-chunk-size", "eof-in-headers", "eof-in-trailer",
          "65537-byte-line", "101-headers"],
 )
 def test_malformed_replies_are_retried_transport_errors(raw, reply, reason):

@@ -103,7 +103,7 @@ def test_utility_failure_names_particle():
             raise RuntimeError("nope")
 
     swarm = Swarm.from_positions([np.full((3, 3), 0.5)])
-    with pytest.raises(RuntimeError, match="particle 0"):
+    with pytest.raises(RuntimeError, match="^utility evaluation failed for particle 0: nope$"):
         role_step(
             swarm, [], Assignment.identity(3), Boom(),
             SparsityConfig(), PsoHyperparams(), 0.8, RngFactory(3),

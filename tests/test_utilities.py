@@ -291,6 +291,25 @@ def test_dataset_utility_validation():
         DatasetUtility([{"input": "x"}], CannedEvaluator({}))
 
 
+@pytest.mark.parametrize("spec,key", [
+    ({"name": "affine_target", "n": 2.7}, "n"),
+    ({"name": "affine_target", "points": "5"}, "points"),
+    ({"name": "affine_target", "dim": True}, "dim"),
+    ({"name": "affine_target", "scale": "0.5"}, "scale"),
+    ({"name": "hidden_dag", "n": 4.0}, "n"),
+    ({"name": "hidden_dag", "target": ["chain"]}, "target"),
+    ({"name": ["constant"]}, "name"),
+    ({"name": "constant", "value": True}, "value"),
+    ({"name": "dataset", "path": 5}, "path"),
+])
+def test_build_utility_rejects_an_option_of_the_wrong_json_type_by_name(spec, key):
+    # open() takes an integer path as a file descriptor, so `path` is checked before the dataset is read.
+    with pytest.raises(ValueError) as caught:
+        build_utility(spec, RngFactory(0).stream("task"), CannedEvaluator({}))
+    value = spec[key]
+    assert str(caught.value) == f"utility_spec field {key!r} cannot be read: {value!r} is a {type(value).__name__}"
+
+
 def test_build_utility_registry():
     rng = RngFactory(0).stream("task")
     assert build_utility({"name": "constant", "value": 2.5}, rng).evaluate(None, None, None) == 2.5

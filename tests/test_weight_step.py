@@ -8,6 +8,7 @@ from dagswarm import (
     PsoHyperparams,
     RngFactory,
     Swarm,
+    UtilityFunction,
     chain_dag,
     contribution_scores,
     make_affine_task,
@@ -145,3 +146,13 @@ def test_weight_step_best_score_monotone_across_rounds():
             last = experts.global_best_score
         hits += ok
     assert hits >= 8
+
+
+def test_utility_failure_names_the_assignment_and_its_cause():
+    class Boom(UtilityFunction):
+        def evaluate(self, dag, assignment, pool):
+            raise RuntimeError("nope")
+
+    experts = Swarm.from_positions(np.zeros((2, 6)))
+    with pytest.raises(RuntimeError, match="^utility evaluation failed for assignment 0: nope$"):
+        weight_step(experts, chain_dag(2), Boom(), PsoHyperparams(), 3, RngFactory(0))
