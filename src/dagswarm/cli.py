@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=None,
-            help=f"dataset items in flight at once at the remote endpoint in {ENDPOINT_ENV} (default 8); needs it set",
+            help=f"dataset items in flight at once at the remote endpoint in {ENDPOINT_ENV}, over all of a step's "
+            "candidates (default 8); needs it set",
         )
 
     p = sub.add_parser("optimize", help="run the alternating optimization loop")

@@ -52,9 +52,12 @@ class NodeEvaluator:
     dataset item once a run returns, so budgets can be audited; the count is
     exact when threads share the evaluator. Evaluators whose experts never
     see the parameter vectors set ``uses_expert_params`` to False. The base
-    ``run`` executes each item of a list payload alone, ``jobs`` at a time on
-    worker threads: outputs come in item order, the first failing item in that
-    order raises, and items not yet started then never run.
+    ``run`` executes each item of a list payload alone on the evaluator's one
+    pool of ``jobs`` worker threads, built on the first list payload and shut
+    down by ``close``: at most ``jobs`` items are in flight however many
+    threads call ``execute`` at once. Outputs come in item order, the first
+    failing item in that order raises once the execution's started items have
+    returned, and its items not yet started then never run.
     """
 
     uses_expert_params = True
@@ -63,6 +66,15 @@ class NodeEvaluator:
     def __init__(self):
         self.calls = 0
         self._calls_lock = threading.Lock()
+        self._workers = None
+        self._workers_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Shut down the worker pool once its items have run; a later list payload builds a new one."""
+        with self._workers_lock:
+            workers, self._workers = self._workers, None
+        if workers is not None:
+            workers.shutdown()
 
     def evaluate(self, role, params, inputs, task_input, node) -> Message:
         raise NotImplementedError
@@ -70,11 +82,18 @@ class NodeEvaluator:
     def run(self, dag: DagStructure, assignment: Assignment, pool, task_input: Message) -> Message:
         """One execution, checked and counted by ``execute``: each node's ``evaluate`` in topological order."""
         if isinstance(task_input.payload, list):
-            from concurrent.futures import ThreadPoolExecutor  # only list payloads pay for loading it
+            from concurrent.futures import ThreadPoolExecutor, wait  # only list payloads pay for loading it
 
-            with ThreadPoolExecutor(min(self.jobs, len(task_input.payload))) as workers:
-                runs = workers.map(lambda x: self.run(dag, assignment, pool, Message(x)), task_input.payload)
-                return Message([m.payload for m in runs], origin=dag.end_node)
+            with self._workers_lock:
+                if self._workers is None:
+                    self._workers = ThreadPoolExecutor(self.jobs)
+                runs = [self._workers.submit(self.run, dag, assignment, pool, Message(x)) for x in task_input.payload]
+            try:
+                return Message([run.result().payload for run in runs], origin=dag.end_node)
+            finally:
+                for run in runs:
+                    run.cancel()
+                wait(runs)
         predecessors = dag.predecessor_lists
         outputs: dict[int, Message] = {}
         for v in dag.topo_order:

@@ -324,7 +324,8 @@ def optimize(
     """Run the alternating loop; return the best system and the trace.
 
     ``pool`` is an ``(n, d)`` array-like of expert parameter vectors, left unchanged, or
-    None to draw one; ``d`` must be ``utility.expert_dim`` where that is set. A resume
+    None to draw one; ``d`` must be ``utility.expert_dim`` and ``n`` ``utility.node_count``
+    where those are set, or the run fails before iteration 0. A resume
     takes its experts from the checkpoint, so it must be None there. The returned
     system is the recorded best DAG (frozen, never re-decoded) instantiated
     with the final expert parameters under the identity assignment. Modes that search
@@ -335,6 +336,8 @@ def optimize(
     """
     if cfg.mode != "role_only" and not getattr(utility.evaluator, "uses_expert_params", True):
         raise ValueError(f"mode {cfg.mode!r} searches expert parameters, which this evaluator ignores; use role_only")
+    if utility.node_count not in (None, cfg.n_experts):
+        raise ValueError(f"the utility scores {utility.node_count}-node graphs, but n_experts is {cfg.n_experts}")
     if pool is not None and resume_from is not None:
         raise ValueError("a resume takes its experts from the checkpoint; give no pool with it")
     rng = RngFactory(cfg.seed)

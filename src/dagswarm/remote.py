@@ -57,15 +57,17 @@ class RemoteEvaluator(NodeEvaluator):
 
     Expert parameters are not transmitted; the endpoint is the model. Weight
     optimization over remote experts is rejected upstream for that reason.
-    Up to ``jobs`` items of a list payload run at once. Connections are kept
+    Up to ``jobs`` items run at once on the evaluator's one worker pool,
+    counted over every execution in flight, so at most ``jobs`` requests are
+    out however many candidates a role step overlaps. Connections are kept
     in a pool on the evaluator and reused while the endpoint keeps them open
     (an HTTP/1.1 reply without ``Connection: close`` whose body was read in
-    full); ``close`` closes the idle ones. A pooled connection that the
-    endpoint has closed in the meantime is replaced by a fresh one without
-    using up a retry. Each request goes out in one write, with the head that
-    ``http.client`` would send. A reply body is framed by ``Content-Length``,
-    by chunked transfer coding, or by the end of the connection, and holds at
-    most ``_MAX_BODY`` bytes. ``timeout`` bounds each socket operation (a
+    full); ``close`` shuts the worker pool down and closes the idle
+    connections. A pooled connection that the endpoint has closed in the
+    meantime is replaced by a fresh one without using up a retry. Each request
+    goes out in one write, with the head that ``http.client`` would send. A
+    reply body is framed by ``Content-Length``, by chunked transfer coding, or
+    by the end of the connection, and holds at most ``_MAX_BODY`` bytes. ``timeout`` bounds each socket operation (a
     connect, a write, one read), not a whole request. Transport errors
     (including a malformed, truncated or over-long reply) and 5xx replies are
     retried up to ``retries`` times; any other bad reply fails at once.
@@ -109,7 +111,8 @@ class RemoteEvaluator(NodeEvaluator):
         self.jobs = jobs
 
     def close(self) -> None:
-        """Close the idle connections; a later request opens new ones."""
+        """Shut down the worker pool, then close the idle connections; a later request opens new ones."""
+        super().close()
         with self._idle_lock:
             idle, self._idle = self._idle, []
         for sock, reader in idle:

@@ -16,7 +16,7 @@ from .executor import Assignment
 from .graph import DagStructure, decode_dag, prune_threshold
 from .pso import PsoHyperparams, Swarm, pso_step
 from .rng import RngFactory
-from .utilities import UtilityFunction
+from .utilities import UtilityFunction, evaluate_candidates
 
 SPARSITY_MODES = ("none", "threshold", "l1")
 
@@ -64,21 +64,20 @@ def role_step(
     iteration: int = 0,
     record: RoleRecord | None = None,
 ) -> tuple[Swarm, RoleRecord]:
-    """Decode, score and advance the matrix swarm; track the best raw utility.
+    """Decode the whole swarm, score it, advance it; track the best raw utility.
 
     The record keeps the decoded DAG that produced its score (never
     re-decoded) so downstream consumers see exactly the structure that was
     evaluated. Threshold pruning applies to a decode-time view only; stored
     matrices are never mutated by it.
     """
-    shaped_scores = []
-    for i, (matrix, stream) in enumerate(zip(swarm.positions, rng.streams("decode", iteration, count=len(swarm)))):
+    dags = []
+    for matrix, stream in zip(swarm.positions, rng.streams("decode", iteration, count=len(swarm))):
         view = prune_threshold(matrix, sparsity.tau) if sparsity.mode == "threshold" else matrix
-        dag = decode_dag(view, top_p, stream)
-        try:
-            raw = float(utility.evaluate(dag, assignment, pool))
-        except Exception as exc:  # noqa: BLE001 - annotate with the particle
-            raise RuntimeError(f"utility evaluation failed for particle {i}: {exc}") from exc
+        dags.append(decode_dag(view, top_p, stream))
+    raws = evaluate_candidates(utility, [(dag, assignment, pool) for dag in dags], "particle")
+    shaped_scores = []
+    for matrix, dag, raw in zip(swarm.positions, dags, raws):
         shaped_scores.append(shaped_utility(raw, matrix, sparsity))
         if record is None or raw > record.utility:
             record = RoleRecord(matrix.copy(), dag, raw)

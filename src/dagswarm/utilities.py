@@ -9,6 +9,7 @@ and text datasets scored by exact match (remote mode).
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ class UtilityFunction:
     dataset_size: int = 1
     evaluator: NodeEvaluator | None = None
     expert_dim: int | None = None  # the expert vector length the evaluator reads; None if it reads none
+    node_count: int | None = None  # the node count every scored DAG must have; None if any will do
 
     def item_results(self, dag: DagStructure, assignment: Assignment, pool) -> tuple[list, list[float]]:
         """End-node outputs and scores, one of each per item, in item order."""
@@ -85,6 +87,7 @@ class DagRecoveryUtility(UtilityFunction):
     def __init__(self, target: DagStructure):
         target.validate()
         self.target = target
+        self.node_count = target.n
 
     def evaluate(self, dag, assignment, pool) -> float:
         return 1.0 - normalized_edit_distance(dag, self.target)
@@ -150,6 +153,36 @@ class DatasetUtility(UtilityFunction):
         return outputs, [float(str(out).strip() == answer) for out, answer in zip(outputs, self.answers)]
 
 
+def evaluate_candidates(utility: UtilityFunction, candidates: list[tuple], what: str) -> list[float]:
+    """``float(utility.evaluate(dag, assignment, pool))`` for each candidate triple, in candidate order.
+
+    With an evaluator whose ``jobs`` is above 1, up to ``min(jobs, N)`` threads run the candidates at
+    once, so the next one's items queue on the evaluator's pool instead of waiting for the current one's
+    slowest item; otherwise they run in turn. The first failing candidate in order raises
+    ``RuntimeError("utility evaluation failed for <what> <i>: ...")`` once the started ones have
+    returned, and those not yet started never run.
+    """
+    callers = min(getattr(utility.evaluator, "jobs", 1), len(candidates))
+    if callers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only overlapping candidates pay for loading it
+
+        threads = ThreadPoolExecutor(callers)
+        results = [threads.submit(utility.evaluate, *candidate).result for candidate in candidates]
+    else:
+        threads, results = None, [partial(utility.evaluate, *candidate) for candidate in candidates]
+    try:
+        scores = []
+        for i, result in enumerate(results):
+            try:
+                scores.append(float(result()))
+            except Exception as exc:  # noqa: BLE001 - annotate with the candidate
+                raise RuntimeError(f"utility evaluation failed for {what} {i}: {exc}") from exc
+        return scores
+    finally:
+        if threads is not None:
+            threads.shutdown(cancel_futures=True)
+
+
 def json_lines(lines, where, what: str):
     """``(number, object)`` for each non-blank line; anything but a JSON object raises ``ValueError("<where> line <n>: ...")``."""
     for number, line in enumerate(lines, 1):
@@ -210,8 +243,11 @@ _SPEC_KINDS = {"name": (str,), "target": (str,), "path": (str,), "n": (int,), "d
 
 
 def build_utility(spec: dict, rng: np.random.Generator, evaluator: NodeEvaluator | None = None) -> UtilityFunction:
-    """Construct a registry utility from a config dictionary; an option of the wrong JSON type raises ``ValueError`` naming it."""
+    """Construct a registry utility from a config dictionary; an option of the wrong JSON type, or a count below 1, raises ``ValueError`` naming it."""
     spec = {key: json_field(spec, "utility_spec", key, kinds=_SPEC_KINDS.get(key)) for key in json_object(spec, "utility_spec")}
+    for key in ("n", "dim", "points"):
+        if spec.get(key, 1) < 1:
+            raise ValueError(f"utility_spec field {key!r} must be >= 1, got {spec[key]}")
     name = spec.pop("name", None)
     if name in _DEFAULT_TARGETS:
         n = spec.pop("n", 4)

@@ -15,7 +15,7 @@ from .executor import Assignment
 from .graph import DagStructure
 from .pso import PsoHyperparams, Swarm, pso_step
 from .rng import RngFactory
-from .utilities import UtilityFunction
+from .utilities import UtilityFunction, evaluate_candidates
 
 _REPAIR_PASSES = 8
 
@@ -91,12 +91,7 @@ def weight_step(
     """Score experts by contribution on the best DAG, then advance them."""
     pool = experts.positions
     assignments = sample_assignments(dag_best, len(pool), M, rng.stream("assignments", iteration))
-    utilities = []
-    for j, assignment in enumerate(assignments):
-        try:
-            utilities.append(float(utility.evaluate(dag_best, assignment, pool)))
-        except Exception as exc:  # noqa: BLE001 - annotate with the assignment
-            raise RuntimeError(f"utility evaluation failed for assignment {j}: {exc}") from exc
+    utilities = evaluate_candidates(utility, [(dag_best, assignment, pool) for assignment in assignments], "assignment")
     scores, counts = contribution_scores(assignments, utilities, len(pool))
     experts = pso_step(experts, scores, hp, rng.stream("weight_pso", iteration))
     return experts, ContributionReport(assignments, utilities, counts, scores)

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -355,3 +360,92 @@ def test_list_payload_equals_one_execute_per_item_in_order(jobs):
         assert batch.payload == alone
         assert batch.origin == dag.end_node
         assert evaluator.calls == dag.n * len(texts)
+
+
+class InFlightEvaluator(ComposingEvaluator):
+    """Composing replies after a short wait; records the most items it ever had in flight at once."""
+
+    jobs = 3
+
+    def __init__(self):
+        super().__init__()
+        self.lock = threading.Lock()
+        self.in_flight = self.high_water = 0
+
+    def run(self, dag, assignment, pool, task_input):
+        if isinstance(task_input.payload, list):
+            return super().run(dag, assignment, pool, task_input)
+        with self.lock:
+            self.in_flight += 1
+            self.high_water = max(self.high_water, self.in_flight)
+        try:
+            time.sleep(0.005)
+            return super().run(dag, assignment, pool, task_input)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def test_jobs_bounds_the_items_in_flight_across_threads_sharing_an_evaluator():
+    # Four callers race to build the one pool, with frequent thread switches.
+    evaluator = InFlightEvaluator()
+    dag, pool, names = chain_dag(2), ["e0", "e1"], "abcd"
+    outputs = {}
+
+    def one_execution(name):
+        texts = [f"{name}{k}" for k in range(12)]
+        outputs[name] = execute(dag, Assignment.identity(2), pool, Message(texts), evaluator).payload
+
+    threads = [threading.Thread(target=one_execution, args=(name,)) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert 2 <= evaluator.high_water <= 3
+    for name in names:
+        alone = [execute(dag, Assignment.identity(2), pool, Message(f"{name}{k}"), ComposingEvaluator()).payload
+                 for k in range(12)]
+        assert outputs[name] == alone
+    assert evaluator.calls == len(names) * 2 * 12
+    assert len(worker_threads(evaluator)) <= 3
+    evaluator.close()
+
+
+def worker_threads(evaluator) -> set[threading.Thread]:
+    return set(evaluator._workers._threads)
+
+
+def test_close_joins_the_workers_and_a_later_list_payload_builds_a_new_pool():
+    evaluator = ComposingEvaluator()
+    evaluator.jobs = 3
+    dag, pool, texts = chain_dag(2), ["e0", "e1"], [f"q{k}" for k in range(6)]
+    first = execute(dag, Assignment.identity(2), pool, Message(texts), evaluator).payload
+    workers = worker_threads(evaluator)
+    assert 1 <= len(workers) <= 3
+    evaluator.close()
+    for thread in workers:
+        thread.join(timeout=5)
+    assert not any(thread.is_alive() for thread in workers)
+    assert execute(dag, Assignment.identity(2), pool, Message(texts), evaluator).payload == first
+    assert worker_threads(evaluator).isdisjoint(workers)
+    evaluator.close()
+    evaluator.close()  # a second close, and one before any list payload, does nothing
+
+
+def test_an_evaluator_dropped_without_close_leaves_no_worker_thread():
+    evaluator = ComposingEvaluator()
+    evaluator.jobs = 2
+    execute(chain_dag(2), Assignment.identity(2), ["e0", "e1"], Message(["q0", "q1", "q2"]), evaluator)
+    workers = worker_threads(evaluator)
+    assert workers
+    del evaluator
+    gc.collect()
+    for thread in workers:
+        thread.join(timeout=5)
+    assert not any(thread.is_alive() for thread in workers)

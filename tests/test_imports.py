@@ -2,7 +2,8 @@
 
 ``dagswarm.stub`` alone imports ``http.server`` (which brings ``http.client``,
 ``email`` and ``socketserver``); ``ssl`` loads when an https evaluator is
-built, and ``concurrent.futures`` when a list payload runs.
+built, and ``concurrent.futures`` when a list payload runs or a step's
+candidates overlap, neither of which a local run does.
 """
 from __future__ import annotations
 
@@ -35,6 +36,19 @@ def test_importing_dagswarm_and_its_cli_loads_no_http_tls_or_thread_pool_module(
     assert "dagswarm.remote" in loaded and "dagswarm.cli" in loaded
     assert [name for name in UNUSED_BY_A_LOCAL_RUN if name in loaded] == []
     assert "dagswarm.stub" not in loaded
+
+
+def test_a_local_optimize_loads_no_thread_pool():
+    # Affine executions run in one pass and their utility has no concurrent jobs, so candidates run in turn.
+    loaded = modules_after(
+        "from dagswarm import RngFactory, RunConfig, build_utility, optimize\n"
+        "cfg = RunConfig(n_experts=3, matrix_swarm_size=3, assignments_per_step=3, max_iterations=2, patience=2,\n"
+        "                mode='full', utility_spec={'name': 'affine_target', 'n': 3, 'points': 2})\n"
+        "system, trace = optimize(cfg, None, build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream('task')))\n"
+        "assert [(row.ran_role, row.ran_weight) for row in trace.rows] == [(True, True)] * 2"
+    )
+    assert "dagswarm.orchestrate" in loaded
+    assert [name for name in UNUSED_BY_A_LOCAL_RUN if name in loaded] == []
 
 
 def test_the_stub_and_tls_load_on_first_use():

@@ -138,6 +138,15 @@ def test_drawn_pool_takes_its_expert_length_from_the_task():
     assert np.array_equal(repeated[0::2], repeated[1::2]) and not np.array_equal(repeated[0], repeated[2])
 
 
+@pytest.mark.parametrize("mode", ["role_only", "full"])
+def test_a_hidden_dag_of_another_node_count_fails_before_iteration_0(mode, tmp_path):
+    cfg = small_cfg(n_experts=4, mode=mode, utility_spec={"name": "hidden_dag", "n": 5})
+    utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"))
+    with pytest.raises(ValueError, match="^the utility scores 5-node graphs, but n_experts is 4$"):
+        optimize(cfg, None, utility, checkpoint_path=tmp_path / "ck.json")
+    assert not (tmp_path / "ck.json").exists()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_pool_of_one_distinct_expert_never_moves(seed):
     # Weight steps move experts only within the affine hull of the distinct ones, a point here.

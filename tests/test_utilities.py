@@ -310,6 +310,29 @@ def test_build_utility_rejects_an_option_of_the_wrong_json_type_by_name(spec, ke
     assert str(caught.value) == f"utility_spec field {key!r} cannot be read: {value!r} is a {type(value).__name__}"
 
 
+@pytest.mark.parametrize("spec,key", [
+    ({"name": "hidden_dag", "n": 0}, "n"),
+    ({"name": "hidden_dag", "n": -3}, "n"),
+    ({"name": "affine_target", "dim": 0}, "dim"),
+    ({"name": "affine_target", "n": 0}, "n"),
+    ({"name": "affine_target", "points": 0}, "points"),
+])
+def test_build_utility_rejects_a_count_below_one_by_name(spec, key):
+    rng = RngFactory(0).stream("task")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as caught:
+        build_utility(spec, rng)
+    assert str(caught.value) == f"utility_spec field {key!r} must be >= 1, got {spec[key]}"
+    assert rng.bit_generator.state == state  # rejected before any task was drawn
+
+
+def test_hidden_dag_declares_its_node_count():
+    rng = RngFactory(0).stream("task")
+    assert build_utility({"name": "hidden_dag", "n": 5}, rng).node_count == 5
+    for spec in ({"name": "constant"}, {"name": "affine_target", "n": 5}):
+        assert build_utility(spec, rng).node_count is None
+
+
 def test_build_utility_registry():
     rng = RngFactory(0).stream("task")
     assert build_utility({"name": "constant", "value": 2.5}, rng).evaluate(None, None, None) == 2.5
