@@ -14,6 +14,7 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .pool import load_pool
 from .pso import sample_grid_hyperparams
 from .remote import RemoteEvaluator
 from .rng import RngFactory
-from .utilities import UtilityFunction, build_utility, json_field, json_object, read_json
+from .utilities import UtilityFunction, build_utility, json_array, json_field, json_object, read_json
 
 ENDPOINT_ENV = "DAGSWARM_ENDPOINT"
 
@@ -104,8 +105,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    data = read_json(args.matrix)
-    matrix = json_field(data, "matrix file", "matrix") if isinstance(data, dict) else data  # decode_dag rejects a non-square one
+    data = read_json(args.matrix)  # [[...]] or {"matrix": [[...]]}; decode_dag rejects a non-square matrix
+    matrix = json_array(json_field(data, "matrix file", "matrix") if isinstance(data, dict) else data, "matrix", 2)
     with np.errstate(over="ignore"):  # exp overflowing to inf is part of the decode, not a second error line
         dag = decode_dag(matrix, args.top_p, RngFactory(args.seed).stream("decode", 0, 0))
     record = {"format_version": 1, "top_p": args.top_p, "seed": args.seed, "dag": dag.to_dict()}
@@ -136,7 +137,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_analyze(args) -> int:
     data = json_object(read_json(args.correctness), "correctness file", "per_expert_correct", "system_correct")
-    table = bucketize(data["per_expert_correct"], data["system_correct"])
+    read = partial(json_field, data, "correctness file")  # booleans only: bucketize would read any value as one
+    table = bucketize(read("per_expert_correct", partial(json_array, name="per_expert_correct", ndim=2, kinds=(bool,))),
+                      read("system_correct", partial(json_array, name="system_correct", ndim=1, kinds=(bool,))))
     ablation = json_object(read_json(args.ablation), "ablation file") if args.ablation else None
     metrics = RunTrace.from_jsonl(Path(args.trace).read_text()).to_csv() if args.trace else None
     report = analysis_report(table, ablation)
@@ -252,9 +255,12 @@ def run_cli(argv=None) -> int:
         return _usage_error(f"--jobs needs a remote endpoint in {ENDPOINT_ENV}; no local evaluator runs items concurrently")
     try:
         return args.handler(args)
-    except BrokenPipeError:
-        raise
     except Exception as exc:  # CLI boundary: every failure becomes error JSON
+        if isinstance(exc, BrokenPipeError):  # stdout's reader is gone: the interpreter's final flush goes to devnull
+            with suppress(OSError, ValueError):  # a stdout with no file descriptor is left as it is
+                stdout, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stdout)
+                os.close(devnull)
         print(
             json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
             file=sys.stderr,

@@ -9,10 +9,8 @@ coin flips, so every decode is a valid DAG with a single sink.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -60,11 +58,17 @@ def _top_p(probs: list[float], p: float, uniform: float) -> int:
     """The index ``top_p_sample`` draws with ``uniform`` from ``probs``, the scores over their finite positive sum."""
     # reverse=True keeps equal probabilities in ascending index order, as a stable sort on -probs does.
     order = sorted(range(len(probs)), key=probs.__getitem__, reverse=True)
-    cdf = list(accumulate(map(probs.__getitem__, order)))
-    # An unreached p keeps every index, as numpy's searchsorted past the end does.
-    cutoff = bisect_left(cdf, p) + 1
-    kept = min(cutoff, len(cdf))
-    return order[min(bisect_right(cdf, uniform * cdf[kept - 1], 0, kept), cutoff - 1)]
+    cdf, mass = [], 0.0
+    for i in order:  # the smallest prefix whose mass reaches p; an unreached p keeps every index
+        mass += probs[i]
+        cdf.append(mass)
+        if mass >= p:
+            break
+    draw = uniform * mass
+    for i, c in zip(order, cdf):  # the first index whose cumulative mass exceeds the draw
+        if c > draw:
+            break
+    return i
 
 
 def integers(name: str, values) -> tuple[int, ...]:
@@ -151,9 +155,10 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     node keeps a path to the end. Out-degree sums that are not finite raise ``ValueError``
     before any draw, and sums whose top-p total overflows to inf raise it before that draw.
 
-    One loop places the end and then every other node in Python floats, reading its
-    doubles by index from a block drawn in one call, with the same DAGs, errors and
-    final generator state as the numpy reference.
+    One loop places the end and then every other node in Python floats. Totals of fewer than
+    8 terms, out-degree sums too, are added in order from 0.0 as numpy adds them, and doubles are
+    read by index from a block drawn in one call: the numpy reference's DAGs, errors and final
+    generator state.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
@@ -164,10 +169,13 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     if n == 1:
         return DagStructure(1, 0, frozenset(), (0,))
 
-    # Python floats from here on; numpy only for exp, the row sums, totals of 8 or more terms and the draws.
     rows = A.tolist()
     exp_rows = np.exp(A).tolist()
-    out_sums = [total - rows[i][i] for i, total in enumerate(np.add.reduce(A, 1).tolist())]
+    out_sums = [0.0] * n if n < 8 else np.add.reduce(A, 1).tolist()
+    for i, (total, row) in enumerate(zip(out_sums, rows)):
+        for x in row if n < 8 else ():  # numpy's sum adds fewer than 8 terms in order, from 0.0
+            total += x
+        out_sums[i] = total - row[i]
     if not all(map(math.isfinite, out_sums)):
         raise ValueError("out-degree sums must be finite")
     # Every top-p score is a sum s or the end's 1 / (s + DEGREE_EPS); s <= -DEGREE_EPS fails the end's.
@@ -204,9 +212,12 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
             coins = block[drawn : drawn + k] if drawn < size else iter(rng.random, None)  # zip stops at ``placed``
             drawn += k
             total = total or math.nan  # every exp underflowed: 0 / 0 draws no edge, as in numpy
-            hits = [(u, v) for v, d in zip(placed, coins) if d < exp_row[v] / total and row[v] > 0.0]
-            # No hit: the first largest entry in index order, as np.argmax picks it.
-            edges.extend(hits or [(u, max(sorted(placed), key=row.__getitem__))])
+            before = len(edges)
+            for v, d in zip(placed, coins):
+                if d < exp_row[v] / total and row[v] > 0.0:
+                    edges.append((u, v))
+            if len(edges) == before:  # no hit: the first largest entry in index order, as np.argmax picks it
+                edges.append((u, max(sorted(placed), key=row.__getitem__)))
         elif least < 0.0 and any(out_sums[v] < 0.0 for v in remaining):  # other negative sums fail here
             raise ValueError("scores must be non-negative")
         placed.append(u)

@@ -27,7 +27,7 @@ from .pool import build_pool
 from .pso import PsoHyperparams, Swarm
 from .rng import RngFactory
 from .role_step import RoleRecord, SparsityConfig, role_step
-from .utilities import UtilityFunction, json_field, json_lines, json_object, read_json
+from .utilities import UtilityFunction, json_array, json_field, json_lines, json_object, read_json
 from .weight_step import weight_step
 
 MODES = ("full", "role_only", "weight_only")
@@ -203,18 +203,10 @@ class OptimizedSystem:
         return cls(
             dag=read("dag", DagStructure.from_dict),
             assignment=read("assignment", lambda slots: Assignment(integers("assignment", slots))),
-            expert_params=read("experts", _expert_array),
+            expert_params=read("experts", partial(json_array, name="experts", ndim=2)),
             best_utility=read("best_utility", float, kinds=(int, float)),
             best_role_utility=read("best_role_utility", float, kinds=(int, float)),
         )
-
-
-def _expert_array(value) -> np.ndarray:
-    """A list of equal-length lists of JSON numbers as a float ``(n, d)`` array; anything else raises ``ValueError``."""
-    array = np.array(value)
-    if array.ndim != 2 or array.dtype.kind not in "iuf":
-        raise ValueError(f"expected a list of equal-length lists of numbers, got a {array.ndim}-d {array.dtype} array")
-    return array.astype(float)
 
 
 def _pack(value):

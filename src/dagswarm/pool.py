@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .utilities import json_field, json_object, read_json
+from .utilities import json_array, json_field, json_object, read_json
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
@@ -52,7 +52,7 @@ def save_pool(pool: np.ndarray, directory: str | Path) -> None:
 
 
 def load_pool(directory: str | Path) -> np.ndarray:
-    """The ``(n, d)`` pool; a malformed manifest or expert files of different lengths raise ``ValueError``.
+    """The ``(n, d)`` pool; a malformed manifest or expert file, or expert files of different lengths, raise ``ValueError``.
 
     ``files`` may name only plain file names inside ``directory``.
     """
@@ -63,9 +63,10 @@ def load_pool(directory: str | Path) -> np.ndarray:
     for name in files:
         if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
             raise ValueError(f"pool manifest entry {name!r} is not a plain file name")
-    pool = np.array([read_json(directory / name) for name in files], dtype=float)
-    if pool.ndim != 2 or len(pool) != n_experts:
+    experts = [json_array(read_json(directory / name), f"expert file {name}", 1) for name in files]
+    if len(experts) != n_experts or len({len(expert) for expert in experts}) != 1:
         raise ValueError("expert files must hold manifest n_experts vectors of one length")
+    pool = np.array(experts)
     if pool.shape[1] != dim:
         raise ValueError(f"pool manifest dim {dim!r} does not match expert width {pool.shape[1]}")
     return pool

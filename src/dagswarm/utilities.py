@@ -229,6 +229,30 @@ def json_field(data: dict, name: str, key: str, parse=lambda value: value, kinds
         raise ValueError(f"{name} field {key!r} cannot be read: {exc!r}") from exc
 
 
+def json_array(value, name: str, ndim: int, kinds: tuple = (int, float)) -> np.ndarray:
+    """Non-empty lists nested ``ndim`` deep, of one length at each depth, around values of exactly a type in ``kinds``
+    (a boolean is no number), as a float array or, for ``(bool,)``, a boolean one; else ``ValueError`` naming the element."""
+    shape: list[int] = []  # the list length at each depth, set by its first list
+
+    def walk(value, path: str, depth: int) -> None:
+        where = f"{name} element {path}" if path else name
+        if depth == ndim:
+            if type(value) not in kinds:
+                raise ValueError(f"{where} is {value!r}, a {type(value).__name__}, not {' or '.join(k.__name__ for k in kinds)}")
+            return
+        if type(value) is not list or not value:
+            raise ValueError(f"{where} must be a non-empty list, not {'[]' if value == [] else 'a ' + type(value).__name__}")
+        if depth == len(shape):
+            shape.append(len(value))
+        elif len(value) != shape[depth]:
+            raise ValueError(f"{where} has {len(value)} entries, not {shape[depth]} as the rows before it")
+        for i, item in enumerate(value):
+            walk(item, f"{path}[{i}]", depth + 1)
+
+    walk(value, "", 0)
+    return np.array(value, dtype=bool if kinds == (bool,) else float)
+
+
 def load_dataset(path: str | Path) -> list[dict]:
     """One JSON object per non-blank line; bad JSON or another value raises ``ValueError`` naming the path and line."""
     with open(path, encoding="utf-8") as handle:

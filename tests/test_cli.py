@@ -92,6 +92,35 @@ def test_decode_names_a_matrix_file_without_its_matrix_field(tmp_path, capsys):
     assert cli_error(capsys) == {"type": "ValueError", "message": "matrix file has no 'matrix' field"}
 
 
+@pytest.mark.parametrize("content,message", [
+    ({"matrix": [["0.5", True], [0.1, 0.2]]}, "matrix element [0][0] is '0.5', a str, not int or float"),
+    ([[0.5, True], [0.1, 0.2]], "matrix element [0][1] is True, a bool, not int or float"),
+    ([[0.5, 0.1], [0.2]], "matrix element [1] has 1 entries, not 2 as the rows before it"),
+    ({"matrix": 0.5}, "matrix must be a non-empty list, not a float"),
+], ids=["wrapped-str", "bare-bool", "ragged", "wrapped-number"])
+def test_decode_names_a_matrix_entry_that_is_no_json_number(content, message, tmp_path, capsys):
+    matrix = write(tmp_path / "m.json", content)
+    assert run_cli(["decode", "--matrix", matrix]) == 1
+    assert cli_error(capsys) == {"type": "ValueError", "message": message}
+
+
+def test_decode_into_a_closed_pipe_ends_with_one_error_line(tmp_path):
+    # The read end is closed before the child starts, so its first write to stdout fails with EPIPE.
+    matrix = write(tmp_path / "m.json", [[0.0, 0.99], [0.01, 0.0]])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        process = subprocess.run([sys.executable, "-m", "dagswarm.cli", "decode", "--matrix", matrix], env=env,
+                                 stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert process.returncode != 0
+    assert "Traceback" not in process.stderr and "Exception ignored" not in process.stderr
+    (line,) = process.stderr.splitlines()
+    assert json.loads(line)["error"]["type"] == "BrokenPipeError"
+
+
 def test_decode_rejects_top_p_out_of_range_for_a_single_node(tmp_path, capsys):
     matrix = write(tmp_path / "m.json", [[0.0]])
     assert run_cli(["decode", "--matrix", matrix, "--top-p", "5"]) == 1
@@ -222,15 +251,27 @@ def test_analyze_takes_no_config_or_seed(flag, value, tmp_path, capsys):
         ("--correctness", [1, 2], "correctness file root must be a JSON object"),
         ("--correctness", {"per_expert_correct": [[1]]}, "correctness file has no 'system_correct' field"),
         (
+            "--correctness",
+            {"per_expert_correct": [[True], [False]], "system_correct": ["no", False]},
+            "correctness file field 'system_correct' cannot be read: "
+            "ValueError(\"system_correct element [0] is 'no', a str, not bool\")",
+        ),
+        (
+            "--correctness",
+            {"per_expert_correct": [[True], [0]], "system_correct": [True, False]},
+            "correctness file field 'per_expert_correct' cannot be read: "
+            "ValueError('per_expert_correct element [1][0] is 0, a int, not bool')",
+        ),
+        (
             "--ablation",
             {"wo_role": 0.1, "role_baseline_avg": 0.5, "weight_baseline_avg": 0.4},
             "ablation file has no 'wo_weight' field",
         ),
     ],
-    ids=["list-root", "no-system_correct", "no-wo_weight"],
+    ids=["list-root", "no-system_correct", "system_correct-str", "per_expert_correct-int", "no-wo_weight"],
 )
 def test_analyze_names_the_root_or_missing_field_of_a_malformed_file(flag, content, message, tmp_path, capsys):
-    files = {"--correctness": {"per_expert_correct": [[1]], "system_correct": [1]}, flag: content}
+    files = {"--correctness": {"per_expert_correct": [[True]], "system_correct": [True]}, flag: content}
     args = ["analyze", "--out", str(tmp_path / "an")]
     for name, data in files.items():
         args += [name, write(tmp_path / f"{name[2:]}.json", data)]
@@ -246,7 +287,7 @@ def test_analyze_names_the_root_or_missing_field_of_a_malformed_file(flag, conte
     (None, "None is a NoneType"), ("x", "'x' is a str"), ("0.5", "'0.5' is a str"), (True, "True is a bool"),
 ])
 def test_analyze_names_an_ablation_value_it_cannot_read(value, error, tmp_path, capsys):
-    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[1]], "system_correct": [1]})
+    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[True]], "system_correct": [True]})
     ablation = write(
         tmp_path / "ablation.json",
         {"wo_role": value, "wo_weight": 0.2, "role_baseline_avg": 0.5, "weight_baseline_avg": 0.4},
@@ -273,7 +314,7 @@ def test_analyze_names_an_ablation_value_it_cannot_read(value, error, tmp_path, 
     ids=["list", "missing-field", "unknown-field"],
 )
 def test_analyze_reads_a_malformed_trace_before_writing_anything(trace, message, tmp_path, capsys):
-    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[1]], "system_correct": [1]})
+    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[True]], "system_correct": [True]})
     trace_path = tmp_path / "trace.jsonl"
     trace_path.write_text(trace)
     args = ["analyze", "--correctness", correctness, "--trace", str(trace_path), "--out", str(tmp_path / "an")]
@@ -397,7 +438,10 @@ def test_commands_close_the_remote_evaluator(tmp_path, capsys, monkeypatch, keep
 def test_analyze_writes_report_and_csv(tmp_path, capsys):
     correctness = write(
         tmp_path / "corr.json",
-        {"per_expert_correct": [[0, 0], [1, 0], [0, 1], [1, 1]], "system_correct": [1, 1, 0, 1]},
+        {
+            "per_expert_correct": [[False, False], [True, False], [False, True], [True, True]],
+            "system_correct": [True, True, False, True],
+        },
     )
     trace_path = tmp_path / "trace.jsonl"
     trace_path.write_text(
@@ -619,12 +663,12 @@ def test_evaluate_names_an_experts_value_that_is_not_a_matrix(tmp_path, capsys, 
     write_system(system, diamond_dag(), np.zeros((4, 6)))
     write(system, {**json.loads(system.read_text()), "experts": 5})
     assert run_cli(["evaluate", "--system", str(system), "--config", affine_config(tmp_path)]) == 1
-    message = "system field 'experts' cannot be read: ValueError('expected a list of equal-length lists of numbers, got a 0-d int64 array')"
+    message = "system field 'experts' cannot be read: ValueError('experts must be a non-empty list, not a int')"
     assert cli_error(capsys) == {"type": "ValueError", "message": message}
 
 
 def test_analyze_names_a_trace_value_of_the_wrong_json_type_before_writing_anything(tmp_path, capsys):
-    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[1]], "system_correct": [1]})
+    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[True]], "system_correct": [True]})
     row = {
         "iteration": 0, "ran_role": True, "ran_weight": True, "best_role_utility": 0.5,
         "best_utility": 0.5, "best_contribution": None, "evaluator_calls": 8,
@@ -651,7 +695,7 @@ def test_a_json_input_file_that_is_not_json_names_itself(bad, tmp_path, capsys, 
     cfg = affine_config(tmp_path)
     pool = tmp_path / "pool"
     save_pool(np.zeros((4, 6)), pool)
-    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[1]], "system_correct": [1]})
+    correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[True]], "system_correct": [True]})
     paths = {
         "config": cfg,
         "matrix": write(tmp_path / "m.json", [[0.0]]),

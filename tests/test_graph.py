@@ -378,6 +378,46 @@ def test_decode_matches_reference_at_the_block_boundary(n):
             assert fast.bit_generator.state == ref.bit_generator.state, (zero_rows, kind, p)
 
 
+def signed_sum_matrix(gen, n, kind):
+    """Rows of -0.0 entries, rows of signed entries whose in-order sum is exactly 0.0, or a sum at -DEGREE_EPS."""
+    A = gen.random((n, n))
+    rows = gen.permutation(n)[: int(gen.integers(1, n + 1))]
+    for r in rows:
+        off = np.arange(n) != r
+        if kind == "negative_zeros":
+            A[r, off] = np.where(gen.random(n - 1) < 0.5, -0.0, A[r, off] * (gen.random() < 0.5))
+            A[r, r] = (-0.0, 0.0, 0.7)[int(gen.integers(3))]
+        elif kind == "cancelling":  # exactly 0.0 in numpy's order, which is the in-order sum below 8 terms
+            A[r] = (gen.random(n) - 0.5) * 10.0 ** gen.uniform(-3, 3)
+            A[r, r] = 0.0
+            last = np.flatnonzero(off)[-1]
+            A[r, last] = 0.0
+            A[r, last] = -np.add.reduce(A[r])
+        else:  # one entry at, just below or just above -DEGREE_EPS, the most negative sum the end's top-p takes
+            A[r, off] = 0.0
+            A[r, (r + 1) % n] = -DEGREE_EPS * (1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 0.5)[int(gen.integers(4))]
+    return A
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_decode_matches_reference_on_signed_zero_cancelling_and_near_negative_sums(n):
+    # Out-degree sums of fewer than 8 terms (n < 8) are added in order from 0.0, those of 8 or more by numpy.
+    # A row summing to exactly 0.0 takes the zero-sum block cut and, where every score is 0.0, the rng.integers
+    # fallback; a sum at or below -DEGREE_EPS raises before any draw. Half the generators hold a buffered 32-bit half.
+    gen = np.random.default_rng(700 + n)
+    for kind in ("negative_zeros", "cancelling", "near_negative"):
+        for case in range(60):
+            A = signed_sum_matrix(gen, n, kind)
+            p = (0.3, 0.8, 1.0, 1e-12)[case % 4]
+            fast, ref = np.random.default_rng(case), np.random.default_rng(case)
+            if case % 2:
+                fast.integers(10), ref.integers(10)
+            with np.errstate(invalid="ignore", over="ignore"):  # a cancelling entry may overflow exp
+                expected = decode_or_error(reference_decode_dag, A, p, ref)
+                assert decode_or_error(decode_dag, A, p, fast) == expected, (kind, case, p)
+            assert fast.bit_generator.state == ref.bit_generator.state, (kind, case, p)
+
+
 def test_decode_ranks_each_top_p_by_probability_not_by_raw_sum():
     # Nodes 1 and 2 have out-degree sums x < nextafter(x) that divide by the
     # placement's total to the same probability, so the stable sort keeps

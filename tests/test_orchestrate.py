@@ -446,11 +446,13 @@ def test_system_from_dict_names_a_field_it_cannot_read(key, value, error):
         OptimizedSystem.from_dict(data)
 
 @pytest.mark.parametrize("key,value,error", [
-    ("experts", 5, "ValueError('expected a list of equal-length lists of numbers, got a 0-d int64 array')"),
-    ("experts", [0.5, 1.5], "ValueError('expected a list of equal-length lists of numbers, got a 1-d float64 array')"),
-    ("experts", [[[0.5]]], "ValueError('expected a list of equal-length lists of numbers, got a 3-d float64 array')"),
-    ("experts", [["0.5"]], "ValueError('expected a list of equal-length lists of numbers, got a 2-d <U3 array')"),
-    ("experts", [[True]], "ValueError('expected a list of equal-length lists of numbers, got a 2-d bool array')"),
+    ("experts", 5, "ValueError('experts must be a non-empty list, not a int')"),
+    ("experts", [0.5, 1.5], "ValueError('experts element [0] must be a non-empty list, not a float')"),
+    ("experts", [[[0.5]]], "ValueError('experts element [0][0] is [0.5], a list, not int or float')"),
+    ("experts", [["0.5"]], "ValueError(\"experts element [0][0] is '0.5', a str, not int or float\")"),
+    ("experts", [[True]], "ValueError('experts element [0][0] is True, a bool, not int or float')"),
+    ("experts", [[0.5, 1.5], [0.5, False]], "ValueError('experts element [1][1] is False, a bool, not int or float')"),
+    ("experts", [[0.5, 1.5], [0.5]], "ValueError('experts element [1] has 1 entries, not 2 as the rows before it')"),
     ("best_utility", "0.5", "'0.5' is a str"),
     ("best_utility", True, "True is a bool"),
     ("best_role_utility", "0.5", "'0.5' is a str"),

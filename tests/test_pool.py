@@ -136,3 +136,12 @@ def test_load_accepts_only_plain_file_names(tmp_path, entry):
     entry = str(outside) if entry == "ABSOLUTE" else entry
     with pytest.raises(ValueError, match=re.escape(f"pool manifest entry {entry!r} is not a plain file name")):
         load_pool(saved_manifest(tmp_path, files=["expert_000.json", entry]))
+
+
+def test_load_names_an_expert_value_that_is_no_json_number(tmp_path):
+    directory = saved_manifest(tmp_path, dim=3)
+    (directory / "expert_000.json").write_text(json.dumps([0.5, 1.0, 2]))
+    (directory / "expert_001.json").write_text(json.dumps(["0.5", True, 2]))
+    with pytest.raises(ValueError) as caught:
+        load_pool(directory)
+    assert str(caught.value) == "expert file expert_001.json element [0] is '0.5', a str, not int or float"

@@ -28,7 +28,7 @@ from dagswarm import (
     normalized_edit_distance,
     star_dag,
 )
-from dagswarm.utilities import AffineTargetUtility, ConstantUtility, DagRecoveryUtility
+from dagswarm.utilities import AffineTargetUtility, ConstantUtility, DagRecoveryUtility, json_array
 
 
 def diamond_dag() -> DagStructure:
@@ -348,3 +348,32 @@ def test_build_utility_registry():
         build_utility({"name": "hidden_dag", "target": "ring"}, rng)
     with pytest.raises(ValueError):
         build_utility({"name": "dataset", "path": "x.jsonl"}, rng)  # no evaluator
+
+
+def test_json_array_reads_numbers_as_floats_and_flags_as_booleans():
+    numbers = json_array([[1, 2.5], [-3, 0.0]], "m", 2)
+    assert numbers.dtype == float and numbers.tolist() == [[1.0, 2.5], [-3.0, 0.0]]
+    flags = json_array([[True], [False]], "f", 2, kinds=(bool,))
+    assert flags.dtype == bool and flags.tolist() == [[True], [False]]
+
+
+@pytest.mark.parametrize("value,ndim,kinds,message", [
+    (["0.5", True, 2], 1, (int, float), "m element [0] is '0.5', a str, not int or float"),
+    ([0.5, True], 1, (int, float), "m element [1] is True, a bool, not int or float"),
+    ([0.5, None], 1, (int, float), "m element [1] is None, a NoneType, not int or float"),
+    ([[0.5, 1], [0.1, "x"]], 2, (int, float), "m element [1][1] is 'x', a str, not int or float"),
+    ([[True], ["no"]], 2, (bool,), "m element [1][0] is 'no', a str, not bool"),
+    ([True, 1], 1, (bool,), "m element [1] is 1, a int, not bool"),
+    ([[0.1, 0.2], [0.3]], 2, (int, float), "m element [1] has 1 entries, not 2 as the rows before it"),
+    ([[0.1], [0.2, 0.3]], 2, (int, float), "m element [1] has 2 entries, not 1 as the rows before it"),
+    ([[[0.1]]], 2, (int, float), "m element [0][0] is [0.1], a list, not int or float"),
+    ([[0.1], 0.2], 2, (int, float), "m element [1] must be a non-empty list, not a float"),
+    ({"matrix": [[0.1]]}, 2, (int, float), "m must be a non-empty list, not a dict"),
+    ([], 1, (int, float), "m must be a non-empty list, not []"),
+    ([[0.1], []], 2, (int, float), "m element [1] must be a non-empty list, not []"),
+], ids=["str", "bool-in-numbers", "null", "nested-str", "str-in-flags", "int-in-flags", "short-row", "long-row",
+        "too-deep", "too-shallow", "object", "empty", "empty-row"])
+def test_json_array_names_a_bad_element_by_its_index_path(value, ndim, kinds, message):
+    with pytest.raises(ValueError) as caught:
+        json_array(value, "m", ndim, kinds)
+    assert str(caught.value) == message
