@@ -152,19 +152,18 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
     exp(a_ui). Exact-zero entries are ineligible as edges (they still count
     in the denominator), which lets threshold pruning suppress edges. A node
     that drew no edge is wired to its argmax-entry placed node, so every non-end
-    node keeps a path to the end. Out-degree sums that are not finite raise ``ValueError``
-    before any draw, and sums whose top-p total overflows to inf raise it before that draw.
+    node keeps a path to the end. The whole matrix is checked before any draw: an empty matrix, or
+    out-degree sums that are not finite, are negative or add up to 1e308 or more, raise ``ValueError``.
 
     One loop places the end and then every other node in Python floats. Totals of fewer than
     8 terms, out-degree sums too, are added in order from 0.0 as numpy adds them, and doubles are
-    read by index from a block drawn in one call: the numpy reference's DAGs, errors and final
-    generator state.
+    read by index from a block drawn in one call: the numpy reference's DAGs and final generator state.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("adjacency matrix must be square")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError("adjacency matrix must be square and non-empty")
     n = A.shape[0]
     if n == 1:
         return DagStructure(1, 0, frozenset(), (0,))
@@ -178,14 +177,15 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
         out_sums[i] = total - row[i]
     if not all(map(math.isfinite, out_sums)):
         raise ValueError("out-degree sums must be finite")
-    # Every top-p score is a sum s or the end's 1 / (s + DEGREE_EPS); s <= -DEGREE_EPS fails the end's.
-    least = min(out_sums)
-    if least <= -DEGREE_EPS:
-        raise ValueError("scores must be non-negative")
-    # The block holds every double before placement n - z (z = zero sums), the first whose top-p may fall back
-    # to rng.integers, and ends after a placement's coins. It is empty if a sum is negative, and holds only the
-    # end's draw if the sums reach 1e308, since a later top-p total may then overflow and raise before its draw.
-    covered = -1 if least < 0.0 else n - 1 - out_sums.count(0.0) if sum(out_sums) < 1e308 else 0
+    # Every top-p score is a sum or the end's 1 / (sum + DEGREE_EPS), so once the sums are non-negative and
+    # add up to less than 1e308 no top-p total is negative or overflows, and the placement loop cannot fail.
+    if min(out_sums) < 0.0:
+        raise ValueError("out-degree sums must be non-negative")
+    if sum(out_sums) >= 1e308:
+        raise ValueError("scores overflow: the out-degree sums add up to 1e308 or more")
+    # The block holds every double before placement n - z (z = zero sums), the first whose top-p may fall
+    # back to rng.integers, and ends after a placement's coins.
+    covered = n - 1 - out_sums.count(0.0)
     block = rng.random(1 + covered * (covered + 3) // 2).tolist()
     drawn, size = 0, len(block)
 
@@ -198,8 +198,6 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
             total += scores[v]
         if total <= 0.0:
             u = remaining.pop(int(rng.integers(m)))
-        elif total == math.inf:
-            raise ValueError("scores overflow: their sum is inf")
         else:
             uniform = block[drawn] if drawn < size else rng.random()
             drawn += 1
@@ -218,8 +216,6 @@ def decode_dag(A: np.ndarray, p: float, rng: np.random.Generator) -> DagStructur
                     edges.append((u, v))
             if len(edges) == before:  # no hit: the first largest entry in index order, as np.argmax picks it
                 edges.append((u, max(sorted(placed), key=row.__getitem__)))
-        elif least < 0.0 and any(out_sums[v] < 0.0 for v in remaining):  # other negative sums fail here
-            raise ValueError("scores must be non-negative")
         placed.append(u)
         scores = out_sums
 

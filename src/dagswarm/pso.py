@@ -8,6 +8,7 @@ length ``step_length`` along the blended velocity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class PsoHyperparams:
     repel: float = 0.05
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         coeffs = (self.inertia, self.cognitive, self.social, self.repel)
         if any(c < 0 for c in coeffs):
             raise ValueError("pso coefficients must be >= 0")

@@ -8,6 +8,7 @@ keep the likelihood reading of the entries.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class SparsityConfig:
             raise ValueError(f"sparsity mode must be one of {SPARSITY_MODES}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        if self.l1_coeff < 0.0:
-            raise ValueError("l1_coeff must be >= 0")
+        if not 0.0 <= self.l1_coeff < math.inf:
+            raise ValueError(f"l1_coeff must be finite and >= 0, got {self.l1_coeff!r}")
 
 
 def shaped_utility(raw: float, A: np.ndarray, cfg: SparsityConfig) -> float:
@@ -79,7 +80,8 @@ def role_step(
     shaped_scores = []
     for matrix, dag, raw in zip(swarm.positions, dags, raws):
         shaped_scores.append(shaped_utility(raw, matrix, sparsity))
-        if record is None or raw > record.utility:
+        # A NaN score never beats a record, and a NaN record gives way to any later score.
+        if record is None or raw > record.utility or math.isnan(record.utility):
             record = RoleRecord(matrix.copy(), dag, raw)
 
     swarm = pso_step(swarm, shaped_scores, hp, rng.stream("role_pso", iteration))

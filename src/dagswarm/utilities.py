@@ -9,6 +9,7 @@ and text datasets scored by exact match (remote mode).
 from __future__ import annotations
 
 import json
+import math
 from functools import partial
 from pathlib import Path
 
@@ -267,11 +268,15 @@ _SPEC_KINDS = {"name": (str,), "target": (str,), "path": (str,), "n": (int,), "d
 
 
 def build_utility(spec: dict, rng: np.random.Generator, evaluator: NodeEvaluator | None = None) -> UtilityFunction:
-    """Construct a registry utility from a config dictionary; an option of the wrong JSON type, or a count below 1, raises ``ValueError`` naming it."""
+    """Construct a registry utility from a config dictionary; an option of the wrong JSON type, a count below 1 or a
+    number that is not finite raises ``ValueError`` naming it."""
     spec = {key: json_field(spec, "utility_spec", key, kinds=_SPEC_KINDS.get(key)) for key in json_object(spec, "utility_spec")}
     for key in ("n", "dim", "points"):
         if spec.get(key, 1) < 1:
             raise ValueError(f"utility_spec field {key!r} must be >= 1, got {spec[key]}")
+    for key in ("scale", "value"):
+        if not math.isfinite(spec.get(key, 0.0)):
+            raise ValueError(f"utility_spec field {key!r} must be finite, got {spec[key]}")
     name = spec.pop("name", None)
     if name in _DEFAULT_TARGETS:
         n = spec.pop("n", 4)

@@ -150,7 +150,7 @@ def test_decode_reports_non_finite_out_degree_sums_as_error_json(tmp_path, capsy
     assert error["type"] == "ValueError" and error["message"] == "out-degree sums must be finite"
 
 
-@pytest.mark.filterwarnings("error")  # numpy's reduction of the 8 sums after the end overflows
+@pytest.mark.filterwarnings("error")  # the sums are checked before any numpy reduction of them could overflow
 def test_decode_reports_an_overflowing_total_of_eight_sums_as_error_json(tmp_path, capsys):
     matrix = write(tmp_path / "m.json", overflow_matrix(9).tolist())
     assert run_cli(["decode", "--matrix", matrix]) == 1

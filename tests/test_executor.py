@@ -113,6 +113,9 @@ def test_evaluator_failure_carries_node_id():
     with pytest.raises(ExecutionError) as err:
         execute(dag, Assignment.identity(3), pool, Message(np.zeros(2)), AffineEvaluator())
     assert err.value.node == 1
+    with pytest.raises(ExecutionError) as err:  # the base evaluator defines neither evaluate nor run
+        execute(dag, Assignment.identity(3), pool, Message(np.zeros(2)), NodeEvaluator())
+    assert err.value.node == 0 and isinstance(err.value.__cause__, NotImplementedError)
 
 
 def test_repeated_execution_deterministic():

@@ -139,10 +139,25 @@ def test_decode_rejects_p_out_of_range_even_for_one_node(p):
 
 
 def test_decode_rejects_a_matrix_it_cannot_decode():
-    # Non-square, and an out-degree sum of exactly -DEGREE_EPS, whose end score would be 1 / 0.
-    for A in (np.zeros((2, 3)), np.array([[0.0, -DEGREE_EPS], [0.5, 0.0]])):
-        with pytest.raises(ValueError):
-            decode_dag(A, 0.8, RngFactory(0).stream("decode", 0, 0))
+    # Each raises before any draw, in both decoders: an empty or non-square matrix, NaN and infinite entries,
+    # one negative out-degree sum, and finite sums that add up to 1e308 or more.
+    cases = [(np.zeros((0, 0)), "empty"), (np.zeros((2, 3)), "square"), (np.zeros(3), "square")]
+    for entry in (np.nan, np.inf, -np.inf):
+        A = np.full((3, 3), 0.5)
+        A[2, 0] = entry
+        cases.append((A, "must be finite"))
+    for negative in (-1e-300, -5e-7, -DEGREE_EPS):
+        A = np.full((4, 4), 0.5)
+        A[1] = 0.0
+        A[1, 2] = negative
+        cases.append((A, "must be non-negative"))
+    cases += [(overflow_matrix(n, big), "scores overflow") for n, big in ((2, 1e308), (3, 5e307), (9, 2e307))]
+    for A, message in cases:
+        for decode in (decode_dag, reference_decode_dag):
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match=message), np.errstate(over="ignore", invalid="ignore"):
+                decode(A, 0.8, rng)
+            assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state, (decode, A)
 
 
 def test_prune_threshold_rule():
@@ -184,6 +199,8 @@ def test_dag_validation_rejects_broken_structures():
     with pytest.raises(ValueError):
         # topo order not a permutation
         DagStructure(3, 2, frozenset({(0, 2), (1, 2)}), (0, 0, 2)).validate()
+    with pytest.raises(ValueError, match="end node is not last in topo_order"):
+        DagStructure.from_dict({"n": 2, "end_node": 1, "edges": [], "topo_order": [1, 0]})
 
 
 # Reference decode: the numpy implementation the list-based one replaced.
@@ -219,12 +236,18 @@ def reference_decode_dag(A, p, rng):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("adjacency matrix must be square")
     n = A.shape[0]
+    if n == 0:
+        raise ValueError("adjacency matrix must not be empty")
     if n == 1:
         return DagStructure(1, 0, frozenset(), (0,))
 
     out_sums = A.sum(axis=1) - np.diagonal(A)
     if not np.isfinite(out_sums).all():
         raise ValueError("out-degree sums must be finite")
+    if (out_sums < 0.0).any():
+        raise ValueError("out-degree sums must be non-negative")
+    if out_sums.sum() >= 1e308:
+        raise ValueError("scores overflow: the out-degree sums add up to 1e308 or more")
     end = reference_top_p_sample(1.0 / (out_sums + DEGREE_EPS), p, rng)
 
     placed = [end]
@@ -342,9 +365,9 @@ def boundary_matrix(gen, n, zero_rows, kind):
         A[i, j] = np.inf
     elif kind == "every_sum_inf":
         A[np.arange(n), (np.arange(n) + 1) % n] = np.inf
-    elif kind == "negative":  # a negative sum, raised on by the first top-p that sees it
+    elif kind == "negative":  # a negative sum, raised on before any draw
         A[i, j] = -float(n)
-    elif kind == "slightly_negative":  # above -DEGREE_EPS: the end's top-p takes it without raising
+    elif kind == "slightly_negative":  # a sum in (-DEGREE_EPS, 0), raised on before any draw as well
         A[i, np.arange(n) != i] = 0.0
         A[i, (i + 1) % n] = -1e-7
     return A
@@ -361,9 +384,9 @@ def decode_or_error(decode, A, p, rng):
 def test_decode_matches_reference_at_the_block_boundary(n):
     # With z all-zero off-diagonal rows the one-call block ends before placement
     # n - z, whose top-p may fall back to rng.integers; a negative, NaN or inf
-    # least sum draws no block, so a raising decode also leaves the reference's
-    # state. Each generator holds a buffered 32-bit half left by rng.integers,
-    # which a double draw must not consume.
+    # sum raises before any draw in both decoders, so both leave the state alike.
+    # Each generator holds a buffered 32-bit half left by rng.integers, which a
+    # double draw must not consume.
     gen = np.random.default_rng(300 + n)
     kinds = ("plain", "nan", "inf", "every_sum_inf", "negative", "slightly_negative")
     for zero_rows in range(n):
@@ -379,7 +402,7 @@ def test_decode_matches_reference_at_the_block_boundary(n):
 
 
 def signed_sum_matrix(gen, n, kind):
-    """Rows of -0.0 entries, rows of signed entries whose in-order sum is exactly 0.0, or a sum at -DEGREE_EPS."""
+    """Rows of -0.0 entries, rows of signed entries whose in-order sum is exactly 0.0, or a sum near -DEGREE_EPS."""
     A = gen.random((n, n))
     rows = gen.permutation(n)[: int(gen.integers(1, n + 1))]
     for r in rows:
@@ -393,7 +416,7 @@ def signed_sum_matrix(gen, n, kind):
             last = np.flatnonzero(off)[-1]
             A[r, last] = 0.0
             A[r, last] = -np.add.reduce(A[r])
-        else:  # one entry at, just below or just above -DEGREE_EPS, the most negative sum the end's top-p takes
+        else:  # one entry at, just below or just above -DEGREE_EPS, or half of it: a negative sum
             A[r, off] = 0.0
             A[r, (r + 1) % n] = -DEGREE_EPS * (1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 0.5)[int(gen.integers(4))]
     return A
@@ -403,7 +426,7 @@ def signed_sum_matrix(gen, n, kind):
 def test_decode_matches_reference_on_signed_zero_cancelling_and_near_negative_sums(n):
     # Out-degree sums of fewer than 8 terms (n < 8) are added in order from 0.0, those of 8 or more by numpy.
     # A row summing to exactly 0.0 takes the zero-sum block cut and, where every score is 0.0, the rng.integers
-    # fallback; a sum at or below -DEGREE_EPS raises before any draw. Half the generators hold a buffered 32-bit half.
+    # fallback; a negative sum raises before any draw. Half the generators hold a buffered 32-bit half.
     gen = np.random.default_rng(700 + n)
     for kind in ("negative_zeros", "cancelling", "near_negative"):
         for case in range(60):
@@ -490,14 +513,14 @@ def test_non_finite_out_degree_sums_raise_before_any_draw():
 
 
 def overflow_matrix(n, big=1e308):
-    """Out-degree sums of ``big`` each, finite, whose top-p total over the n - 1 nodes left after the end overflows."""
+    """Out-degree sums of ``big`` each, finite, which add up to 1e308 or more once n * big does."""
     A = np.zeros((n, n))
     A[np.arange(n), (np.arange(n) + 1) % n] = big
     return A
 
 
-def test_an_overflowing_top_p_total_raises_with_the_references_generator_state():
-    # n >= 9 leaves 8 or more nodes after the end, whose total numpy's reduction adds.
+def test_out_degree_sums_adding_up_to_1e308_raise_with_the_references_generator_state():
+    # n >= 8 sums each row by numpy's reduction.
     gen = np.random.default_rng(21)
     matrices = [overflow_matrix(n) for n in (3, 9, 10, 12, 16)]
     for n in (9, 10, 13):  # uniform entries beside the overflowing ones, and one all-zero row

@@ -88,6 +88,8 @@ def test_bucket_table_validation():
         BucketTable(2, (1, 1), (0, 0))  # missing bucket entry
     with pytest.raises(ValueError):
         BucketTable(2, (1, 1, 1), (2, 0, 0))  # correct exceeds count
+    with pytest.raises(ValueError, match="n_experts must be >= 1"):
+        BucketTable(0, (1,), (0,))
     with pytest.raises(ValueError):
         collaborative_gain(BucketTable(1, (0, 0), (0, 0)))  # empty dataset
 

@@ -19,6 +19,7 @@ from dagswarm import (
     SparsityConfig,
     Swarm,
     TraceRow,
+    UtilityFunction,
     build_pool,
     build_utility,
     config_from_dict,
@@ -117,6 +118,15 @@ def test_config_range_validation():
         config_from_dict({"mode": "sideways"})
     with pytest.raises(ValueError, match="pool"):
         config_from_dict({"n_experts": 10, "pool_repeats": 3})
+    for key in ("n_experts", "matrix_swarm_size", "assignments_per_step", "max_iterations", "patience"):
+        with pytest.raises(ValueError, match=f"{key}.* must be >= 1"):
+            config_from_dict({key: 0})
+    # json reads the NaN and Infinity tokens; a non-finite number is rejected by its field's name
+    for text, name in (('{"role_hp": {"inertia": NaN}}', "inertia"), ('{"weight_hp": {"step_length": Infinity}}', "step_length"),
+                       ('{"role_hp": {"repel": Infinity}}', "repel"), ('{"sparsity": {"mode": "l1", "l1_coeff": NaN}}', "l1_coeff"),
+                       ('{"top_p": NaN}', "top_p"), ('{"dropout_weight": NaN}', "dropout")):
+        with pytest.raises(ValueError, match=name):
+            config_from_dict(json.loads(text))
     # mixed in-range dropout settings are accepted
     cfg = config_from_dict({"dropout_role": 0.5, "dropout_weight": 0.2})
     assert cfg.dropout_role == 0.5
@@ -228,6 +238,30 @@ def test_constant_utility_stops_after_one_plus_patience(mode):
     cfg = small_cfg(mode=mode, max_iterations=20, patience=4, utility_spec={"name": "constant"})
     _, trace = run(cfg)
     assert len(trace.rows) == 1 + 4
+
+
+class FirstScoreNanUtility(UtilityFunction):
+    """NaN for its first evaluation, then minus the scored DAG's edge count; keeps every score in order."""
+
+    def __init__(self):
+        self.scores = []
+
+    def evaluate(self, dag, assignment, pool) -> float:
+        self.scores.append(-float(len(dag.edges)) if self.scores else float("nan"))
+        return self.scores[-1]
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_a_nan_first_score_does_not_pin_the_role_record():
+    cfg = small_cfg(mode="role_only", max_iterations=4, utility_spec={"name": "constant"})
+    utility = FirstScoreNanUtility()
+    system, trace = optimize(cfg, None, utility)
+    rows = [json.loads(line, parse_constant=reject_constant) for line in trace.to_jsonl().splitlines()]
+    assert rows[0]["best_role_utility"] == rows[0]["best_utility"] == max(utility.scores[1 : cfg.matrix_swarm_size])
+    assert system.best_utility == system.best_role_utility == max(utility.scores[1:])
 
 
 def test_returned_system_shape_and_validity():

@@ -210,6 +210,10 @@ def test_hyperparams_validation():
         PsoHyperparams(inertia=0, cognitive=0, social=0, repel=0)
     with pytest.raises(ValueError):
         PsoHyperparams(step_length=0)
+    for name, value in (("inertia", float("nan")), ("step_length", float("inf")), ("step_length", float("nan")),
+                        ("repel", float("inf"))):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            PsoHyperparams(**{name: value})
     # defaults are a valid grid point
     assert in_grid(PsoHyperparams())
 

@@ -37,6 +37,9 @@ def test_sparsity_config_validation():
         SparsityConfig("threshold", tau=1.5)
     with pytest.raises(ValueError):
         SparsityConfig("l1", l1_coeff=-0.1)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^l1_coeff must be finite and >= 0, got {value}$"):
+            SparsityConfig("l1", l1_coeff=value)
 
 
 def test_shaped_utility_arithmetic():

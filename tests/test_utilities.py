@@ -169,6 +169,16 @@ def test_affine_task_at_zero_error_scores_negative_zero():
     assert exact.evaluate(chain_dag(3), Assignment.identity(3), pool).hex() == (-0.0).hex()
 
 
+@pytest.mark.parametrize("inputs,targets", [
+    (np.zeros((3, 2)), np.zeros((3, 3))),  # mismatched
+    (np.zeros((0, 2)), np.zeros((0, 2))),  # empty
+    (np.zeros(2), np.zeros(2)),  # 1-d
+])
+def test_affine_target_needs_non_empty_k_by_d_arrays_of_equal_shape(inputs, targets):
+    with pytest.raises(ValueError, match="^inputs and targets must be non-empty"):
+        AffineTargetUtility(inputs, targets)
+
+
 @pytest.mark.parametrize("utility", [ConstantUtility(1.0), DagRecoveryUtility(chain_dag(2))], ids=lambda u: type(u).__name__)
 def test_a_utility_over_no_items_has_no_item_results(utility):
     with pytest.raises(ValueError, match=f"^{type(utility).__name__} scores no items$"):
@@ -310,19 +320,23 @@ def test_build_utility_rejects_an_option_of_the_wrong_json_type_by_name(spec, ke
     assert str(caught.value) == f"utility_spec field {key!r} cannot be read: {value!r} is a {type(value).__name__}"
 
 
-@pytest.mark.parametrize("spec,key", [
-    ({"name": "hidden_dag", "n": 0}, "n"),
-    ({"name": "hidden_dag", "n": -3}, "n"),
-    ({"name": "affine_target", "dim": 0}, "dim"),
-    ({"name": "affine_target", "n": 0}, "n"),
-    ({"name": "affine_target", "points": 0}, "points"),
+@pytest.mark.parametrize("spec,key,rule", [
+    ({"name": "hidden_dag", "n": 0}, "n", ">= 1"),
+    ({"name": "hidden_dag", "n": -3}, "n", ">= 1"),
+    ({"name": "affine_target", "dim": 0}, "dim", ">= 1"),
+    ({"name": "affine_target", "n": 0}, "n", ">= 1"),
+    ({"name": "affine_target", "points": 0}, "points", ">= 1"),
+    (json.loads('{"name": "affine_target", "scale": NaN}'), "scale", "finite"),
+    (json.loads('{"name": "affine_target", "scale": Infinity}'), "scale", "finite"),
+    (json.loads('{"name": "constant", "value": NaN}'), "value", "finite"),
+    (json.loads('{"name": "constant", "value": -Infinity}'), "value", "finite"),
 ])
-def test_build_utility_rejects_a_count_below_one_by_name(spec, key):
+def test_build_utility_rejects_an_out_of_range_option_by_name(spec, key, rule):
     rng = RngFactory(0).stream("task")
     state = rng.bit_generator.state
     with pytest.raises(ValueError) as caught:
         build_utility(spec, rng)
-    assert str(caught.value) == f"utility_spec field {key!r} must be >= 1, got {spec[key]}"
+    assert str(caught.value) == f"utility_spec field {key!r} must be {rule}, got {spec[key]}"
     assert rng.bit_generator.state == state  # rejected before any task was drawn
 
 
