@@ -120,20 +120,13 @@ class AffineEvaluator(NodeEvaluator):
 
     def run(self, dag, assignment, pool, task_input) -> Message:
         order, predecessors, slots = dag.topo_order, dag.predecessor_lists, assignment.slots
-        v = order[0]  # the node an error names: the first, until a row or the pass fails
+        v = order[0]  # the node an error names: the first, until the walk reaches another
         try:
             x = np.asarray(task_input.payload, dtype=float)
             d = x.shape[-1]
-            try:
-                array = np.ascontiguousarray(pool, dtype=float)
-            except (TypeError, ValueError):  # ragged or unreadable rows
-                array = None
-            if array is None or array.shape[1:] != (d * d + d,):
-                for v in order:
-                    if (shape := np.shape(pool[slots[v]])) != (d * d + d,):
-                        raise ValueError(f"expected {d * d + d} parameters for dimension {d}, got {shape}")
-                v = order[0]
-                array = np.ascontiguousarray(pool, dtype=float)  # every used row fits: an unused one is bad
+            array = np.ascontiguousarray(pool, dtype=float)
+            if array.shape[1:] != (d * d + d,):
+                raise ValueError(f"expected {d * d + d} parameters for dimension {d}, got {array.shape[1:]}")
             W, b = array[:, : d * d].reshape(len(array), d, d), array[:, d * d :]
             outputs: dict[int, np.ndarray] = {}
             for v in order:

@@ -239,6 +239,41 @@ def _unpack_swarm(data: dict) -> Swarm:
     return swarm
 
 
+def _check_swarm(swarm: Swarm, size: int, particle: tuple) -> None:
+    """Raise ``ValueError`` unless every array of ``swarm`` is one of ``size`` particles of shape ``particle``."""
+    for name, value in vars(swarm).items():
+        if name.endswith("_score") or value is None and name.startswith("global_"):  # a swarm that never moved
+            continue
+        want = (size,) if name == "personal_best_scores" else particle if name.startswith("global_") else (size, *particle)
+        if not isinstance(value, np.ndarray):
+            raise ValueError(f"{name} is a {type(value).__name__}, not a packed array")
+        if value.shape != want:
+            raise ValueError(f"{name} has shape {value.shape}, not {want}")
+
+
+def _check_finite_experts(positions: np.ndarray) -> None:
+    for k, row in enumerate(positions):
+        if not np.isfinite(row).all():
+            raise ValueError(f"pool expert {k} holds a value that is not finite")
+
+
+def _finite(value, low=-np.inf):
+    """``value``, unless it is NaN, infinite or below ``low``: a ``json_field`` parse."""
+    if not low <= value < np.inf:
+        raise ValueError(f"{value!r} is below {low}" if value < low else f"{value!r} is not finite")
+    return value
+
+
+def _unpack_record(record: dict, n: int) -> RoleRecord:
+    matrix, dag = _unpack(record["matrix"]), DagStructure.from_dict(record["dag"])
+    utility = json_field(record, "record", "utility", lambda value: float(_finite(value)), kinds=(int, float))
+    if dag.n != n:
+        raise ValueError(f"dag has {dag.n} nodes, not n_experts {n}")
+    if not (isinstance(matrix, np.ndarray) and matrix.shape == (n, n)):
+        raise ValueError(f"matrix is not a packed ({n}, {n}) array")
+    return RoleRecord(matrix, dag, utility)
+
+
 def save_checkpoint(path: str | Path, payload: dict) -> None:
     """Write atomically: a failed write leaves the previous checkpoint in place."""
     path = Path(path)
@@ -271,6 +306,7 @@ class RunState:
             raise ValueError(f"pool size {len(experts)} != n_experts {n}")
         if expert_dim is not None and experts.positions.shape[1:] != (expert_dim,):
             raise ValueError(f"pool experts have shape {experts.positions.shape[1:]}, but the task reads length {expert_dim}")
+        _check_finite_experts(experts.positions)
         return cls(0, 0, -np.inf, matrices, experts, None)
 
     def to_checkpoint(self, config: dict) -> dict:
@@ -287,23 +323,36 @@ class RunState:
         }
 
     @classmethod
-    def from_checkpoint(cls, payload, cfg: RunConfig) -> "RunState":
-        """Inverse of ``to_checkpoint``; raises ``ValueError`` unless the payload resumes ``cfg``'s run."""
+    def from_checkpoint(cls, payload, cfg: RunConfig, expert_dim: int | None) -> "RunState":
+        """Inverse of ``to_checkpoint``; raises ``ValueError`` unless the payload resumes ``cfg``'s run.
+
+        Counters must be >= 0, utilities finite, the record's DAG of ``n_experts`` nodes, and
+        every array packed in the shape ``cfg`` and ``expert_dim`` give, with finite experts.
+        """
         read = partial(json_field, json_object(payload, "checkpoint", version=CHECKPOINT_VERSION), "checkpoint")
         stored = read("config", lambda config: {**config})
         for name, value in json.loads(json.dumps(asdict(cfg))).items():
             if name not in ("max_iterations", "patience") and stored.get(name) != value:
                 raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
-        return cls(
-            iteration=read("iteration", kinds=(int,)),
-            stall=read("stall", kinds=(int,)),
-            best_utility=read("best_utility", kinds=(int, float)),
+        n = cfg.n_experts
+        state = cls(
+            iteration=read("iteration", partial(_finite, low=0), kinds=(int,)),
+            stall=read("stall", partial(_finite, low=0), kinds=(int,)),
+            best_utility=read("best_utility", _finite, kinds=(int, float)),
             matrix_swarm=read("matrix_swarm", _unpack_swarm),
             expert_swarm=read("expert_swarm", _unpack_swarm),
-            record=read("record", lambda record: RoleRecord(
-                _unpack(record["matrix"]), DagStructure.from_dict(record["dag"]),
-                json_field(record, "record", "utility", float, kinds=(int, float))), kinds=(dict,)),
+            record=read("record", partial(_unpack_record, n=n), kinds=(dict,)),
         )
+
+        def check_experts(_):
+            positions = state.expert_swarm.positions  # any one width if the task reads none
+            _check_swarm(state.expert_swarm, n, (expert_dim,) if expert_dim is not None else np.shape(positions)[-1:])
+            _check_finite_experts(positions)
+
+        # The swarms are checked once every field has been read, each error in its field's form.
+        read("matrix_swarm", lambda _: _check_swarm(state.matrix_swarm, cfg.matrix_swarm_size, (n, n)))
+        read("expert_swarm", check_experts)
+        return state
 
 
 def optimize(
@@ -336,7 +385,7 @@ def optimize(
     identity = Assignment.identity(cfg.n_experts)
     budget = cfg.n_experts * (cfg.matrix_swarm_size + cfg.assignments_per_step) * utility.dataset_size
     if resume_from is not None:
-        state = RunState.from_checkpoint(read_json(resume_from), cfg)
+        state = RunState.from_checkpoint(read_json(resume_from), cfg, utility.expert_dim)
     else:
         state = RunState.initial(cfg, pool, utility.expert_dim, rng)
 

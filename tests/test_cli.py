@@ -372,6 +372,20 @@ def test_optimize_rejects_a_pool_of_the_wrong_expert_length(tmp_path, capsys):
     assert error["type"] == "ValueError" and "shape (6,), but the task reads length 12" in error["message"]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print a second stderr line
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_optimize_rejects_a_pool_file_with_a_value_that_is_not_finite(tmp_path, capsys, value):
+    cfg = write(tmp_path / "cfg.json", {"n_experts": 3, "utility_spec": {"name": "affine_target", "n": 3, "points": 2}})
+    save_pool(build_pool(3, 1, 6, RngFactory(0).stream("init_experts")), tmp_path / "pool")
+    (tmp_path / "pool" / "expert_001.json").write_text(f"[0.5, {value}, 0, 0, 0, 0]")
+    assert run_cli(["optimize", "--config", cfg, "--pool", str(tmp_path / "pool"), "--out", str(tmp_path / "b")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)["error"]
+    assert error == {"type": "ValueError", "message": "pool expert 1 holds a value that is not finite"}
+    assert not (tmp_path / "b").exists()
+
+
 def test_optimize_jobs_reach_the_remote_evaluator(tmp_path, capsys, monkeypatch, clean_stub):
     built = []
 
@@ -759,6 +773,7 @@ def test_optimize_names_a_field_the_checkpoint_lacks(tmp_path, capsys):
     ("expert_swarm", {"positions": {"shape": [2], "f8": ""}}),
     ("record", {"dag": {}, "utility": 0.0}),
     ("iteration", "1"),
+    ("iteration", -5),
 ])
 def test_optimize_names_a_checkpoint_field_that_holds_the_wrong_thing(tmp_path, capsys, key, value):
     cfg = write(

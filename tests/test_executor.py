@@ -109,10 +109,7 @@ def test_assignment_validation():
 
 def test_evaluator_failure_carries_node_id():
     dag = chain_dag(3)
-    pool = [IDENTITY_PLUS_ONE, np.zeros(3), IDENTITY_PLUS_ONE]  # node 1 params malformed
-    with pytest.raises(ExecutionError) as err:
-        execute(dag, Assignment.identity(3), pool, Message(np.zeros(2)), AffineEvaluator())
-    assert err.value.node == 1
+    pool = [IDENTITY_PLUS_ONE] * 3
     with pytest.raises(ExecutionError) as err:  # the base evaluator defines neither evaluate nor run
         execute(dag, Assignment.identity(3), pool, Message(np.zeros(2)), NodeEvaluator())
     assert err.value.node == 0 and isinstance(err.value.__cause__, NotImplementedError)
@@ -246,13 +243,17 @@ def test_unreadable_payload_fails_at_the_first_node(payload, message):
     assert str(err.value) == f"evaluator failed at node {dag.topo_order[0]}: {message}"
 
 
-def test_pool_ragged_only_in_unused_rows_fails_at_the_first_node():
+@pytest.mark.parametrize("pool, slots, message", [
+    ([IDENTITY_PLUS_ONE, IDENTITY_PLUS_ONE, np.zeros(3), IDENTITY_PLUS_ONE], (0, 1, 3), "inhomogeneous shape"),  # a row no node uses
+    ([IDENTITY_PLUS_ONE, np.zeros(3), IDENTITY_PLUS_ONE], (0, 1, 2), "inhomogeneous shape"),  # the row node 1 uses
+    ([IDENTITY_PLUS_ONE, ["a"] * 6, IDENTITY_PLUS_ONE], (0, 1, 2), "could not convert string to float: 'a'"),
+])
+def test_pool_numpy_cannot_read_as_one_array_fails_at_the_first_node(pool, slots, message):
     dag = chain_dag(3)
-    pool = [IDENTITY_PLUS_ONE, IDENTITY_PLUS_ONE, np.zeros(3), IDENTITY_PLUS_ONE]
     with pytest.raises(ExecutionError) as err:
-        execute(dag, Assignment((0, 1, 3)), pool, Message(np.zeros(2)), AffineEvaluator())
+        execute(dag, Assignment(slots), pool, Message(np.zeros(2)), AffineEvaluator())
     assert err.value.node == dag.topo_order[0]
-    assert isinstance(err.value.__cause__, ValueError)
+    assert isinstance(err.value.__cause__, ValueError) and message in str(err.value)
 
 
 def test_one_pass_failure_names_the_node_of_the_per_node_loop():

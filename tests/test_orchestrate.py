@@ -28,7 +28,7 @@ from dagswarm import (
     role_step,
 )
 from dagswarm.cli import run_cli
-from dagswarm.orchestrate import RunState, _pack_swarm, _unpack_swarm, save_checkpoint
+from dagswarm.orchestrate import RunState, _pack, _pack_swarm, _unpack, _unpack_swarm, save_checkpoint
 from dagswarm.utilities import AffineTargetUtility
 from test_golden import GOLDEN, run_digest
 
@@ -176,6 +176,17 @@ def test_pool_of_the_wrong_expert_length_rejected_before_any_evaluation():
     # A task that reads no expert vector takes a pool of any width.
     constant = replace(cfg, utility_spec={"name": "constant"}, max_iterations=1)
     assert run(constant, pool=np.zeros((4, 5)))[0].expert_params.shape == (4, 5)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pool_with_a_value_that_is_not_finite_rejected_before_any_evaluation(value):
+    cfg = small_cfg()
+    pool = build_pool(4, 1, 6, RngFactory(0).stream("init_experts"))
+    pool[2, 3] = value
+    utility = task_utility(cfg)
+    with pytest.raises(ValueError, match="^pool expert 2 holds a value that is not finite$"):
+        optimize(cfg, pool, utility)
+    assert utility.evaluator_calls == 0
 
 
 def test_config_nested_values_applied():
@@ -794,7 +805,7 @@ def test_run_state_rejects_a_checkpoint_it_cannot_resume(payload, message):
     if isinstance(payload, dict):
         payload = {"config": json.loads(json.dumps(asdict(cfg))), **payload}
     with pytest.raises(ValueError, match=message):
-        RunState.from_checkpoint(payload, cfg)
+        RunState.from_checkpoint(payload, cfg, task_utility(cfg).expert_dim)
 
 
 @pytest.mark.parametrize("damage", ["shape", "bytes"])
@@ -809,6 +820,74 @@ def test_checkpoint_array_whose_bytes_disagree_with_its_shape_rejected(tmp_path,
         positions["f8"] = base64.b64encode(base64.b64decode(positions["f8"])[:-4]).decode("ascii")
     with pytest.raises(ValueError):
         _unpack_swarm(payload["matrix_swarm"])
+
+
+def _set(path, value):
+    """A damage: the checkpoint value at ``path`` (keys from the root) becomes ``value``; arrays are packed."""
+    def damage(payload):
+        *parents, key = path
+        for name in parents:
+            payload = payload[name]
+        payload[key] = _pack(value) if isinstance(value, np.ndarray) else value
+    return damage
+
+
+def _expert_positions_with_nan(payload):
+    positions = _unpack(payload["expert_swarm"]["positions"])
+    positions[1, 0] = np.nan
+    payload["expert_swarm"]["positions"] = _pack(positions)
+
+
+@pytest.mark.parametrize("mode, damage, message", [
+    ("weight_only", _set(("record", "dag"), DAG1), r"'record' cannot be read: ValueError\('dag has 1 nodes, not n_experts 3'\)$"),
+    ("full", _set(("record", "matrix"), np.zeros((2, 2))), r"'record' cannot be read: ValueError\('matrix is not a packed \(3, 3\) array'\)$"),
+    ("full", _set(("best_utility",), np.inf), r"'best_utility' cannot be read: ValueError\('inf is not finite'\)$"),
+    ("full", _set(("record", "utility"), np.nan), r"'record' cannot be read: ValueError\(\"record field 'utility' cannot be read: ValueError\('nan is not finite'\)"),
+    ("full", _set(("stall",), -5), r"'stall' cannot be read: ValueError\('-5 is below 0'\)$"),
+    ("full", _set(("iteration",), -5), r"'iteration' cannot be read: ValueError\('-5 is below 0'\)$"),
+    (
+        "full", _set(("matrix_swarm", "positions"), np.zeros((3, 4, 4))),
+        r"'matrix_swarm' cannot be read: ValueError\('positions has shape \(3, 4, 4\), not \(3, 3, 3\)'\)$",
+    ),
+    (
+        "full", _set(("expert_swarm", "positions"), np.zeros((2, 6))),
+        r"'expert_swarm' cannot be read: ValueError\('positions has shape \(2, 6\), not \(3, 6\)'\)$",
+    ),
+    (
+        "full", _set(("matrix_swarm", "velocities"), np.zeros((3, 2, 2))),
+        r"'matrix_swarm' cannot be read: ValueError\('velocities has shape \(3, 2, 2\), not \(3, 3, 3\)'\)$",
+    ),
+    (
+        "full", _set(("expert_swarm", "personal_best_scores"), np.zeros(5)),
+        r"'expert_swarm' cannot be read: ValueError\('personal_best_scores has shape \(5,\), not \(3,\)'\)$",
+    ),
+    (
+        "full", _set(("expert_swarm", "global_best"), np.zeros(5)),
+        r"'expert_swarm' cannot be read: ValueError\('global_best has shape \(5,\), not \(6,\)'\)$",
+    ),
+    (
+        "full", _set(("matrix_swarm", "positions"), np.zeros((3, 3, 3)).tolist()),
+        r"'matrix_swarm' cannot be read: ValueError\('positions is a list, not a packed array'\)$",
+    ),
+    (
+        "full", _expert_positions_with_nan,
+        r"'expert_swarm' cannot be read: ValueError\('pool expert 1 holds a value that is not finite'\)$",
+    ),
+])
+def test_resume_rejects_a_checkpoint_that_does_not_fit_the_config(tmp_path, mode, damage, message):
+    cfg = small_cfg(
+        n_experts=3, matrix_swarm_size=3, assignments_per_step=3, max_iterations=2, patience=2, mode=mode,
+        utility_spec={"name": "affine_target", "n": 3, "points": 2},
+    )
+    ck = tmp_path / "checkpoint.json"
+    run(cfg, checkpoint_path=ck)
+    payload = json.loads(ck.read_text())
+    damage(payload)
+    ck.write_text(json.dumps(payload))
+    utility = task_utility(cfg)
+    with pytest.raises(ValueError, match="^checkpoint field " + message):
+        optimize(replace(cfg, max_iterations=4), None, utility, resume_from=ck)
+    assert utility.evaluator_calls == 0
 
 
 def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
