@@ -248,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("jobs", "runs"):
-        if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
-            return _usage_error(f"--{flag} must be >= 1")
+    for flag, low in (("jobs", 1), ("runs", 1), ("seed", 0)):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < low:
+            return _usage_error(f"--{flag} must be >= {low}")
     if getattr(args, "jobs", None) is not None and not os.environ.get(ENDPOINT_ENV):
         return _usage_error(f"--jobs needs a remote endpoint in {ENDPOINT_ENV}; no local evaluator runs items concurrently")
     try:

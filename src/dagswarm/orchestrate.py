@@ -69,6 +69,8 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.pool_repeats < 1 or self.n_experts % self.pool_repeats:
             raise ValueError(f"pool_repeats = {self.pool_repeats} must be >= 1 and divide n_experts = {self.n_experts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -217,60 +219,61 @@ def _pack(value):
     return value
 
 
-def _unpack(value):
-    """Inverse of ``_pack``: a writable float array, or the value unchanged.
-
-    Bytes that do not fill ``shape`` exactly raise numpy's ``ValueError``.
-    """
+def _unpack(value, name: str, shape: tuple) -> np.ndarray:
+    """Inverse of ``_pack``: a writable float array of ``shape``, a ``None`` in it any length; else ``ValueError`` naming ``name``."""
     if not (isinstance(value, dict) and "f8" in value):
-        return value
-    raw = np.frombuffer(base64.b64decode(value["f8"]), dtype="<f8")
-    return raw.reshape(value["shape"]).astype(float)
+        raise ValueError(f"{name} is a {type(value).__name__}, not a packed array")
+    array = np.frombuffer(base64.b64decode(value["f8"]), dtype="<f8").reshape(value["shape"]).astype(float)
+    if len(array.shape) != len(shape) or any(want not in (None, got) for got, want in zip(array.shape, shape)):
+        raise ValueError(f"{name} has shape {array.shape}, not {shape}")
+    return array
 
 
 def _pack_swarm(swarm: Swarm) -> dict:
     return {name: _pack(value) for name, value in vars(swarm).items()}
 
 
-def _unpack_swarm(data: dict) -> Swarm:
-    swarm = Swarm(**{name: _unpack(value) for name, value in data.items()})
-    for name in ("global_best_score", "global_worst_score"):
-        json_field(vars(swarm), "swarm", name, kinds=(int, float))
+def _unpack_swarm(data: dict, size: int, particle: tuple) -> Swarm:
+    """Inverse of ``_pack_swarm``: ``size`` particles of shape ``particle``, or ``ValueError`` naming the field that is not.
+
+    A ``None`` in ``particle`` takes the positions' length, which the other arrays must share. Scores are ones ``pso_step``
+    writes: no personal score NaN, a null global best (worst) at exactly -inf (+inf), a set best finite, a set worst < +inf.
+    """
+    swarm = Swarm(**data)  # a missing or unknown field raises TypeError
+    swarm.positions = _unpack(data["positions"], "positions", (size, *particle))
+    particle = swarm.positions.shape[1:]
+    for name in ("velocities", "personal_best"):
+        setattr(swarm, name, _unpack(data[name], name, (size, *particle)))
+    swarm.personal_best_scores = _unpack(data["personal_best_scores"], "personal_best_scores", (size,))
+    if np.isnan(swarm.personal_best_scores).any():
+        raise ValueError("personal_best_scores holds a NaN")
+    for name, unset in (("global_best", -np.inf), ("global_worst", np.inf)):
+        score = json_field(data, "swarm", f"{name}_score", kinds=(int, float))
+        if data[name] is not None:
+            setattr(swarm, name, _unpack(data[name], name, particle))
+        if not (score == unset if data[name] is None else score < np.inf and score != unset):
+            raise ValueError(f"{name}_score is {score!r}, which a {'null' if data[name] is None else 'set'} {name} cannot have")
     return swarm
 
 
-def _check_swarm(swarm: Swarm, size: int, particle: tuple) -> None:
-    """Raise ``ValueError`` unless every array of ``swarm`` is one of ``size`` particles of shape ``particle``."""
-    for name, value in vars(swarm).items():
-        if name.endswith("_score") or value is None and name.startswith("global_"):  # a swarm that never moved
-            continue
-        want = (size,) if name == "personal_best_scores" else particle if name.startswith("global_") else (size, *particle)
-        if not isinstance(value, np.ndarray):
-            raise ValueError(f"{name} is a {type(value).__name__}, not a packed array")
-        if value.shape != want:
-            raise ValueError(f"{name} has shape {value.shape}, not {want}")
-
-
-def _check_finite_experts(positions: np.ndarray) -> None:
-    for k, row in enumerate(positions):
-        if not np.isfinite(row).all():
-            raise ValueError(f"pool expert {k} holds a value that is not finite")
+def _finite_experts(swarm: Swarm) -> Swarm:
+    if bad := [k for k, row in enumerate(swarm.positions) if not np.isfinite(row).all()]:
+        raise ValueError(f"pool expert {bad[0]} holds a value that is not finite")
+    return swarm
 
 
 def _finite(value, low=-np.inf):
     """``value``, unless it is NaN, infinite or below ``low``: a ``json_field`` parse."""
-    if not low <= value < np.inf:
+    if not (low <= value and -np.inf < value < np.inf):
         raise ValueError(f"{value!r} is below {low}" if value < low else f"{value!r} is not finite")
     return value
 
 
 def _unpack_record(record: dict, n: int) -> RoleRecord:
-    matrix, dag = _unpack(record["matrix"]), DagStructure.from_dict(record["dag"])
+    matrix, dag = _unpack(record["matrix"], "matrix", (n, n)), DagStructure.from_dict(record["dag"])
     utility = json_field(record, "record", "utility", lambda value: float(_finite(value)), kinds=(int, float))
     if dag.n != n:
         raise ValueError(f"dag has {dag.n} nodes, not n_experts {n}")
-    if not (isinstance(matrix, np.ndarray) and matrix.shape == (n, n)):
-        raise ValueError(f"matrix is not a packed ({n}, {n}) array")
     return RoleRecord(matrix, dag, utility)
 
 
@@ -306,8 +309,7 @@ class RunState:
             raise ValueError(f"pool size {len(experts)} != n_experts {n}")
         if expert_dim is not None and experts.positions.shape[1:] != (expert_dim,):
             raise ValueError(f"pool experts have shape {experts.positions.shape[1:]}, but the task reads length {expert_dim}")
-        _check_finite_experts(experts.positions)
-        return cls(0, 0, -np.inf, matrices, experts, None)
+        return cls(0, 0, -np.inf, matrices, _finite_experts(experts), None)
 
     def to_checkpoint(self, config: dict) -> dict:
         """The state after an iteration, which always holds a record, as a JSON-ready dict; ``config`` is ``asdict(cfg)``."""
@@ -326,8 +328,8 @@ class RunState:
     def from_checkpoint(cls, payload, cfg: RunConfig, expert_dim: int | None) -> "RunState":
         """Inverse of ``to_checkpoint``; raises ``ValueError`` unless the payload resumes ``cfg``'s run.
 
-        Counters must be >= 0, utilities finite, the record's DAG of ``n_experts`` nodes, and
-        every array packed in the shape ``cfg`` and ``expert_dim`` give, with finite experts.
+        Each field is read and checked once: counters >= 0, utilities finite, the record's DAG of ``n_experts`` nodes,
+        arrays packed in the shapes ``cfg`` and ``expert_dim`` give, experts finite, swarm scores as ``_unpack_swarm`` says.
         """
         read = partial(json_field, json_object(payload, "checkpoint", version=CHECKPOINT_VERSION), "checkpoint")
         stored = read("config", lambda config: {**config})
@@ -335,24 +337,14 @@ class RunState:
             if name not in ("max_iterations", "patience") and stored.get(name) != value:
                 raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
         n = cfg.n_experts
-        state = cls(
+        return cls(
             iteration=read("iteration", partial(_finite, low=0), kinds=(int,)),
             stall=read("stall", partial(_finite, low=0), kinds=(int,)),
             best_utility=read("best_utility", _finite, kinds=(int, float)),
-            matrix_swarm=read("matrix_swarm", _unpack_swarm),
-            expert_swarm=read("expert_swarm", _unpack_swarm),
+            matrix_swarm=read("matrix_swarm", partial(_unpack_swarm, size=cfg.matrix_swarm_size, particle=(n, n))),
+            expert_swarm=read("expert_swarm", lambda data: _finite_experts(_unpack_swarm(data, n, (expert_dim,)))),
             record=read("record", partial(_unpack_record, n=n), kinds=(dict,)),
         )
-
-        def check_experts(_):
-            positions = state.expert_swarm.positions  # any one width if the task reads none
-            _check_swarm(state.expert_swarm, n, (expert_dim,) if expert_dim is not None else np.shape(positions)[-1:])
-            _check_finite_experts(positions)
-
-        # The swarms are checked once every field has been read, each error in its field's form.
-        read("matrix_swarm", lambda _: _check_swarm(state.matrix_swarm, cfg.matrix_swarm_size, (n, n)))
-        read("expert_swarm", check_experts)
-        return state
 
 
 def optimize(

@@ -836,6 +836,13 @@ def test_sweep_rejects_fewer_than_one_run_before_any_run(tmp_path, capsys):
     assert not (tmp_path / "sw" / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("command", [["decode", "--matrix", "matrix.json"], ["optimize"]])
+def test_a_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
+    assert run_cli([*command, "--seed", "-3", "--out", str(tmp_path / "out")]) == 2
+    assert cli_error(capsys) == {"type": "UsageError", "message": "--seed must be >= 0"}
+    assert not (tmp_path / "out").exists()
+
+
 @no_leaked_sockets
 def test_serve_stub_echoes_and_exits_cleanly_on_sigint():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

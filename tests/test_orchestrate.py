@@ -121,6 +121,8 @@ def test_config_range_validation():
     for key in ("n_experts", "matrix_swarm_size", "assignments_per_step", "max_iterations", "patience"):
         with pytest.raises(ValueError, match=f"{key}.* must be >= 1"):
             config_from_dict({key: 0})
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):  # numpy's own error names no field
+        config_from_dict({"seed": -1})
     # json reads the NaN and Infinity tokens; a non-finite number is rejected by its field's name
     for text, name in (('{"role_hp": {"inertia": NaN}}', "inertia"), ('{"weight_hp": {"step_length": Infinity}}', "step_length"),
                        ('{"role_hp": {"repel": Infinity}}', "repel"), ('{"sparsity": {"mode": "l1", "l1_coeff": NaN}}', "l1_coeff"),
@@ -696,12 +698,12 @@ def test_weight_only_checkpoint_round_trips_a_matrix_swarm_moved_once(tmp_path):
         run(small_cfg(mode="weight_only", max_iterations=stop, patience=2), checkpoint_path=ck)
         payloads.append(json.loads(ck.read_text()))
     first, payload = payloads
-    matrices = _unpack_swarm(payload["matrix_swarm"])
+    matrices = _unpack_swarm(payload["matrix_swarm"], 4, (4, 4))
     assert matrices.positions.shape == (4, 4, 4)
     assert matrices.global_best is not None and np.all(np.isfinite(matrices.personal_best_scores))
     assert payload["matrix_swarm"] == first["matrix_swarm"]  # only iteration 0's role step moved it
-    for key in ("matrix_swarm", "expert_swarm"):
-        assert _pack_swarm(_unpack_swarm(payload[key])) == payload[key]
+    for key, particle in (("matrix_swarm", (4, 4)), ("expert_swarm", (None,))):
+        assert _pack_swarm(_unpack_swarm(payload[key], 4, particle)) == payload[key]
 
 
 def test_matrix_swarm_round_trips_bit_for_bit():
@@ -714,7 +716,7 @@ def test_matrix_swarm_round_trips_bit_for_bit():
         np.array([0.1, -np.inf, np.inf, -0.0, 1 / 3]),
         stream.uniform(0, 1, (4, 4)), 0.7, stream.uniform(0, 1, (4, 4)), -0.2,
     )
-    back = _unpack_swarm(json.loads(json.dumps(_pack_swarm(swarm))))
+    back = _unpack_swarm(json.loads(json.dumps(_pack_swarm(swarm))), 5, (4, 4))
     for name, value in vars(swarm).items():
         restored = getattr(back, name)
         if isinstance(value, np.ndarray):
@@ -746,14 +748,17 @@ def test_resume_from_format_2_checkpoint_names_the_version(tmp_path):
 
 
 COUNTERS = {"iteration": 1, "stall": 0, "best_utility": 0.0}
-ARRAYS = {"positions": [], "velocities": [], "personal_best": [], "personal_best_scores": []}
+# Well-formed swarms and record matrix for small_cfg(), whose task reads experts of length 6.
+MATRICES = _pack_swarm(Swarm.from_positions(np.zeros((4, 4, 4))))
+EXPERTS = _pack_swarm(Swarm.from_positions(np.zeros((4, 6))))
+MATRIX = _pack(np.zeros((4, 4)))
 DAG1 = {"n": 1, "end_node": 0, "edges": [], "topo_order": [0]}
 
 
 @pytest.mark.parametrize("payload,message", [
     ([1], "checkpoint root must be a JSON object"),
     (
-        {"format_version": 3, "record": None, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        {"format_version": 3, "record": None, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         "field 'record' cannot be read: None is a NoneType$",
     ),
     ({"format_version": 3, "record": {}}, "checkpoint has no 'iteration' field"),
@@ -761,37 +766,37 @@ DAG1 = {"n": 1, "end_node": 0, "edges": [], "topo_order": [0]}
     ({"format_version": 3, "config": 5, "record": {}}, "field 'config' cannot be read: TypeError"),
     ({"format_version": 3, "config": [], "record": {}}, "field 'config' cannot be read: TypeError"),
     ({"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": {}}, "field 'matrix_swarm' cannot be read: TypeError"),
-    ({"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": 5}, "field 'matrix_swarm' cannot be read: AttributeError"),
+    ({"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": 5}, "field 'matrix_swarm' cannot be read: TypeError"),
     (
-        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": {**ARRAYS, "extra": 1}},
+        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": {**EXPERTS, "extra": 1}},
         "field 'expert_swarm' cannot be read: TypeError",
     ),
     (
-        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         r"field 'record' cannot be read: KeyError\('matrix'\)",
     ),
     (
-        {"format_version": 3, "record": {"matrix": [], "dag": {"n": 1}}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        {"format_version": 3, "record": {"matrix": MATRIX, "dag": {"n": 1}}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         r"field 'record' cannot be read: KeyError\('end_node'\)",
     ),
     (
-        {"format_version": 3, "record": {"matrix": [], "dag": DAG1, "utility": "0.5"}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        {"format_version": 3, "record": {"matrix": MATRIX, "dag": DAG1, "utility": "0.5"}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         r"field 'record' cannot be read: ValueError\(\"record field 'utility' cannot be read: '0.5' is a str\"\)$",
     ),
     (
-        {"format_version": 3, "record": {"matrix": [], "dag": DAG1, "utility": True}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        {"format_version": 3, "record": {"matrix": MATRIX, "dag": DAG1, "utility": True}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         r"field 'record' cannot be read: ValueError\(\"record field 'utility' cannot be read: True is a bool\"\)$",
     ),
     (
-        {"format_version": 3, "record": {"matrix": [], "dag": {**DAG1, "n": 1.0}, "utility": 0.5}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": ARRAYS},
+        {"format_version": 3, "record": {"matrix": MATRIX, "dag": {**DAG1, "n": 1.0}, "utility": 0.5}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         r"field 'record' cannot be read: ValueError\('n holds 1.0, a float, not an integer'\)$",
     ),
     (
-        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": {**ARRAYS, "global_best_score": "x"}},
+        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": {**MATRICES, "global_best_score": "x"}},
         r"field 'matrix_swarm' cannot be read: ValueError\(\"swarm field 'global_best_score' cannot be read: 'x' is a str\"\)$",
     ),
     (
-        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": ARRAYS, "expert_swarm": {**ARRAYS, "global_worst_score": None}},
+        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": {**EXPERTS, "global_worst_score": None}},
         r"field 'expert_swarm' cannot be read: ValueError\(\"swarm field 'global_worst_score' cannot be read: None is a NoneType\"\)$",
     ),
     ({"format_version": 3, "record": {}, **COUNTERS, "iteration": "1"}, "field 'iteration' cannot be read: '1' is a str$"),
@@ -819,7 +824,7 @@ def test_checkpoint_array_whose_bytes_disagree_with_its_shape_rejected(tmp_path,
     else:
         positions["f8"] = base64.b64encode(base64.b64decode(positions["f8"])[:-4]).decode("ascii")
     with pytest.raises(ValueError):
-        _unpack_swarm(payload["matrix_swarm"])
+        _unpack_swarm(payload["matrix_swarm"], 4, (4, 4))
 
 
 def _set(path, value):
@@ -832,16 +837,21 @@ def _set(path, value):
     return damage
 
 
-def _expert_positions_with_nan(payload):
-    positions = _unpack(payload["expert_swarm"]["positions"])
-    positions[1, 0] = np.nan
-    payload["expert_swarm"]["positions"] = _pack(positions)
+def _nan_at(swarm, name, shape, index):
+    """A damage: the packed array ``name`` of ``swarm``, of ``shape``, holds a NaN at ``index``."""
+    def damage(payload):
+        array = _unpack(payload[swarm][name], name, shape)
+        array[index] = np.nan
+        payload[swarm][name] = _pack(array)
+    return damage
 
 
 @pytest.mark.parametrize("mode, damage, message", [
     ("weight_only", _set(("record", "dag"), DAG1), r"'record' cannot be read: ValueError\('dag has 1 nodes, not n_experts 3'\)$"),
-    ("full", _set(("record", "matrix"), np.zeros((2, 2))), r"'record' cannot be read: ValueError\('matrix is not a packed \(3, 3\) array'\)$"),
+    ("full", _set(("record", "matrix"), np.zeros((2, 2))), r"'record' cannot be read: ValueError\('matrix has shape \(2, 2\), not \(3, 3\)'\)$"),
     ("full", _set(("best_utility",), np.inf), r"'best_utility' cannot be read: ValueError\('inf is not finite'\)$"),
+    ("full", _set(("best_utility",), -np.inf), r"'best_utility' cannot be read: ValueError\('-inf is not finite'\)$"),
+    ("full", _set(("record", "utility"), -np.inf), r"'record' cannot be read: ValueError\(\"record field 'utility' cannot be read: ValueError\('-inf is not finite'\)"),
     ("full", _set(("record", "utility"), np.nan), r"'record' cannot be read: ValueError\(\"record field 'utility' cannot be read: ValueError\('nan is not finite'\)"),
     ("full", _set(("stall",), -5), r"'stall' cannot be read: ValueError\('-5 is below 0'\)$"),
     ("full", _set(("iteration",), -5), r"'iteration' cannot be read: ValueError\('-5 is below 0'\)$"),
@@ -870,8 +880,25 @@ def _expert_positions_with_nan(payload):
         r"'matrix_swarm' cannot be read: ValueError\('positions is a list, not a packed array'\)$",
     ),
     (
-        "full", _expert_positions_with_nan,
+        "full", _nan_at("expert_swarm", "positions", (3, 6), (1, 0)),
         r"'expert_swarm' cannot be read: ValueError\('pool expert 1 holds a value that is not finite'\)$",
+    ),
+    # Swarm scores pso_step cannot write: each would pin its record for the rest of the run.
+    (
+        "full", _set(("matrix_swarm", "global_best_score"), np.nan),
+        r"'matrix_swarm' cannot be read: ValueError\('global_best_score is nan, which a set global_best cannot have'\)$",
+    ),
+    (
+        "full", _set(("expert_swarm", "global_best_score"), np.inf),
+        r"'expert_swarm' cannot be read: ValueError\('global_best_score is inf, which a set global_best cannot have'\)$",
+    ),
+    (
+        "full", _nan_at("expert_swarm", "personal_best_scores", (3,), 1),
+        r"'expert_swarm' cannot be read: ValueError\('personal_best_scores holds a NaN'\)$",
+    ),
+    (
+        "role_only", _set(("expert_swarm", "global_best_score"), 0.5),
+        r"'expert_swarm' cannot be read: ValueError\('global_best_score is 0.5, which a null global_best cannot have'\)$",
     ),
 ])
 def test_resume_rejects_a_checkpoint_that_does_not_fit_the_config(tmp_path, mode, damage, message):
@@ -887,6 +914,26 @@ def test_resume_rejects_a_checkpoint_that_does_not_fit_the_config(tmp_path, mode
     utility = task_utility(cfg)
     with pytest.raises(ValueError, match="^checkpoint field " + message):
         optimize(replace(cfg, max_iterations=4), None, utility, resume_from=ck)
+    assert utility.evaluator_calls == 0
+
+
+def test_resume_of_a_task_that_reads_no_expert_takes_the_checkpointed_width(tmp_path):
+    # hidden_dag reads no expert vector, so its drawn experts have width 6 and a resume accepts any one width.
+    cfg = small_cfg(mode="role_only", max_iterations=4, patience=4, utility_spec={"name": "hidden_dag", "n": 4})
+    system_full, trace_full = run(cfg)
+    ck = tmp_path / "checkpoint.json"
+    run(replace(cfg, max_iterations=2), checkpoint_path=ck)
+    system, trace = run(cfg, resume_from=ck)
+    assert system.to_json() == system_full.to_json()
+    assert trace.to_jsonl().splitlines() == trace_full.to_jsonl().splitlines()[2:]
+
+    payload = json.loads(ck.read_text())
+    assert payload["expert_swarm"]["positions"]["shape"] == [4, 6]
+    _set(("expert_swarm", "velocities"), np.zeros((4, 5)))(payload)
+    ck.write_text(json.dumps(payload))
+    utility = task_utility(cfg)
+    with pytest.raises(ValueError, match=r"^checkpoint field 'expert_swarm' cannot be read: ValueError\('velocities has shape \(4, 5\), not \(4, 6\)'\)$"):
+        optimize(cfg, None, utility, resume_from=ck)
     assert utility.evaluator_calls == 0
 
 
