@@ -50,8 +50,8 @@ class NodeEvaluator:
     An evaluator defines either ``evaluate``, which the base ``run`` calls per
     node, or ``run``, one whole execution. ``execute`` counts n ``calls`` per
     dataset item once a run returns, so budgets can be audited; the count is
-    exact when threads share the evaluator. Evaluators whose experts never
-    see the parameter vectors set ``uses_expert_params`` to False. The base
+    exact when threads share the evaluator. Whether the experts' vectors are
+    read is the task's to say (``UtilityFunction.expert_dim``). The base
     ``run`` executes each item of a list payload alone on the evaluator's one
     pool of ``jobs`` worker threads, built on the first list payload and shut
     down by ``close``: at most ``jobs`` items are in flight however many
@@ -60,7 +60,6 @@ class NodeEvaluator:
     returned, and its items not yet started then never run.
     """
 
-    uses_expert_params = True
     jobs = 1
 
     def __init__(self):

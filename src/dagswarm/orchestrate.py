@@ -220,11 +220,11 @@ def _pack(value):
 
 
 def _unpack(value, name: str, shape: tuple) -> np.ndarray:
-    """Inverse of ``_pack``: a writable float array of ``shape``, a ``None`` in it any length; else ``ValueError`` naming ``name``."""
+    """Inverse of ``_pack``: a writable float array of ``shape``, else ``ValueError`` naming ``name``."""
     if not (isinstance(value, dict) and "f8" in value):
         raise ValueError(f"{name} is a {type(value).__name__}, not a packed array")
     array = np.frombuffer(base64.b64decode(value["f8"]), dtype="<f8").reshape(value["shape"]).astype(float)
-    if len(array.shape) != len(shape) or any(want not in (None, got) for got, want in zip(array.shape, shape)):
+    if array.shape != shape:
         raise ValueError(f"{name} has shape {array.shape}, not {shape}")
     return array
 
@@ -236,13 +236,11 @@ def _pack_swarm(swarm: Swarm) -> dict:
 def _unpack_swarm(data: dict, size: int, particle: tuple) -> Swarm:
     """Inverse of ``_pack_swarm``: ``size`` particles of shape ``particle``, or ``ValueError`` naming the field that is not.
 
-    A ``None`` in ``particle`` takes the positions' length, which the other arrays must share. Scores are ones ``pso_step``
-    writes: no personal score NaN, a null global best (worst) at exactly -inf (+inf), a set best finite, a set worst < +inf.
+    Scores are ones ``pso_step`` writes: no personal score NaN, a null global best (worst) at exactly -inf (+inf), a set
+    best finite, a set worst < +inf.
     """
     swarm = Swarm(**data)  # a missing or unknown field raises TypeError
-    swarm.positions = _unpack(data["positions"], "positions", (size, *particle))
-    particle = swarm.positions.shape[1:]
-    for name in ("velocities", "personal_best"):
+    for name in ("positions", "velocities", "personal_best"):
         setattr(swarm, name, _unpack(data[name], name, (size, *particle)))
     swarm.personal_best_scores = _unpack(data["personal_best_scores"], "personal_best_scores", (size,))
     if np.isnan(swarm.personal_best_scores).any():
@@ -259,6 +257,14 @@ def _unpack_swarm(data: dict, size: int, particle: tuple) -> Swarm:
 def _finite_experts(swarm: Swarm) -> Swarm:
     if bad := [k for k, row in enumerate(swarm.positions) if not np.isfinite(row).all()]:
         raise ValueError(f"pool expert {bad[0]} holds a value that is not finite")
+    return swarm
+
+
+def _unit_matrices(swarm: Swarm) -> Swarm:
+    """``swarm``, unless a matrix it holds is NaN or leaves [0, 1], where a run clips them after every role step."""
+    for name in ("positions", "personal_best", "global_best", "global_worst"):
+        if (matrices := getattr(swarm, name)) is not None and not ((0.0 <= matrices) & (matrices <= 1.0)).all():
+            raise ValueError(f"{name} holds a value outside [0, 1]")
     return swarm
 
 
@@ -297,18 +303,17 @@ class RunState:
     record: RoleRecord | None
 
     @classmethod
-    def initial(cls, cfg: RunConfig, pool, expert_dim: int | None, rng: RngFactory) -> "RunState":
-        """The state before iteration 0: both swarms and no structure yet; evaluates nothing."""
+    def initial(cls, cfg: RunConfig, pool, dim: int, rng: RngFactory) -> "RunState":
+        """The state before iteration 0: both swarms, experts of length ``dim``, and no structure yet; evaluates nothing."""
         n = cfg.n_experts
         matrices = Swarm.from_positions(init_adjacency_swarm(n, cfg.matrix_swarm_size, rng.stream("init_matrices")))
         if pool is None:
-            dim = expert_dim or UNREAD_EXPERT_DIM
             pool = build_pool(n // cfg.pool_repeats, cfg.pool_repeats, dim, rng.stream("init_experts"))
         experts = Swarm.from_positions(pool)
         if len(experts) != n:
             raise ValueError(f"pool size {len(experts)} != n_experts {n}")
-        if expert_dim is not None and experts.positions.shape[1:] != (expert_dim,):
-            raise ValueError(f"pool experts have shape {experts.positions.shape[1:]}, but the task reads length {expert_dim}")
+        if experts.positions.shape[1:] != (dim,):
+            raise ValueError(f"pool experts have shape {experts.positions.shape[1:]}, but the task reads length {dim}")
         return cls(0, 0, -np.inf, matrices, _finite_experts(experts), None)
 
     def to_checkpoint(self, config: dict) -> dict:
@@ -325,11 +330,11 @@ class RunState:
         }
 
     @classmethod
-    def from_checkpoint(cls, payload, cfg: RunConfig, expert_dim: int | None) -> "RunState":
+    def from_checkpoint(cls, payload, cfg: RunConfig, dim: int) -> "RunState":
         """Inverse of ``to_checkpoint``; raises ``ValueError`` unless the payload resumes ``cfg``'s run.
 
-        Each field is read and checked once: counters >= 0, utilities finite, the record's DAG of ``n_experts`` nodes,
-        arrays packed in the shapes ``cfg`` and ``expert_dim`` give, experts finite, swarm scores as ``_unpack_swarm`` says.
+        Each field is read and checked once: counters >= 0, utilities finite, the record's DAG of ``n_experts`` nodes, arrays
+        packed in the shapes ``cfg`` and ``dim`` give, matrices in [0, 1], experts finite, swarm scores as ``_unpack_swarm`` says.
         """
         read = partial(json_field, json_object(payload, "checkpoint", version=CHECKPOINT_VERSION), "checkpoint")
         stored = read("config", lambda config: {**config})
@@ -341,8 +346,8 @@ class RunState:
             iteration=read("iteration", partial(_finite, low=0), kinds=(int,)),
             stall=read("stall", partial(_finite, low=0), kinds=(int,)),
             best_utility=read("best_utility", _finite, kinds=(int, float)),
-            matrix_swarm=read("matrix_swarm", partial(_unpack_swarm, size=cfg.matrix_swarm_size, particle=(n, n))),
-            expert_swarm=read("expert_swarm", lambda data: _finite_experts(_unpack_swarm(data, n, (expert_dim,)))),
+            matrix_swarm=read("matrix_swarm", lambda data: _unit_matrices(_unpack_swarm(data, cfg.matrix_swarm_size, (n, n)))),
+            expert_swarm=read("expert_swarm", lambda data: _finite_experts(_unpack_swarm(data, n, (dim,)))),
             record=read("record", partial(_unpack_record, n=n), kinds=(dict,)),
         )
 
@@ -356,30 +361,33 @@ def optimize(
 ) -> tuple[OptimizedSystem, RunTrace]:
     """Run the alternating loop; return the best system and the trace.
 
-    ``pool`` is an ``(n, d)`` array-like of expert parameter vectors, left unchanged, or
-    None to draw one; ``d`` must be ``utility.expert_dim`` and ``n`` ``utility.node_count``
-    where those are set, or the run fails before iteration 0. A resume
-    takes its experts from the checkpoint, so it must be None there. The returned
-    system is the recorded best DAG (frozen, never re-decoded) instantiated
-    with the final expert parameters under the identity assignment. Modes that search
-    expert parameters are rejected for evaluators that never use them, and a
-    resume is rejected if the config differs from the checkpointed one in
-    anything but ``max_iterations`` and ``patience``. A resume of a run that
-    already stopped runs no iteration.
+    ``pool`` is an ``(n, d)`` array-like of expert parameter vectors, left unchanged, or None
+    to draw one; ``n`` must be ``utility.node_count`` where that is set and ``d`` must be
+    ``utility.expert_dim``. A task whose ``expert_dim`` is None reads no expert vector: it
+    takes no pool, its drawn experts have length ``UNREAD_EXPERT_DIM``, and modes that search
+    expert parameters are rejected if it runs an evaluator. A resume takes its experts from
+    the checkpoint, so ``pool`` must be None there, and is rejected if the config differs from
+    the checkpointed one in anything but ``max_iterations`` and ``patience``; a resume of a
+    run that already stopped runs no iteration. Each of these fails before iteration 0. The
+    returned system is the recorded best DAG (frozen, never re-decoded) instantiated with the
+    final expert parameters under the identity assignment.
     """
-    if cfg.mode != "role_only" and not getattr(utility.evaluator, "uses_expert_params", True):
-        raise ValueError(f"mode {cfg.mode!r} searches expert parameters, which this evaluator ignores; use role_only")
+    if cfg.mode != "role_only" and utility.evaluator is not None and utility.expert_dim is None:
+        raise ValueError(f"mode {cfg.mode!r} searches expert parameters, which this task's evaluator never reads; use role_only")
     if utility.node_count not in (None, cfg.n_experts):
         raise ValueError(f"the utility scores {utility.node_count}-node graphs, but n_experts is {cfg.n_experts}")
     if pool is not None and resume_from is not None:
         raise ValueError("a resume takes its experts from the checkpoint; give no pool with it")
+    if pool is not None and utility.expert_dim is None:
+        raise ValueError("this task reads no expert vector; give no pool")
     rng = RngFactory(cfg.seed)
     identity = Assignment.identity(cfg.n_experts)
     budget = cfg.n_experts * (cfg.matrix_swarm_size + cfg.assignments_per_step) * utility.dataset_size
+    dim = utility.expert_dim or UNREAD_EXPERT_DIM
     if resume_from is not None:
-        state = RunState.from_checkpoint(read_json(resume_from), cfg, utility.expert_dim)
+        state = RunState.from_checkpoint(read_json(resume_from), cfg, dim)
     else:
-        state = RunState.initial(cfg, pool, utility.expert_dim, rng)
+        state = RunState.initial(cfg, pool, dim, rng)
 
     config = asdict(cfg)
     trace = RunTrace()

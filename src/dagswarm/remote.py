@@ -55,8 +55,8 @@ def build_prompt(role: str, task_text: str, prior: list[dict]) -> str:
 class RemoteEvaluator(NodeEvaluator):
     """Evaluates a node by POSTing to an HTTP endpoint.
 
-    Expert parameters are not transmitted; the endpoint is the model. Weight
-    optimization over remote experts is rejected upstream for that reason.
+    Expert parameters are not transmitted; the endpoint is the model. So a
+    task over it declares no ``expert_dim``, and ``optimize`` rejects weight modes.
     Up to ``jobs`` items run at once on the evaluator's one worker pool,
     counted over every execution in flight, so at most ``jobs`` requests are
     out however many candidates a role step overlaps. Connections are kept
@@ -72,8 +72,6 @@ class RemoteEvaluator(NodeEvaluator):
     (including a malformed, truncated or over-long reply) and 5xx replies are
     retried up to ``retries`` times; any other bad reply fails at once.
     """
-
-    uses_expert_params = False
 
     def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 0, jobs: int = 8):
         super().__init__()

@@ -372,6 +372,17 @@ def test_optimize_rejects_a_pool_of_the_wrong_expert_length(tmp_path, capsys):
     assert error["type"] == "ValueError" and "shape (6,), but the task reads length 12" in error["message"]
 
 
+def test_optimize_rejects_a_pool_for_a_task_that_reads_no_expert(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", {"n_experts": 3, "utility_spec": {"name": "hidden_dag", "n": 3}})
+    save_pool(build_pool(3, 1, 6, RngFactory(0).stream("init_experts")), tmp_path / "pool")
+    assert run_cli(["optimize", "--config", cfg, "--pool", str(tmp_path / "pool"), "--out", str(tmp_path / "b")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)["error"]
+    assert error == {"type": "ValueError", "message": "this task reads no expert vector; give no pool"}
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning would print a second stderr line
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
 def test_optimize_rejects_a_pool_file_with_a_value_that_is_not_finite(tmp_path, capsys, value):

@@ -11,6 +11,7 @@ import pytest
 
 from dagswarm import (
     Assignment,
+    DatasetUtility,
     OptimizedSystem,
     PsoHyperparams,
     RngFactory,
@@ -31,6 +32,7 @@ from dagswarm.cli import run_cli
 from dagswarm.orchestrate import RunState, _pack, _pack_swarm, _unpack, _unpack_swarm, save_checkpoint
 from dagswarm.utilities import AffineTargetUtility
 from test_golden import GOLDEN, run_digest
+from test_utilities import CannedEvaluator
 
 
 def small_cfg(**overrides):
@@ -175,9 +177,27 @@ def test_pool_of_the_wrong_expert_length_rejected_before_any_evaluation():
     with pytest.raises(ValueError, match=r"shape \(5,\), but the task reads length 6"):
         optimize(cfg, np.zeros((4, 5)), utility)
     assert utility.evaluator_calls == 0
-    # A task that reads no expert vector takes a pool of any width.
-    constant = replace(cfg, utility_spec={"name": "constant"}, max_iterations=1)
-    assert run(constant, pool=np.zeros((4, 5)))[0].expert_params.shape == (4, 5)
+    # A task that reads no expert vector takes no pool, not even one of its drawn width 6.
+    for spec in ({"name": "constant"}, {"name": "hidden_dag", "n": 4}):
+        for width in (5, 6):
+            task = task_utility(replace(cfg, utility_spec=spec))
+            scored = []
+            task.evaluate = lambda *args: scored.append(args)
+            with pytest.raises(ValueError, match="^this task reads no expert vector; give no pool$"):
+                optimize(replace(cfg, utility_spec=spec), np.zeros((4, width)), task)
+            assert scored == [] and task.evaluator_calls == 0
+
+
+@pytest.mark.parametrize("mode", ["full", "weight_only"])
+def test_parameter_search_over_a_local_text_evaluator_rejected(mode):
+    # A dataset task declares no expert_dim: its evaluator never reads the expert vectors a weight step moves.
+    utility = DatasetUtility([{"input": "2+2", "answer": "4"}], CannedEvaluator({"2+2": "4"}))
+    cfg = RunConfig(n_experts=2, matrix_swarm_size=2, assignments_per_step=2, max_iterations=2, mode=mode)
+    with pytest.raises(ValueError, match=f"^mode '{mode}' searches expert parameters"):
+        optimize(cfg, None, utility)
+    assert utility.evaluator_calls == 0
+    system, trace = optimize(replace(cfg, mode="role_only"), None, utility)
+    assert utility.evaluator_calls == trace.total_evaluator_calls > 0 and system.best_utility == 1.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -702,7 +722,7 @@ def test_weight_only_checkpoint_round_trips_a_matrix_swarm_moved_once(tmp_path):
     assert matrices.positions.shape == (4, 4, 4)
     assert matrices.global_best is not None and np.all(np.isfinite(matrices.personal_best_scores))
     assert payload["matrix_swarm"] == first["matrix_swarm"]  # only iteration 0's role step moved it
-    for key, particle in (("matrix_swarm", (4, 4)), ("expert_swarm", (None,))):
+    for key, particle in (("matrix_swarm", (4, 4)), ("expert_swarm", (6,))):
         assert _pack_swarm(_unpack_swarm(payload[key], 4, particle)) == payload[key]
 
 
@@ -837,11 +857,11 @@ def _set(path, value):
     return damage
 
 
-def _nan_at(swarm, name, shape, index):
-    """A damage: the packed array ``name`` of ``swarm``, of ``shape``, holds a NaN at ``index``."""
+def _put(swarm, name, shape, index, value=np.nan):
+    """A damage: the packed array ``name`` of ``swarm``, of ``shape``, holds ``value`` at ``index``."""
     def damage(payload):
         array = _unpack(payload[swarm][name], name, shape)
-        array[index] = np.nan
+        array[index] = value
         payload[swarm][name] = _pack(array)
     return damage
 
@@ -880,7 +900,7 @@ def _nan_at(swarm, name, shape, index):
         r"'matrix_swarm' cannot be read: ValueError\('positions is a list, not a packed array'\)$",
     ),
     (
-        "full", _nan_at("expert_swarm", "positions", (3, 6), (1, 0)),
+        "full", _put("expert_swarm", "positions", (3, 6), (1, 0)),
         r"'expert_swarm' cannot be read: ValueError\('pool expert 1 holds a value that is not finite'\)$",
     ),
     # Swarm scores pso_step cannot write: each would pin its record for the rest of the run.
@@ -893,12 +913,25 @@ def _nan_at(swarm, name, shape, index):
         r"'expert_swarm' cannot be read: ValueError\('global_best_score is inf, which a set global_best cannot have'\)$",
     ),
     (
-        "full", _nan_at("expert_swarm", "personal_best_scores", (3,), 1),
+        "full", _put("expert_swarm", "personal_best_scores", (3,), 1),
         r"'expert_swarm' cannot be read: ValueError\('personal_best_scores holds a NaN'\)$",
     ),
     (
         "role_only", _set(("expert_swarm", "global_best_score"), 0.5),
         r"'expert_swarm' cannot be read: ValueError\('global_best_score is 0.5, which a null global_best cannot have'\)$",
+    ),
+    # Matrices a run cannot write: it clips them to [0, 1] after every role step.
+    (
+        "full", _put("matrix_swarm", "positions", (3, 3, 3), (1, 0, 2)),
+        r"'matrix_swarm' cannot be read: ValueError\('positions holds a value outside \[0, 1\]'\)$",
+    ),
+    (
+        "weight_only", _put("matrix_swarm", "positions", (3, 3, 3), (1, 0, 2)),
+        r"'matrix_swarm' cannot be read: ValueError\('positions holds a value outside \[0, 1\]'\)$",
+    ),
+    (
+        "full", _put("matrix_swarm", "personal_best", (3, 3, 3), (2, 1, 1), 1.5),
+        r"'matrix_swarm' cannot be read: ValueError\('personal_best holds a value outside \[0, 1\]'\)$",
     ),
 ])
 def test_resume_rejects_a_checkpoint_that_does_not_fit_the_config(tmp_path, mode, damage, message):
@@ -918,7 +951,7 @@ def test_resume_rejects_a_checkpoint_that_does_not_fit_the_config(tmp_path, mode
 
 
 def test_resume_of_a_task_that_reads_no_expert_takes_the_checkpointed_width(tmp_path):
-    # hidden_dag reads no expert vector, so its drawn experts have width 6 and a resume accepts any one width.
+    # hidden_dag reads no expert vector, so its drawn experts have width 6, the one width a resume accepts.
     cfg = small_cfg(mode="role_only", max_iterations=4, patience=4, utility_spec={"name": "hidden_dag", "n": 4})
     system_full, trace_full = run(cfg)
     ck = tmp_path / "checkpoint.json"
