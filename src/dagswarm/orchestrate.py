@@ -31,8 +31,7 @@ from .utilities import UtilityFunction, json_array, json_field, json_lines, json
 from .weight_step import weight_step
 
 MODES = ("full", "role_only", "weight_only")
-UNREAD_EXPERT_DIM = 6  # the drawn pool's width when the task reads no expert vector
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 SYSTEM_VERSION = 1
 
 
@@ -260,11 +259,12 @@ def _finite_experts(swarm: Swarm) -> Swarm:
     return swarm
 
 
-def _unit_matrices(swarm: Swarm) -> Swarm:
-    """``swarm``, unless a matrix it holds is NaN or leaves [0, 1], where a run clips them after every role step."""
-    for name in ("positions", "personal_best", "global_best", "global_worst"):
-        if (matrices := getattr(swarm, name)) is not None and not ((0.0 <= matrices) & (matrices <= 1.0)).all():
-            raise ValueError(f"{name} holds a value outside [0, 1]")
+def _in_range(swarm: Swarm, unit: bool) -> Swarm:
+    """``swarm``, unless a velocity is not finite or a point is not: in [0, 1] if ``unit``, where a run clips matrices."""
+    for name in ("positions", "velocities", "personal_best", "global_best", "global_worst"):
+        values, bounded = getattr(swarm, name), unit and name != "velocities"
+        if values is not None and not (((0.0 <= values) & (values <= 1.0)) if bounded else np.isfinite(values)).all():
+            raise ValueError(f"{name} holds a value {'outside [0, 1]' if bounded else 'that is not finite'}")
     return swarm
 
 
@@ -276,11 +276,11 @@ def _finite(value, low=-np.inf):
 
 
 def _unpack_record(record: dict, n: int) -> RoleRecord:
-    matrix, dag = _unpack(record["matrix"], "matrix", (n, n)), DagStructure.from_dict(record["dag"])
+    dag = DagStructure.from_dict(record["dag"])
     utility = json_field(record, "record", "utility", lambda value: float(_finite(value)), kinds=(int, float))
     if dag.n != n:
         raise ValueError(f"dag has {dag.n} nodes, not n_experts {n}")
-    return RoleRecord(matrix, dag, utility)
+    return RoleRecord(dag, utility)
 
 
 def save_checkpoint(path: str | Path, payload: dict) -> None:
@@ -324,7 +324,7 @@ class RunState:
             "config": config,
             "stall": self.stall,
             "best_utility": float(self.best_utility),
-            "record": {"matrix": _pack(self.record.matrix), "dag": self.record.dag.to_dict(), "utility": self.record.utility},
+            "record": {"dag": self.record.dag.to_dict(), "utility": self.record.utility},
             "matrix_swarm": _pack_swarm(self.matrix_swarm),
             "expert_swarm": _pack_swarm(self.expert_swarm),
         }
@@ -334,7 +334,8 @@ class RunState:
         """Inverse of ``to_checkpoint``; raises ``ValueError`` unless the payload resumes ``cfg``'s run.
 
         Each field is read and checked once: counters >= 0, utilities finite, the record's DAG of ``n_experts`` nodes, arrays
-        packed in the shapes ``cfg`` and ``dim`` give, matrices in [0, 1], experts finite, swarm scores as ``_unpack_swarm`` says.
+        packed in the shapes ``cfg`` and ``dim`` give, matrices in [0, 1], experts and velocities finite, swarm scores as
+        ``_unpack_swarm`` says.
         """
         read = partial(json_field, json_object(payload, "checkpoint", version=CHECKPOINT_VERSION), "checkpoint")
         stored = read("config", lambda config: {**config})
@@ -346,8 +347,8 @@ class RunState:
             iteration=read("iteration", partial(_finite, low=0), kinds=(int,)),
             stall=read("stall", partial(_finite, low=0), kinds=(int,)),
             best_utility=read("best_utility", _finite, kinds=(int, float)),
-            matrix_swarm=read("matrix_swarm", lambda data: _unit_matrices(_unpack_swarm(data, cfg.matrix_swarm_size, (n, n)))),
-            expert_swarm=read("expert_swarm", lambda data: _finite_experts(_unpack_swarm(data, n, (dim,)))),
+            matrix_swarm=read("matrix_swarm", lambda data: _in_range(_unpack_swarm(data, cfg.matrix_swarm_size, (n, n)), unit=True)),
+            expert_swarm=read("expert_swarm", lambda data: _in_range(_finite_experts(_unpack_swarm(data, n, (dim,))), unit=False)),
             record=read("record", partial(_unpack_record, n=n), kinds=(dict,)),
         )
 
@@ -363,31 +364,30 @@ def optimize(
 
     ``pool`` is an ``(n, d)`` array-like of expert parameter vectors, left unchanged, or None
     to draw one; ``n`` must be ``utility.node_count`` where that is set and ``d`` must be
-    ``utility.expert_dim``. A task whose ``expert_dim`` is None reads no expert vector: it
-    takes no pool, its drawn experts have length ``UNREAD_EXPERT_DIM``, and modes that search
-    expert parameters are rejected if it runs an evaluator. A resume takes its experts from
-    the checkpoint, so ``pool`` must be None there, and is rejected if the config differs from
-    the checkpointed one in anything but ``max_iterations`` and ``patience``; a resume of a
-    run that already stopped runs no iteration. Each of these fails before iteration 0. The
-    returned system is the recorded best DAG (frozen, never re-decoded) instantiated with the
-    final expert parameters under the identity assignment.
+    ``utility.expert_dim``. A task whose ``expert_dim`` is 0 reads no expert vector: it takes
+    no pool, its experts are the ``(n, 0)`` array every step carries through unchanged, and
+    modes that search expert parameters are rejected if it runs an evaluator. A resume takes
+    its experts from the checkpoint, so ``pool`` must be None there, and is rejected if the
+    config differs from the checkpointed one in anything but ``max_iterations`` and
+    ``patience``; a resume of a run that already stopped runs no iteration. Each of these
+    fails before iteration 0. The returned system is the recorded best DAG (frozen, never
+    re-decoded) instantiated with the final expert parameters under the identity assignment.
     """
-    if cfg.mode != "role_only" and utility.evaluator is not None and utility.expert_dim is None:
+    if cfg.mode != "role_only" and utility.evaluator is not None and not utility.expert_dim:
         raise ValueError(f"mode {cfg.mode!r} searches expert parameters, which this task's evaluator never reads; use role_only")
     if utility.node_count not in (None, cfg.n_experts):
         raise ValueError(f"the utility scores {utility.node_count}-node graphs, but n_experts is {cfg.n_experts}")
     if pool is not None and resume_from is not None:
         raise ValueError("a resume takes its experts from the checkpoint; give no pool with it")
-    if pool is not None and utility.expert_dim is None:
+    if pool is not None and not utility.expert_dim:
         raise ValueError("this task reads no expert vector; give no pool")
     rng = RngFactory(cfg.seed)
     identity = Assignment.identity(cfg.n_experts)
     budget = cfg.n_experts * (cfg.matrix_swarm_size + cfg.assignments_per_step) * utility.dataset_size
-    dim = utility.expert_dim or UNREAD_EXPERT_DIM
     if resume_from is not None:
-        state = RunState.from_checkpoint(read_json(resume_from), cfg, dim)
+        state = RunState.from_checkpoint(read_json(resume_from), cfg, utility.expert_dim)
     else:
-        state = RunState.initial(cfg, pool, dim, rng)
+        state = RunState.initial(cfg, pool, utility.expert_dim, rng)
 
     config = asdict(cfg)
     trace = RunTrace()

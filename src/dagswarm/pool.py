@@ -27,10 +27,8 @@ def build_pool(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """``distinct`` rows drawn uniform(-1, 1), each repeated ``repeats`` times in a row."""
-    if distinct < 1 or repeats < 1:
-        raise ValueError("distinct and repeats must be >= 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    if distinct < 1 or repeats < 1 or dim < 0:
+        raise ValueError("distinct and repeats must be >= 1 and dim >= 0")
     return np.repeat(rng.uniform(-1.0, 1.0, (distinct, dim)), repeats, axis=0)
 
 

@@ -56,7 +56,7 @@ class RemoteEvaluator(NodeEvaluator):
     """Evaluates a node by POSTing to an HTTP endpoint.
 
     Expert parameters are not transmitted; the endpoint is the model. So a
-    task over it declares no ``expert_dim``, and ``optimize`` rejects weight modes.
+    task over it declares ``expert_dim`` 0, and ``optimize`` rejects weight modes.
     Up to ``jobs`` items run at once on the evaluator's one worker pool,
     counted over every execution in flight, so at most ``jobs`` requests are
     out however many candidates a role step overlaps. Connections are kept

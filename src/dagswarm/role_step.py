@@ -46,9 +46,8 @@ def shaped_utility(raw: float, A: np.ndarray, cfg: SparsityConfig) -> float:
 
 @dataclass
 class RoleRecord:
-    """Best structure seen so far: the matrix, the exact DAG its score used, the raw utility."""
+    """Best structure seen so far: the exact DAG its score used and the raw utility."""
 
-    matrix: np.ndarray
     dag: DagStructure
     utility: float
 
@@ -82,7 +81,7 @@ def role_step(
         shaped_scores.append(shaped_utility(raw, matrix, sparsity))
         # A NaN score never beats a record, and a NaN record gives way to any later score.
         if record is None or raw > record.utility or math.isnan(record.utility):
-            record = RoleRecord(matrix.copy(), dag, raw)
+            record = RoleRecord(dag, raw)
 
     swarm = pso_step(swarm, shaped_scores, hp, rng.stream("role_pso", iteration))
     np.clip(swarm.positions, 0.0, 1.0, out=swarm.positions)

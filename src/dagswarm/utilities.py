@@ -28,7 +28,7 @@ class UtilityFunction:
 
     dataset_size: int = 1
     evaluator: NodeEvaluator | None = None
-    expert_dim: int | None = None  # the expert vector length the evaluator reads; None if it reads none
+    expert_dim: int = 0  # the expert vector length the evaluator reads; 0 if it reads none
     node_count: int | None = None  # the node count every scored DAG must have; None if any will do
 
     def item_results(self, dag: DagStructure, assignment: Assignment, pool) -> tuple[list, list[float]]:
@@ -231,8 +231,9 @@ def json_field(data: dict, name: str, key: str, parse=lambda value: value, kinds
 
 
 def json_array(value, name: str, ndim: int, kinds: tuple = (int, float)) -> np.ndarray:
-    """Non-empty lists nested ``ndim`` deep, of one length at each depth, around values of exactly a type in ``kinds``
-    (a boolean is no number), as a float array or, for ``(bool,)``, a boolean one; else ``ValueError`` naming the element."""
+    """Lists nested ``ndim`` deep, of one length at each depth and non-empty but for the rows of an ``ndim`` >= 2 array, around
+    values of exactly a type in ``kinds`` (a boolean is no number), as a float or, for ``(bool,)``, boolean array; else
+    ``ValueError`` naming the element."""
     shape: list[int] = []  # the list length at each depth, set by its first list
 
     def walk(value, path: str, depth: int) -> None:
@@ -241,7 +242,7 @@ def json_array(value, name: str, ndim: int, kinds: tuple = (int, float)) -> np.n
             if type(value) not in kinds:
                 raise ValueError(f"{where} is {value!r}, a {type(value).__name__}, not {' or '.join(k.__name__ for k in kinds)}")
             return
-        if type(value) is not list or not value:
+        if type(value) is not list or not value and not 0 < depth == ndim - 1:
             raise ValueError(f"{where} must be a non-empty list, not {'[]' if value == [] else 'a ' + type(value).__name__}")
         if depth == len(shape):
             shape.append(len(value))
@@ -299,7 +300,7 @@ def build_utility(spec: dict, rng: np.random.Generator, evaluator: NodeEvaluator
     elif name == "dataset":
         if evaluator is None:
             raise ValueError("dataset utility needs a node evaluator (remote endpoint)")
-        utility = DatasetUtility(load_dataset(spec.pop("path")), evaluator)
+        utility = DatasetUtility(load_dataset(json_object(spec, "utility_spec", "path").pop("path")), evaluator)
     else:
         raise ValueError(f"unknown utility: {name!r}")
     if spec:

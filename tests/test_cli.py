@@ -771,7 +771,7 @@ def test_optimize_names_a_checkpoint_that_is_not_an_object(tmp_path, capsys):
 
 def test_optimize_names_a_field_the_checkpoint_lacks(tmp_path, capsys):
     cfg = write(tmp_path / "cfg.json", {"n_experts": 3, "utility_spec": {"name": "affine_target", "n": 3, "points": 2}})
-    checkpoint = write(tmp_path / "ck.json", {"format_version": 3})
+    checkpoint = write(tmp_path / "ck.json", {"format_version": 4})
     assert run_cli(["optimize", "--config", cfg, "--resume", checkpoint, "--out", str(tmp_path / "run")]) == 1
     error = cli_error(capsys)
     assert error["type"] == "ValueError" and error["message"] == "checkpoint has no 'config' field"

@@ -1,4 +1,4 @@
-"""Pinned output bytes for four small runs.
+"""Pinned output bytes for five small runs.
 
 c11 checks that two runs of the same code agree; these digests check that
 the bytes of ``trace.jsonl``, ``best_system.json`` and the final checkpoint
@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from dagswarm import RngFactory, build_utility, config_from_dict, optimize
+from dagswarm import DatasetUtility, Message, NodeEvaluator, RngFactory, build_utility, config_from_dict, optimize
 
 GOLDEN = {
     "role_only_hidden_dag_threshold": (
@@ -25,7 +25,7 @@ GOLDEN = {
             "seed": 3,
             "utility_spec": {"name": "hidden_dag", "target": "chain", "n": 6},
         },
-        "99078325b30af2dbc75eed9a0af390eafd1b4a65798117187d48da1f3c531d61",
+        "4b90df40a659f6add0a84f80fc5b9a3397b173832ba9d40253fdd150ee28eeaa",
     ),
     "full_affine_chain_n10": (
         {
@@ -66,23 +66,54 @@ GOLDEN = {
             "seed": 2**40 + 3,
             "utility_spec": {"name": "hidden_dag", "target": "star", "n": 5},
         },
-        "a26ef8c9e2c921d1aca09665d1ebda47fbeffb9dbf7a1d14d0a09ee20f14aec5",
+        "aa02a707d4edcfc07a1b40f044c3cabc382040b7985563f022e93dbc517ddedf",
+    ),
+    # Text payloads: TEXT_ITEMS on SumEvaluator, a local stand-in for an endpoint.
+    "role_only_text_dataset": (
+        {
+            "mode": "role_only",
+            "n_experts": 4,
+            "matrix_swarm_size": 6,
+            "max_iterations": 6,
+            "patience": 6,
+            "top_p": 0.5,
+            "seed": 11,
+            "utility_spec": {"name": "dataset"},
+        },
+        "23481e54a0c1892737d1a239e1d88e54f978d601a9249de3c9430b5d0061081b",
     ),
 }
 
 
 # SHA-256 of the checkpoint file each GOLDEN run leaves after its last iteration.
 CHECKPOINT_DIGESTS = {
-    "role_only_hidden_dag_threshold": "b20c251459d93c98f91759daa6a4cad809bd36cb4f6805d1969182d401245bf5",
-    "full_affine_chain_n10": "0f4771cd15c993d76a0f2cf6ac7139e765448f7a8b30507d5abe6442d45841be",
-    "weight_only_affine_dim3": "9f7e474a592b0728b4b57cbefff68851c1438471b666c49939cb34d6904b2141",
-    "role_only_star_l1_large_seed": "f0b89d587ccf35f3feb4bf6490203e415124e3a0029c56ef33e065f5a034a8ca",
+    "role_only_hidden_dag_threshold": "90df7446b29f65b6d2202f810c32b3f5bab44fb160cb5632a331d5ea43ba339a",
+    "full_affine_chain_n10": "f54d94994f375fd628226cdf0eca75a57559a51fe41a728c2878399cd68ab2f8",
+    "weight_only_affine_dim3": "ff016cd5014b766f1c0e9dfe74cc164af2beebc5a4727a28ceb779b2538577aa",
+    "role_only_star_l1_large_seed": "b4a3afd51baf9d2cd285cf8fc7d7bdc122f4236a9e539ad06e2a7fd39a3b7633",
+    "role_only_text_dataset": "cd9bf86f7aab13b9c300dd83df4217c3a618ae5b605c6c0e75d1e720d45691ac",
 }
+
+
+class SumEvaluator(NodeEvaluator):
+    """Each node answers the task's number plus its predecessors' answers, so the end node's is that number times a
+    count that depends on the DAG."""
+
+    def evaluate(self, role, params, inputs, task_input, node):
+        return Message(str(int(task_input.payload) + sum(int(m.payload) for m in inputs)), origin=node)
+
+
+# Item x answers x * k: DAGs with different counts k match different items, and k = 8, which only the 4-node
+# tournament reaches, matches the most.
+TEXT_ITEMS = [{"input": str(x), "answer": str(x * k)} for x, k in enumerate([8, 8, 8, 4, 4, 5, 6, 2], 1)]
 
 
 def run_golden(config: dict, checkpoint_path=None):
     cfg = config_from_dict(config)
-    utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"))
+    if cfg.utility_spec["name"] == "dataset":
+        utility = DatasetUtility(TEXT_ITEMS, SumEvaluator())
+    else:
+        utility = build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"))
     return optimize(cfg, None, utility, checkpoint_path=checkpoint_path)
 
 

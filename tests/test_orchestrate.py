@@ -146,8 +146,8 @@ def test_pool_spec_factors_must_be_positive(repeats):
 def test_drawn_pool_takes_its_expert_length_from_the_task():
     cfg = small_cfg(max_iterations=1, utility_spec={"name": "affine_target", "n": 4, "dim": 3, "points": 2})
     assert run(cfg)[0].expert_params.shape == (4, 12)
-    for spec in ({"name": "constant"}, {"name": "hidden_dag", "n": 4}):
-        assert run(replace(cfg, utility_spec=spec))[0].expert_params.shape == (4, 6)
+    for spec in ({"name": "constant"}, {"name": "hidden_dag", "n": 4}):  # they read no expert vector
+        assert run(replace(cfg, utility_spec=spec))[0].expert_params.shape == (4, 0)
     repeated = run(replace(cfg, pool_repeats=2, mode="role_only"))[0].expert_params
     assert np.array_equal(repeated[0::2], repeated[1::2]) and not np.array_equal(repeated[0], repeated[2])
 
@@ -177,9 +177,9 @@ def test_pool_of_the_wrong_expert_length_rejected_before_any_evaluation():
     with pytest.raises(ValueError, match=r"shape \(5,\), but the task reads length 6"):
         optimize(cfg, np.zeros((4, 5)), utility)
     assert utility.evaluator_calls == 0
-    # A task that reads no expert vector takes no pool, not even one of its drawn width 6.
+    # A task that reads no expert vector takes no pool, not even an empty one of its width 0.
     for spec in ({"name": "constant"}, {"name": "hidden_dag", "n": 4}):
-        for width in (5, 6):
+        for width in (0, 5):
             task = task_utility(replace(cfg, utility_spec=spec))
             scored = []
             task.evaluate = lambda *args: scored.append(args)
@@ -608,7 +608,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     # phase one stops after 3 iterations, writing checkpoints
     run(replace(cfg, max_iterations=3), checkpoint_path=ck)
     payload = json.loads(ck.read_text())
-    assert payload["format_version"] == 3 and payload["iteration"] == 3
+    assert payload["format_version"] == 4 and payload["iteration"] == 3
     assert payload["config"]["seed"] == 5
 
     # phase two resumes and finishes
@@ -767,63 +767,76 @@ def test_resume_from_format_2_checkpoint_names_the_version(tmp_path):
         run(cfg, resume_from=ck)
 
 
+def test_resume_from_a_format_3_checkpoint_names_the_version_before_any_evaluation(tmp_path):
+    # Format 3 also stored the record's matrix, which format 4 drops.
+    cfg = small_cfg(max_iterations=2, patience=2)
+    ck = tmp_path / "checkpoint.json"
+    run(cfg, checkpoint_path=ck)
+    payload = json.loads(ck.read_text())
+    payload["format_version"], payload["record"]["matrix"] = 3, _pack(np.zeros((4, 4)))
+    ck.write_text(json.dumps(payload))
+    utility = task_utility(cfg)
+    with pytest.raises(ValueError, match="^unsupported checkpoint version: 3$"):
+        optimize(replace(cfg, max_iterations=4), None, utility, resume_from=ck)
+    assert utility.evaluator_calls == 0
+
+
 COUNTERS = {"iteration": 1, "stall": 0, "best_utility": 0.0}
-# Well-formed swarms and record matrix for small_cfg(), whose task reads experts of length 6.
+# Well-formed swarms for small_cfg(), whose task reads experts of length 6.
 MATRICES = _pack_swarm(Swarm.from_positions(np.zeros((4, 4, 4))))
 EXPERTS = _pack_swarm(Swarm.from_positions(np.zeros((4, 6))))
-MATRIX = _pack(np.zeros((4, 4)))
 DAG1 = {"n": 1, "end_node": 0, "edges": [], "topo_order": [0]}
 
 
 @pytest.mark.parametrize("payload,message", [
     ([1], "checkpoint root must be a JSON object"),
     (
-        {"format_version": 3, "record": None, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
+        {"format_version": 4, "record": None, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         "field 'record' cannot be read: None is a NoneType$",
     ),
-    ({"format_version": 3, "record": {}}, "checkpoint has no 'iteration' field"),
-    ({"format_version": 3, "record": {}, **COUNTERS}, "no 'matrix_swarm' field"),
-    ({"format_version": 3, "config": 5, "record": {}}, "field 'config' cannot be read: TypeError"),
-    ({"format_version": 3, "config": [], "record": {}}, "field 'config' cannot be read: TypeError"),
-    ({"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": {}}, "field 'matrix_swarm' cannot be read: TypeError"),
-    ({"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": 5}, "field 'matrix_swarm' cannot be read: TypeError"),
+    ({"format_version": 4, "record": {}}, "checkpoint has no 'iteration' field"),
+    ({"format_version": 4, "record": {}, **COUNTERS}, "no 'matrix_swarm' field"),
+    ({"format_version": 4, "config": 5, "record": {}}, "field 'config' cannot be read: TypeError"),
+    ({"format_version": 4, "config": [], "record": {}}, "field 'config' cannot be read: TypeError"),
+    ({"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": {}}, "field 'matrix_swarm' cannot be read: TypeError"),
+    ({"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": 5}, "field 'matrix_swarm' cannot be read: TypeError"),
     (
-        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": {**EXPERTS, "extra": 1}},
+        {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": {**EXPERTS, "extra": 1}},
         "field 'expert_swarm' cannot be read: TypeError",
     ),
     (
-        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
-        r"field 'record' cannot be read: KeyError\('matrix'\)",
+        {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
+        r"field 'record' cannot be read: KeyError\('dag'\)",
     ),
     (
-        {"format_version": 3, "record": {"matrix": MATRIX, "dag": {"n": 1}}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
+        {"format_version": 4, "record": {"dag": {"n": 1}}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         r"field 'record' cannot be read: KeyError\('end_node'\)",
     ),
     (
-        {"format_version": 3, "record": {"matrix": MATRIX, "dag": DAG1, "utility": "0.5"}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
+        {"format_version": 4, "record": {"dag": DAG1, "utility": "0.5"}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         r"field 'record' cannot be read: ValueError\(\"record field 'utility' cannot be read: '0.5' is a str\"\)$",
     ),
     (
-        {"format_version": 3, "record": {"matrix": MATRIX, "dag": DAG1, "utility": True}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
+        {"format_version": 4, "record": {"dag": DAG1, "utility": True}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         r"field 'record' cannot be read: ValueError\(\"record field 'utility' cannot be read: True is a bool\"\)$",
     ),
     (
-        {"format_version": 3, "record": {"matrix": MATRIX, "dag": {**DAG1, "n": 1.0}, "utility": 0.5}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
+        {"format_version": 4, "record": {"dag": {**DAG1, "n": 1.0}, "utility": 0.5}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
         r"field 'record' cannot be read: ValueError\('n holds 1.0, a float, not an integer'\)$",
     ),
     (
-        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": {**MATRICES, "global_best_score": "x"}},
+        {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": {**MATRICES, "global_best_score": "x"}},
         r"field 'matrix_swarm' cannot be read: ValueError\(\"swarm field 'global_best_score' cannot be read: 'x' is a str\"\)$",
     ),
     (
-        {"format_version": 3, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": {**EXPERTS, "global_worst_score": None}},
+        {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": {**EXPERTS, "global_worst_score": None}},
         r"field 'expert_swarm' cannot be read: ValueError\(\"swarm field 'global_worst_score' cannot be read: None is a NoneType\"\)$",
     ),
-    ({"format_version": 3, "record": {}, **COUNTERS, "iteration": "1"}, "field 'iteration' cannot be read: '1' is a str$"),
-    ({"format_version": 3, "record": {}, **COUNTERS, "iteration": 1.0}, "field 'iteration' cannot be read: 1.0 is a float$"),
-    ({"format_version": 3, "record": {}, **COUNTERS, "stall": True}, "field 'stall' cannot be read: True is a bool$"),
-    ({"format_version": 3, "record": {}, **COUNTERS, "best_utility": "0.5"}, "field 'best_utility' cannot be read: '0.5' is a str$"),
-    ({"format_version": 3, "record": {}, **COUNTERS, "best_utility": False}, "field 'best_utility' cannot be read: False is a bool$"),
+    ({"format_version": 4, "record": {}, **COUNTERS, "iteration": "1"}, "field 'iteration' cannot be read: '1' is a str$"),
+    ({"format_version": 4, "record": {}, **COUNTERS, "iteration": 1.0}, "field 'iteration' cannot be read: 1.0 is a float$"),
+    ({"format_version": 4, "record": {}, **COUNTERS, "stall": True}, "field 'stall' cannot be read: True is a bool$"),
+    ({"format_version": 4, "record": {}, **COUNTERS, "best_utility": "0.5"}, "field 'best_utility' cannot be read: '0.5' is a str$"),
+    ({"format_version": 4, "record": {}, **COUNTERS, "best_utility": False}, "field 'best_utility' cannot be read: False is a bool$"),
 ])
 def test_run_state_rejects_a_checkpoint_it_cannot_resume(payload, message):
     cfg = small_cfg()
@@ -868,7 +881,6 @@ def _put(swarm, name, shape, index, value=np.nan):
 
 @pytest.mark.parametrize("mode, damage, message", [
     ("weight_only", _set(("record", "dag"), DAG1), r"'record' cannot be read: ValueError\('dag has 1 nodes, not n_experts 3'\)$"),
-    ("full", _set(("record", "matrix"), np.zeros((2, 2))), r"'record' cannot be read: ValueError\('matrix has shape \(2, 2\), not \(3, 3\)'\)$"),
     ("full", _set(("best_utility",), np.inf), r"'best_utility' cannot be read: ValueError\('inf is not finite'\)$"),
     ("full", _set(("best_utility",), -np.inf), r"'best_utility' cannot be read: ValueError\('-inf is not finite'\)$"),
     ("full", _set(("record", "utility"), -np.inf), r"'record' cannot be read: ValueError\(\"record field 'utility' cannot be read: ValueError\('-inf is not finite'\)"),
@@ -933,6 +945,31 @@ def _put(swarm, name, shape, index, value=np.nan):
         "full", _put("matrix_swarm", "personal_best", (3, 3, 3), (2, 1, 1), 1.5),
         r"'matrix_swarm' cannot be read: ValueError\('personal_best holds a value outside \[0, 1\]'\)$",
     ),
+    # Velocities and expert points a run cannot write: pso_step moves finite points by finite velocities.
+    (
+        "full", _put("matrix_swarm", "velocities", (3, 3, 3), (0, 2, 1)),
+        r"'matrix_swarm' cannot be read: ValueError\('velocities holds a value that is not finite'\)$",
+    ),
+    (
+        "weight_only", _put("matrix_swarm", "velocities", (3, 3, 3), (0, 2, 1), np.inf),
+        r"'matrix_swarm' cannot be read: ValueError\('velocities holds a value that is not finite'\)$",
+    ),
+    (
+        "full", _put("expert_swarm", "velocities", (3, 6), (2, 4)),
+        r"'expert_swarm' cannot be read: ValueError\('velocities holds a value that is not finite'\)$",
+    ),
+    (
+        "full", _put("expert_swarm", "personal_best", (3, 6), (0, 1)),
+        r"'expert_swarm' cannot be read: ValueError\('personal_best holds a value that is not finite'\)$",
+    ),
+    (
+        "full", _put("expert_swarm", "global_best", (6,), 3, -np.inf),
+        r"'expert_swarm' cannot be read: ValueError\('global_best holds a value that is not finite'\)$",
+    ),
+    (
+        "weight_only", _put("expert_swarm", "global_worst", (6,), 5),
+        r"'expert_swarm' cannot be read: ValueError\('global_worst holds a value that is not finite'\)$",
+    ),
 ])
 def test_resume_rejects_a_checkpoint_that_does_not_fit_the_config(tmp_path, mode, damage, message):
     cfg = small_cfg(
@@ -950,24 +987,18 @@ def test_resume_rejects_a_checkpoint_that_does_not_fit_the_config(tmp_path, mode
     assert utility.evaluator_calls == 0
 
 
-def test_resume_of_a_task_that_reads_no_expert_takes_the_checkpointed_width(tmp_path):
-    # hidden_dag reads no expert vector, so its drawn experts have width 6, the one width a resume accepts.
-    cfg = small_cfg(mode="role_only", max_iterations=4, patience=4, utility_spec={"name": "hidden_dag", "n": 4})
+@pytest.mark.parametrize("mode", ["full", "role_only"])
+def test_resume_of_a_task_that_reads_no_expert_replays_the_run(mode, tmp_path):
+    # hidden_dag reads no expert vector, so its experts are (4, 0), in every step and in the checkpoint.
+    cfg = small_cfg(mode=mode, max_iterations=4, patience=4, utility_spec={"name": "hidden_dag", "n": 4})
     system_full, trace_full = run(cfg)
     ck = tmp_path / "checkpoint.json"
     run(replace(cfg, max_iterations=2), checkpoint_path=ck)
+    assert json.loads(ck.read_text())["expert_swarm"]["velocities"]["shape"] == [4, 0]
     system, trace = run(cfg, resume_from=ck)
+    assert system.expert_params.shape == (4, 0) and json.loads(system.to_json())["experts"] == [[]] * 4
     assert system.to_json() == system_full.to_json()
     assert trace.to_jsonl().splitlines() == trace_full.to_jsonl().splitlines()[2:]
-
-    payload = json.loads(ck.read_text())
-    assert payload["expert_swarm"]["positions"]["shape"] == [4, 6]
-    _set(("expert_swarm", "velocities"), np.zeros((4, 5)))(payload)
-    ck.write_text(json.dumps(payload))
-    utility = task_utility(cfg)
-    with pytest.raises(ValueError, match=r"^checkpoint field 'expert_swarm' cannot be read: ValueError\('velocities has shape \(4, 5\), not \(4, 6\)'\)$"):
-        optimize(cfg, None, utility, resume_from=ck)
-    assert utility.evaluator_calls == 0
 
 
 def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -17,12 +17,15 @@ from dagswarm import graph, orchestrate
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-# Both modes run a role step (weight_only at iteration 0 only) and weight steps.
+# The weight modes run a role step (weight_only at iteration 0 only) and weight steps.
 SPANS = {
     "graph.decode_dag", "pso.pso_step", "rng.stream", "executor.execute", "utilities.evaluate",
     "role_step", "weight_step", "orchestrate.checkpoint",
     "weight_step.sample_assignments", "weight_step.contribution_scores",
 }
+# decode_role's shape runs role steps only, and its edit-distance utility executes nothing.
+ROLE_SPANS = {"graph.decode_dag", "pso.pso_step", "rng.stream", "utilities.evaluate", "role_step", "orchestrate.checkpoint"}
+AFFINE = {"n_experts": 3, "utility_spec": {"name": "affine_target", "n": 3, "points": 2}}
 
 
 def load_tracer(monkeypatch):
@@ -33,12 +36,14 @@ def load_tracer(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("mode", ["full", "weight_only"])
-def test_traced_optimize_runs_and_matches_an_untraced_run(mode, tmp_path, monkeypatch):
-    cfg = RunConfig(
-        n_experts=3, matrix_swarm_size=3, assignments_per_step=3, max_iterations=2, patience=2,
-        mode=mode, utility_spec={"name": "affine_target", "n": 3, "points": 2},
-    )
+@pytest.mark.parametrize("mode, task, spans", [
+    pytest.param("full", AFFINE, SPANS, id="full"),
+    pytest.param("weight_only", AFFINE, SPANS, id="weight_only"),
+    pytest.param("role_only", {"n_experts": 4, "utility_spec": {"name": "hidden_dag", "target": "star", "n": 4}},
+                 ROLE_SPANS, id="decode_role"),
+])
+def test_traced_optimize_runs_and_matches_an_untraced_run(mode, task, spans, tmp_path, monkeypatch):
+    cfg = RunConfig(matrix_swarm_size=3, assignments_per_step=3, max_iterations=2, patience=2, mode=mode, **task)
 
     def utility():
         return build_utility(cfg.utility_spec, RngFactory(cfg.seed).stream("task"))
@@ -48,7 +53,7 @@ def test_traced_optimize_runs_and_matches_an_untraced_run(mode, tmp_path, monkey
     tracer = load_tracer(monkeypatch).Tracer()
     with tracer.installed(traced):
         system, trace = optimize(cfg, None, traced, checkpoint_path=tmp_path / "ck.json")
-    assert {span[0] for span in tracer.spans} == SPANS
+    assert {span[0] for span in tracer.spans} == spans
     assert tracer.span_count("orchestrate.checkpoint") == len(trace.rows)  # one write per iteration
     # Every utility score goes through evaluate: N per role step, M per weight step.
     implied = sum(cfg.matrix_swarm_size * row.ran_role + cfg.assignments_per_step * row.ran_weight for row in trace.rows)

@@ -38,8 +38,9 @@ def test_build_pool_validation():
         build_pool(0, 1, 4, rng)
     with pytest.raises(ValueError):
         build_pool(1, 0, 4, rng)
-    with pytest.raises(ValueError):
-        build_pool(1, 1, 0, rng)
+    with pytest.raises(ValueError, match="^distinct and repeats must be >= 1 and dim >= 0$"):
+        build_pool(1, 1, -1, rng)
+    assert build_pool(2, 2, 0, rng).shape == (4, 0)  # the experts of a task that reads no expert vector
 
 
 def test_save_load_roundtrip(tmp_path):

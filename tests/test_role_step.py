@@ -84,14 +84,14 @@ def test_record_monotone_and_frozen_dag():
 
 def test_threshold_mode_leaves_matrices_unpruned():
     # with a high tau the decode view is all zeros, but the stored matrix
-    # (and thus the record) keeps its original entries
+    # keeps its original entries
     position = np.full((3, 3), 0.4)
     swarm = Swarm.from_positions([position])
     _, record = role_step(
         swarm, [], Assignment.identity(3), ConstantUtility(1.0),
         SparsityConfig("threshold", tau=0.9), PsoHyperparams(), 0.8, RngFactory(1),
     )
-    assert np.array_equal(record.matrix, position)
+    assert np.array_equal(swarm.positions[0], position)
     record.dag.validate()
 
 
@@ -102,12 +102,19 @@ def test_record_tracks_raw_not_shaped():
     dense = np.full((3, 3), 1.0)
     sparse = np.full((3, 3), 0.05)
     swarm = Swarm.from_positions([dense, sparse])
+    scored = []
+
+    class Recorded(ConstantUtility):
+        def evaluate(self, dag, assignment, pool):
+            scored.append(dag)
+            return super().evaluate(dag, assignment, pool)
+
     _, record = role_step(
-        swarm, [], Assignment.identity(3), ConstantUtility(0.9),
+        swarm, [], Assignment.identity(3), Recorded(0.9),
         SparsityConfig("l1", l1_coeff=0.1), PsoHyperparams(), 0.8, RngFactory(2),
     )
     assert record.utility == 0.9
-    assert np.array_equal(record.matrix, dense)
+    assert len(scored) == 2 and record.dag is scored[0]  # the DAG decoded from the dense matrix
 
 
 def test_utility_failure_names_particle():

@@ -320,6 +320,11 @@ def test_build_utility_rejects_an_option_of_the_wrong_json_type_by_name(spec, ke
     assert str(caught.value) == f"utility_spec field {key!r} cannot be read: {value!r} is a {type(value).__name__}"
 
 
+def test_build_utility_rejects_a_dataset_without_a_path_by_name():
+    with pytest.raises(ValueError, match="^utility_spec has no 'path' field$"):
+        build_utility({"name": "dataset"}, RngFactory(0).stream("task"), CannedEvaluator({}))
+
+
 @pytest.mark.parametrize("spec,key,rule", [
     ({"name": "hidden_dag", "n": 0}, "n", ">= 1"),
     ({"name": "hidden_dag", "n": -3}, "n", ">= 1"),
@@ -369,6 +374,8 @@ def test_json_array_reads_numbers_as_floats_and_flags_as_booleans():
     assert numbers.dtype == float and numbers.tolist() == [[1.0, 2.5], [-3.0, 0.0]]
     flags = json_array([[True], [False]], "f", 2, kinds=(bool,))
     assert flags.dtype == bool and flags.tolist() == [[True], [False]]
+    # The rows of a 2-D array may be empty, as a system's experts are for a task that reads none.
+    assert json_array([[], [], []], "experts", 2).shape == (3, 0)
 
 
 @pytest.mark.parametrize("value,ndim,kinds,message", [
@@ -384,9 +391,11 @@ def test_json_array_reads_numbers_as_floats_and_flags_as_booleans():
     ([[0.1], 0.2], 2, (int, float), "m element [1] must be a non-empty list, not a float"),
     ({"matrix": [[0.1]]}, 2, (int, float), "m must be a non-empty list, not a dict"),
     ([], 1, (int, float), "m must be a non-empty list, not []"),
-    ([[0.1], []], 2, (int, float), "m element [1] must be a non-empty list, not []"),
+    ([[0.1], []], 2, (int, float), "m element [1] has 0 entries, not 1 as the rows before it"),
+    ([[], [0.1]], 2, (int, float), "m element [1] has 1 entries, not 0 as the rows before it"),
+    ([[]], 3, (int, float), "m element [0] must be a non-empty list, not []"),
 ], ids=["str", "bool-in-numbers", "null", "nested-str", "str-in-flags", "int-in-flags", "short-row", "long-row",
-        "too-deep", "too-shallow", "object", "empty", "empty-row"])
+        "too-deep", "too-shallow", "object", "empty", "empty-row", "row-after-empty-row", "empty-middle"])
 def test_json_array_names_a_bad_element_by_its_index_path(value, ndim, kinds, message):
     with pytest.raises(ValueError) as caught:
         json_array(value, "m", ndim, kinds)
