@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dagswarm import Assignment, Message, RemoteEvaluator, RngFactory, StubServer, decode_dag, execute
+from dagswarm import Assignment, RemoteEvaluator, RngFactory, StubServer, decode_dag, execute
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
             dag,
             Assignment.identity(3),
             [np.zeros(1)] * 3,  # parameters are not transmitted in remote mode
-            Message("What is 6 times 7?"),
+            "What is 6 times 7?",
             evaluator,
         )
 
@@ -32,7 +32,7 @@ def main() -> None:
             print(f"\nnode {request['node']} ({request['role']}), prior from "
                   f"{[p['node'] for p in request['prior']]}:")
             print("  " + request["prompt"].replace("\n\n", "\n  | "))
-        print(f"\nend-node reply starts: {out.payload.splitlines()[0]!r}")
+        print(f"\nend-node reply starts: {out.splitlines()[0]!r}")
         print(f"evaluator calls recorded: {evaluator.calls}")
     finally:
         server.stop()

@@ -12,7 +12,6 @@ from .executor import (
     AffineEvaluator,
     Assignment,
     ExecutionError,
-    Message,
     NodeEvaluator,
     execute,
     node_role,

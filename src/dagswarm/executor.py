@@ -1,10 +1,11 @@
 """Execution of an instantiated system: DAG plus expert assignment.
 
 Nodes run in topological order; each node sees the task input plus the
-outputs of its predecessors and produces one message. The end node's
-message is the system output. Payloads are real vectors in synthetic mode
+outputs of its predecessors and produces one output. The end node's
+output is the system output. Payloads are real vectors in synthetic mode
 and text in remote mode; a (k, d) array or a list of k texts carries k
-dataset items. ``execute`` alone counts evaluator calls: n per item.
+dataset items. ``execute`` alone counts evaluator calls, n per item, and
+rejects a payload of no items before any node runs.
 """
 from __future__ import annotations
 
@@ -18,12 +19,6 @@ from .graph import DagStructure
 ROLE_ENTRY = "entry"
 ROLE_MIDDLE = "middle"
 ROLE_END = "end"
-
-
-@dataclass
-class Message:
-    payload: np.ndarray | str | list[str]
-    origin: int = -1
 
 
 @dataclass(frozen=True)
@@ -45,10 +40,11 @@ class Assignment:
 
 
 class NodeEvaluator:
-    """Maps (role, expert parameters or handle, inputs, task input, node) to a message.
+    """Maps (role, expert parameters or handle, inputs, task input, node) to the node's output.
 
     An evaluator defines either ``evaluate``, which the base ``run`` calls per
-    node, or ``run``, one whole execution. ``execute`` counts n ``calls`` per
+    node with ``inputs`` as ``{predecessor: output}`` in topological order,
+    or ``run``, one whole execution. ``execute`` counts n ``calls`` per
     dataset item once a run returns, so budgets can be audited; the count is
     exact when threads share the evaluator. Whether the experts' vectors are
     read is the task's to say (``UtilityFunction.expert_dim``). The base
@@ -75,30 +71,29 @@ class NodeEvaluator:
         if workers is not None:
             workers.shutdown()
 
-    def evaluate(self, role, params, inputs, task_input, node) -> Message:
+    def evaluate(self, role, params, inputs: dict, task_input, node):
         raise NotImplementedError
 
-    def run(self, dag: DagStructure, assignment: Assignment, pool, task_input: Message) -> Message:
+    def run(self, dag: DagStructure, assignment: Assignment, pool, task_input):
         """One execution, checked and counted by ``execute``: each node's ``evaluate`` in topological order."""
-        if isinstance(task_input.payload, list):
+        if isinstance(task_input, list):
             from concurrent.futures import ThreadPoolExecutor, wait  # only list payloads pay for loading it
 
             with self._workers_lock:
                 if self._workers is None:
                     self._workers = ThreadPoolExecutor(self.jobs)
-                runs = [self._workers.submit(self.run, dag, assignment, pool, Message(x)) for x in task_input.payload]
+                runs = [self._workers.submit(self.run, dag, assignment, pool, x) for x in task_input]
             try:
-                return Message([run.result().payload for run in runs], origin=dag.end_node)
+                return [run.result() for run in runs]
             finally:
                 for run in runs:
                     run.cancel()
                 wait(runs)
         predecessors = dag.predecessor_lists
-        outputs: dict[int, Message] = {}
+        outputs = {}
         for v in dag.topo_order:
-            preds = predecessors[v]
-            inputs = [outputs[u] for u in preds]
-            role = node_role(dag, v, len(preds))
+            inputs = {u: outputs[u] for u in predecessors[v]}
+            role = node_role(dag, v, len(inputs))
             try:
                 outputs[v] = self.evaluate(role, pool[assignment.slots[v]], inputs, task_input, v)
             except Exception as exc:  # noqa: BLE001 - annotate with the failing node
@@ -117,11 +112,11 @@ class AffineEvaluator(NodeEvaluator):
     row of a batch has the bits of that item run alone. The role is ignored.
     """
 
-    def run(self, dag, assignment, pool, task_input) -> Message:
+    def run(self, dag, assignment, pool, task_input) -> np.ndarray:
         order, predecessors, slots = dag.topo_order, dag.predecessor_lists, assignment.slots
         v = order[0]  # the node an error names: the first, until the walk reaches another
         try:
-            x = np.asarray(task_input.payload, dtype=float)
+            x = np.asarray(task_input, dtype=float)
             d = x.shape[-1]
             array = np.ascontiguousarray(pool, dtype=float)
             if array.shape[1:] != (d * d + d,):
@@ -137,7 +132,7 @@ class AffineEvaluator(NodeEvaluator):
                 outputs[v] = np.matmul(W[slots[v]], mean[..., None])[..., 0] + b[slots[v]]
         except Exception as exc:  # noqa: BLE001 - annotate with the failing node
             raise ExecutionError(v, exc) from exc
-        return Message(outputs[dag.end_node], origin=dag.end_node)
+        return outputs[dag.end_node]
 
 
 class ExecutionError(RuntimeError):
@@ -154,25 +149,18 @@ def node_role(dag: DagStructure, node: int, in_degree: int) -> str:
     return ROLE_ENTRY if in_degree == 0 else ROLE_MIDDLE
 
 
-def execute(
-    dag: DagStructure,
-    assignment: Assignment,
-    pool,
-    task_input: Message,
-    evaluator: NodeEvaluator,
-) -> Message:
-    """Run every node once in topological order; return the end node's message."""
+def execute(dag: DagStructure, assignment: Assignment, pool, task_input, evaluator: NodeEvaluator):
+    """Run every node once in topological order; return the end node's output, for a list payload the k outputs in item order."""
     if len(assignment) != dag.n:
         raise ValueError("assignment length must equal node count")
     if len(pool) == 0:
         raise ValueError("expert pool is empty")
     if any(s >= len(pool) for s in assignment.slots):
         raise ValueError("assignment references an expert outside the pool")
-    payload = task_input.payload
-    if isinstance(payload, list) and not payload:
+    items = len(task_input) if isinstance(task_input, list) or isinstance(task_input, np.ndarray) and task_input.ndim == 2 else 1
+    if not items:
         raise ValueError("task input payload holds no items")
     output = evaluator.run(dag, assignment, pool, task_input)
-    items = len(payload) if isinstance(payload, list) or isinstance(payload, np.ndarray) and payload.ndim == 2 else 1
     with evaluator._calls_lock:
         evaluator.calls += dag.n * items
     return output

@@ -276,6 +276,8 @@ def _finite(value, low=-np.inf):
 
 
 def _unpack_record(record: dict, n: int) -> RoleRecord:
+    if unknown := sorted(set(record) - {"dag", "utility"}):
+        raise ValueError(f"record has an unknown field {unknown[0]!r}")
     dag = DagStructure.from_dict(record["dag"])
     utility = json_field(record, "record", "utility", lambda value: float(_finite(value)), kinds=(int, float))
     if dag.n != n:
@@ -333,15 +335,18 @@ class RunState:
     def from_checkpoint(cls, payload, cfg: RunConfig, dim: int) -> "RunState":
         """Inverse of ``to_checkpoint``; raises ``ValueError`` unless the payload resumes ``cfg``'s run.
 
-        Each field is read and checked once: counters >= 0, utilities finite, the record's DAG of ``n_experts`` nodes, arrays
-        packed in the shapes ``cfg`` and ``dim`` give, matrices in [0, 1], experts and velocities finite, swarm scores as
+        Each field is read and checked once, and one it does not know, at the root, in the record or in the config, is
+        rejected by name: counters >= 0, utilities finite, the record's DAG of ``n_experts`` nodes, arrays packed in the
+        shapes ``cfg`` and ``dim`` give, matrices in [0, 1], experts and velocities finite, swarm scores as
         ``_unpack_swarm`` says.
         """
         read = partial(json_field, json_object(payload, "checkpoint", version=CHECKPOINT_VERSION), "checkpoint")
-        stored = read("config", lambda config: {**config})
-        for name, value in json.loads(json.dumps(asdict(cfg))).items():
-            if name not in ("max_iterations", "patience") and stored.get(name) != value:
-                raise ValueError(f"config field {name!r} is {value!r}, but the checkpoint has {stored.get(name)!r}")
+        if unknown := sorted(set(payload) - {"format_version", "config", *(f.name for f in fields(cls))}):
+            raise ValueError(f"checkpoint has an unknown field {unknown[0]!r}")
+        stored, current = read("config", lambda config: {**config}), json.loads(json.dumps(asdict(cfg)))
+        for name in {**current, **stored}:  # a field only one side has differs too
+            if name not in ("max_iterations", "patience") and stored.get(name, ...) != current.get(name, ...):
+                raise ValueError(f"config field {name!r} is {current.get(name, 'absent')!r}, but the checkpoint has {stored.get(name, 'absent')!r}")
         n = cfg.n_experts
         return cls(
             iteration=read("iteration", partial(_finite, low=0), kinds=(int,)),

@@ -33,6 +33,9 @@ def build_pool(
 
 
 def save_pool(pool: np.ndarray, directory: str | Path) -> None:
+    """One expert file per row and the manifest; a pool ``load_pool`` could not read back raises ``ValueError`` first."""
+    if pool.ndim != 2 or not pool.size:
+        raise ValueError(f"a saved pool must be an (n, d) array with n, d >= 1, got shape {pool.shape}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = []

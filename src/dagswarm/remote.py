@@ -22,7 +22,7 @@ import socket
 import threading
 from urllib.parse import urlsplit
 
-from .executor import Message, NodeEvaluator, ROLE_END, ROLE_ENTRY, ROLE_MIDDLE
+from .executor import NodeEvaluator, ROLE_END, ROLE_ENTRY, ROLE_MIDDLE
 
 PROMPT_PREAMBLES = {
     ROLE_ENTRY: "Please answer the following question.",
@@ -53,7 +53,10 @@ def build_prompt(role: str, task_text: str, prior: list[dict]) -> str:
 
 
 class RemoteEvaluator(NodeEvaluator):
-    """Evaluates a node by POSTing to an HTTP endpoint.
+    """Evaluates a node by POSTing to an HTTP endpoint; the reply's text is the node's output.
+
+    A request's ``prior`` holds the node's ``inputs``, ``{predecessor: text}``
+    in topological order, as ``{"node", "text"}`` pairs.
 
     Expert parameters are not transmitted; the endpoint is the model. So a
     task over it declares ``expert_dim`` 0, and ``optimize`` rejects weight modes.
@@ -117,16 +120,16 @@ class RemoteEvaluator(NodeEvaluator):
             reader.close()
             sock.close()
 
-    def evaluate(self, role, params, inputs, task_input, node) -> Message:
-        if not isinstance(task_input.payload, str):
+    def evaluate(self, role, params, inputs, task_input, node) -> str:
+        if not isinstance(task_input, str):
             raise ValueError("remote mode requires text payloads")
-        prior = [{"node": m.origin, "text": m.payload} for m in inputs]
+        prior = [{"node": u, "text": text} for u, text in inputs.items()]
         request = {
             "node": node,
             "role": role,
-            "task_input": task_input.payload,
+            "task_input": task_input,
             "prior": prior,
-            "prompt": build_prompt(role, task_input.payload, prior),
+            "prompt": build_prompt(role, task_input, prior),
         }
         body = json.dumps(request).encode()
         for _ in range(self.retries + 1):
@@ -142,7 +145,7 @@ class RemoteEvaluator(NodeEvaluator):
                 except (ValueError, KeyError, TypeError):
                     text = None
                 if isinstance(text, str):
-                    return Message(text, origin=node)
+                    return text
                 error = "reply is not a JSON object with a string 'text'"
             if status < 500:
                 break

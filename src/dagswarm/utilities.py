@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .executor import AffineEvaluator, Assignment, Message, NodeEvaluator, execute
+from .executor import AffineEvaluator, Assignment, NodeEvaluator, execute
 from .graph import DagStructure
 
 
@@ -107,7 +107,7 @@ class AffineTargetUtility(UtilityFunction):
         self.expert_dim = self.inputs.shape[1] * (self.inputs.shape[1] + 1)  # a d x d matrix and a length-d bias
 
     def item_results(self, dag, assignment, pool) -> tuple[list, list[float]]:
-        out = execute(dag, assignment, pool, Message(self.inputs), self.evaluator).payload
+        out = execute(dag, assignment, pool, self.inputs, self.evaluator)
         return out.tolist(), (-np.sum((out - self.targets) ** 2, axis=1)).tolist()
 
 
@@ -131,8 +131,8 @@ def make_affine_task(
     shared = rng.uniform(-scale, scale, dim * dim + dim)
     hidden_pool = [shared] * structure.n
     inputs = rng.uniform(-1, 1, (points, dim))  # the same draws as one row at a time
-    hidden = execute(structure, Assignment.identity(structure.n), hidden_pool, Message(inputs), AffineEvaluator())
-    return AffineTargetUtility(inputs, hidden.payload)
+    hidden = execute(structure, Assignment.identity(structure.n), hidden_pool, inputs, AffineEvaluator())
+    return AffineTargetUtility(inputs, hidden)
 
 
 class DatasetUtility(UtilityFunction):
@@ -150,7 +150,7 @@ class DatasetUtility(UtilityFunction):
         self.evaluator = evaluator
 
     def item_results(self, dag, assignment, pool) -> tuple[list, list[float]]:
-        outputs = execute(dag, assignment, pool, Message(self.inputs), self.evaluator).payload
+        outputs = execute(dag, assignment, pool, self.inputs, self.evaluator)
         return outputs, [float(str(out).strip() == answer) for out, answer in zip(outputs, self.answers)]
 
 

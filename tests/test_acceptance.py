@@ -20,7 +20,6 @@ import pytest
 from dagswarm import (
     Assignment,
     BucketTable,
-    Message,
     PsoHyperparams,
     RemoteEvaluator,
     RngFactory,
@@ -462,7 +461,7 @@ def test_c12_remote_protocol_conformance(clean_stub):
         dag = decode_dag(gen.uniform(0.0, 1.0, (n, n)), 0.8, gen)
         task = f"probe {i}"
         seen_before = len(clean_stub.requests)
-        out = execute(dag, Assignment.identity(n), [None] * n, Message(task), evaluator)
+        out = execute(dag, Assignment.identity(n), [None] * n, task, evaluator)
         expected, texts = _expected_requests(dag, task)
         assert clean_stub.requests[seen_before:] == expected
-        assert out.payload == texts[dag.end_node]
+        assert out == texts[dag.end_node]

@@ -15,7 +15,6 @@ import pytest
 from dagswarm import (
     AffineEvaluator,
     Assignment,
-    Message,
     OptimizedSystem,
     RemoteEvaluator,
     RngFactory,
@@ -569,7 +568,7 @@ def test_evaluate_local_items_match_a_per_item_execute(tmp_path, capsys, monkeyp
     payload = json.loads(printed)
     task = build_utility({"name": "affine_target", "n": 4, "points": 3}, RngFactory(0).stream("task"))
     for entry, x, y in zip(payload["results"], task.inputs, task.targets, strict=True):
-        output = execute(dag, Assignment.identity(4), experts, Message(x), AffineEvaluator()).payload
+        output = execute(dag, Assignment.identity(4), experts, x, AffineEvaluator())
         assert np.array_equal(entry["output"], output)
         assert entry["score"] == -float(np.sum((output - y) ** 2))
     assert payload["utility"] == task.evaluate(dag, Assignment.identity(4), experts)
@@ -865,7 +864,7 @@ def test_serve_stub_echoes_and_exits_cleanly_on_sigint():
             endpoint = json.loads(process.stdout.readline())["endpoint"]
             evaluator = RemoteEvaluator(endpoint, timeout=5)
             try:
-                reply = evaluator.evaluate("entry", None, [], Message("q"), 0)
+                reply = evaluator.evaluate("entry", None, {}, "q", 0)
             finally:
                 evaluator.close()
             process.send_signal(signal.SIGINT)
@@ -881,7 +880,7 @@ def test_serve_stub_echoes_and_exits_cleanly_on_sigint():
                 pytest.fail(f"serve-stub did not exit within 10 s of SIGINT; stderr:\n{stderr}")
         finally:
             process.kill()
-    assert reply.payload == build_prompt("entry", "q", [])
+    assert reply == build_prompt("entry", "q", [])
     assert process.returncode == 0
     assert "Traceback" not in stderr, stderr
 

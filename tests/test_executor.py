@@ -13,7 +13,6 @@ from dagswarm import (
     Assignment,
     DagStructure,
     ExecutionError,
-    Message,
     NodeEvaluator,
     RngFactory,
     chain_dag,
@@ -32,24 +31,24 @@ IDENTITY_PLUS_ONE = affine_params(np.eye(2), [1.0, 1.0])
 
 
 class RecordingEvaluator(NodeEvaluator):
-    """Echoes the task input; records visit order and roles."""
+    """Echoes the task input; records visit order, roles and the nodes ``inputs`` names, in its order."""
 
     def __init__(self):
         super().__init__()
         self.visits: list[tuple[int, str, tuple[int, ...]]] = []
 
     def evaluate(self, role, params, inputs, task_input, node):
-        self.visits.append((node, role, tuple(m.origin for m in inputs)))
-        return Message(task_input.payload, origin=node)
+        self.visits.append((node, role, tuple(inputs)))
+        return task_input
 
 
 def test_single_node_is_end_role():
     dag = DagStructure(1, 0, frozenset(), (0,))
     evaluator = RecordingEvaluator()
-    out = execute(dag, Assignment.identity(1), [np.zeros(1)], Message(np.array([7.0])), evaluator)
+    out = execute(dag, Assignment.identity(1), [np.zeros(1)], np.array([7.0]), evaluator)
     assert evaluator.calls == 1
     assert evaluator.visits == [(0, "end", ())]
-    assert out.payload[0] == 7.0
+    assert out[0] == 7.0
 
 
 def test_node_roles():
@@ -65,24 +64,24 @@ def test_chain_affine_composition():
     # output is [1.75, 1.75]
     dag = chain_dag(3)
     pool = [IDENTITY_PLUS_ONE] * 3
-    out = execute(dag, Assignment.identity(3), pool, Message(np.zeros(2)), AffineEvaluator())
-    assert np.allclose(out.payload, [1.75, 1.75])
+    out = execute(dag, Assignment.identity(3), pool, np.zeros(2), AffineEvaluator())
+    assert np.allclose(out, [1.75, 1.75])
 
 
 def test_affine_identity_passthrough():
     dag = DagStructure(1, 0, frozenset(), (0,))
     params = affine_params(np.eye(2), [0.0, 0.0])
     v = np.array([0.3, -0.7])
-    out = execute(dag, Assignment.identity(1), [params], Message(v), AffineEvaluator())
-    assert np.allclose(out.payload, v)
+    out = execute(dag, Assignment.identity(1), [params], v, AffineEvaluator())
+    assert np.allclose(out, v)
 
 
 def test_affine_hand_case():
     # entry node alone sees only the task input: mean [1,1], W=2I, b=1 -> [3,3]
     dag = DagStructure(1, 0, frozenset(), (0,))
     params = affine_params([[2.0, 0.0], [0.0, 2.0]], [1.0, 1.0])
-    out = execute(dag, Assignment.identity(1), [params], Message(np.ones(2)), AffineEvaluator())
-    assert np.allclose(out.payload, [3.0, 3.0])
+    out = execute(dag, Assignment.identity(1), [params], np.ones(2), AffineEvaluator())
+    assert np.allclose(out, [3.0, 3.0])
 
 
 def test_call_accounting_equals_n():
@@ -91,7 +90,7 @@ def test_call_accounting_equals_n():
     dag = decode_dag(A, 0.8, rng.stream("decode", 0, 0))
     evaluator = AffineEvaluator()
     pool = [affine_params(np.eye(2), [0.0, 0.0])] * 10
-    execute(dag, Assignment.identity(10), pool, Message(np.zeros(2)), evaluator)
+    execute(dag, Assignment.identity(10), pool, np.zeros(2), evaluator)
     assert evaluator.calls == 10
 
 
@@ -100,27 +99,27 @@ def test_assignment_validation():
         Assignment((0, -1))
     dag = chain_dag(2)
     with pytest.raises(ValueError):
-        execute(dag, Assignment((0,)), [np.zeros(6)], Message(np.zeros(2)), AffineEvaluator())
+        execute(dag, Assignment((0,)), [np.zeros(6)], np.zeros(2), AffineEvaluator())
     with pytest.raises(ValueError):
-        execute(dag, Assignment((0, 5)), [np.zeros(6)], Message(np.zeros(2)), AffineEvaluator())
+        execute(dag, Assignment((0, 5)), [np.zeros(6)], np.zeros(2), AffineEvaluator())
     with pytest.raises(ValueError, match="^expert pool is empty$"):
-        execute(dag, Assignment((0, 0)), [], Message(np.zeros(2)), AffineEvaluator())
+        execute(dag, Assignment((0, 0)), [], np.zeros(2), AffineEvaluator())
 
 
 def test_evaluator_failure_carries_node_id():
     dag = chain_dag(3)
     pool = [IDENTITY_PLUS_ONE] * 3
     with pytest.raises(ExecutionError) as err:  # the base evaluator defines neither evaluate nor run
-        execute(dag, Assignment.identity(3), pool, Message(np.zeros(2)), NodeEvaluator())
+        execute(dag, Assignment.identity(3), pool, np.zeros(2), NodeEvaluator())
     assert err.value.node == 0 and isinstance(err.value.__cause__, NotImplementedError)
 
 
 def test_repeated_execution_deterministic():
     dag = chain_dag(4)
     pool = [IDENTITY_PLUS_ONE] * 4
-    first = execute(dag, Assignment.identity(4), pool, Message(np.zeros(2)), AffineEvaluator())
-    second = execute(dag, Assignment.identity(4), pool, Message(np.zeros(2)), AffineEvaluator())
-    assert np.array_equal(first.payload, second.payload)
+    first = execute(dag, Assignment.identity(4), pool, np.zeros(2), AffineEvaluator())
+    second = execute(dag, Assignment.identity(4), pool, np.zeros(2), AffineEvaluator())
+    assert np.array_equal(first, second)
 
 
 def test_topological_safety_fuzz():
@@ -130,18 +129,17 @@ def test_topological_safety_fuzz():
         n = int(init.integers(2, 8))
         dag = decode_dag(init.uniform(0, 1, (n, n)), 0.8, rng.stream("decode", 0, i))
         evaluator = RecordingEvaluator()
-        out = execute(dag, Assignment.identity(n), [np.zeros(1)] * n, Message(np.zeros(1)), evaluator)
+        execute(dag, Assignment.identity(n), [np.zeros(1)] * n, np.zeros(1), evaluator)
         seen: set[int] = set()
-        for node, role, origins in evaluator.visits:
+        for node, role, inputs in evaluator.visits:
             preds = set(dag.predecessor_lists[node])
             assert preds <= seen  # never before a predecessor
-            assert list(origins) == sorted(origins, key=dag.topo_order.index)
-            assert set(origins) == preds
+            assert list(inputs) == sorted(inputs, key=dag.topo_order.index)
+            assert set(inputs) == preds
             expected = "end" if node == dag.end_node else ("entry" if not preds else "middle")
             assert role == expected
             seen.add(node)
         assert evaluator.visits[-1][0] == dag.end_node
-        assert out.origin == dag.end_node
 
 
 def reference_execute(dag, assignment, pool, x):
@@ -193,8 +191,8 @@ def test_batched_execute_matches_per_item_loop():
     for dag, assignment, pool, inputs in [*decoded_cases(), *star_cases()]:
         reference = np.stack([reference_execute(dag, assignment, pool, x) for x in inputs])
         for pool_form in (pool, np.array(pool)):  # a list pool, then an array pool
-            batched = execute(dag, assignment, pool_form, Message(inputs), AffineEvaluator()).payload
-            alone = np.stack([execute(dag, assignment, pool_form, Message(x), AffineEvaluator()).payload for x in inputs])
+            batched = execute(dag, assignment, pool_form, inputs, AffineEvaluator())
+            alone = np.stack([execute(dag, assignment, pool_form, x, AffineEvaluator()) for x in inputs])
             assert batched.shape == inputs.shape
             assert np.array_equal(batched, reference)
             assert np.array_equal(alone, reference)
@@ -205,17 +203,16 @@ def test_array_pool_runs_one_pass_and_counts_n_calls_per_item():
         evaluator = AffineEvaluator()
         evaluator.evaluate = None  # the one-pass path never dispatches per node
         evaluator.calls = 7
-        out = execute(dag, assignment, np.array(pool), Message(inputs), evaluator)
+        execute(dag, assignment, np.array(pool), inputs, evaluator)
         assert evaluator.calls == 7 + dag.n * len(inputs)
-        assert out.origin == dag.end_node
-        execute(dag, assignment, np.array(pool), Message(inputs[0]), evaluator)
+        execute(dag, assignment, np.array(pool), inputs[0], evaluator)
         assert evaluator.calls == 7 + dag.n * (len(inputs) + 1)
 
 
 def test_array_pool_of_the_wrong_width_fails_at_the_first_node():
     dag = decode_dag(np.random.default_rng(34).uniform(0, 1, (5, 5)), 0.8, np.random.default_rng(35))
     with pytest.raises(ExecutionError) as err:
-        execute(dag, Assignment.identity(5), np.zeros((5, 7)), Message(np.zeros((3, 2))), AffineEvaluator())
+        execute(dag, Assignment.identity(5), np.zeros((5, 7)), np.zeros((3, 2)), AffineEvaluator())
     assert err.value.node == dag.topo_order[0]
     assert str(err.value) == f"evaluator failed at node {dag.topo_order[0]}: expected 6 parameters for dimension 2, got (7,)"
 
@@ -227,7 +224,7 @@ def test_pool_layout_does_not_change_the_output_bytes():
         wide = np.zeros((len(pool), 2 * len(pool[0])))
         wide[:, ::2] = pool
         for pool_form in (np.asfortranarray(pool), wide[:, ::2], [list(row) for row in pool]):
-            out = execute(dag, assignment, pool_form, Message(inputs), AffineEvaluator()).payload
+            out = execute(dag, assignment, pool_form, inputs, AffineEvaluator())
             assert out.tobytes() == reference.tobytes()
 
 
@@ -238,7 +235,7 @@ def test_pool_layout_does_not_change_the_output_bytes():
 def test_unreadable_payload_fails_at_the_first_node(payload, message):
     dag = decode_dag(np.random.default_rng(36).uniform(0, 1, (5, 5)), 0.8, np.random.default_rng(37))
     with pytest.raises(ExecutionError) as err:
-        execute(dag, Assignment.identity(5), [IDENTITY_PLUS_ONE] * 5, Message(payload), AffineEvaluator())
+        execute(dag, Assignment.identity(5), [IDENTITY_PLUS_ONE] * 5, payload, AffineEvaluator())
     assert err.value.node == dag.topo_order[0]
     assert str(err.value) == f"evaluator failed at node {dag.topo_order[0]}: {message}"
 
@@ -251,7 +248,7 @@ def test_unreadable_payload_fails_at_the_first_node(payload, message):
 def test_pool_numpy_cannot_read_as_one_array_fails_at_the_first_node(pool, slots, message):
     dag = chain_dag(3)
     with pytest.raises(ExecutionError) as err:
-        execute(dag, Assignment(slots), pool, Message(np.zeros(2)), AffineEvaluator())
+        execute(dag, Assignment(slots), pool, np.zeros(2), AffineEvaluator())
     assert err.value.node == dag.topo_order[0]
     assert isinstance(err.value.__cause__, ValueError) and message in str(err.value)
 
@@ -262,7 +259,7 @@ def test_one_pass_failure_names_the_node_of_the_per_node_loop():
     pool[2] *= 1e308  # the third node overflows
     for pool_form in (pool, list(pool)):
         with np.errstate(over="raise"), pytest.raises(ExecutionError) as err:
-            execute(dag, Assignment((0, 1, 2, 3)), pool_form, Message(np.ones((2, 2))), AffineEvaluator())
+            execute(dag, Assignment((0, 1, 2, 3)), pool_form, np.ones((2, 2)), AffineEvaluator())
         assert err.value.node == 2
         assert isinstance(err.value.__cause__, FloatingPointError)
 
@@ -281,15 +278,15 @@ def test_affine_mean_is_numpy_mean_for_payloads_of_more_than_one_element(shape):
         outs = [np.matmul(W[j], x[..., None])[..., 0] + pool[j][d * d :] for j in range(terms - 1)]
         mean = np.mean([x, *outs], axis=0)
         expected = np.matmul(W[-1], mean[..., None])[..., 0] + pool[-1][d * d :]
-        out = execute(star_dag(terms), Assignment.identity(terms), np.array(pool), Message(x), AffineEvaluator())
-        assert np.array_equal(out.payload, expected)
+        out = execute(star_dag(terms), Assignment.identity(terms), np.array(pool), x, AffineEvaluator())
+        assert np.array_equal(out, expected)
 
 
 def test_batched_payload_counts_one_call_per_item_and_node():
     for dag, assignment, pool, inputs in decoded_cases():
         evaluator = AffineEvaluator()
         evaluator.calls = 7
-        execute(dag, assignment, pool, Message(inputs), evaluator)
+        execute(dag, assignment, pool, inputs, evaluator)
         assert evaluator.calls == 7 + dag.n * len(inputs)
 
 
@@ -318,22 +315,22 @@ def test_an_execution_that_raises_counts_no_calls():
     ]:
         evaluator.calls = 7
         with np.errstate(over="raise"), pytest.raises(ExecutionError) as err:
-            execute(dag, Assignment.identity(4), pool, Message(payload), evaluator)
+            execute(dag, Assignment.identity(4), pool, payload, evaluator)
         assert evaluator.calls == 7, err.value
     assert [node for node, _, _ in per_node.visits] == [0, 1]
 
 
 def test_an_empty_item_list_fails_before_the_evaluator_runs():
+    # A list of no texts and a (0, d) array of no rows are both payloads of no items.
     dag = chain_dag(3)
-    evaluator = RecordingEvaluator()
-    with pytest.raises(ValueError, match="^task input payload holds no items$"):
-        execute(dag, Assignment.identity(3), ["e0", "e1", "e2"], Message([]), evaluator)
-    assert evaluator.visits == [] and evaluator.calls == 0
-    # A (0, d) array is a batch of no items: every node runs once and counts nothing.
-    out = execute(dag, Assignment.identity(3), [IDENTITY_PLUS_ONE] * 3, Message(np.zeros((0, 2))), AffineEvaluator())
-    assert out.payload.shape == (0, 2)
-    execute(dag, Assignment.identity(3), [None] * 3, Message(np.zeros((0, 2))), evaluator)
-    assert [node for node, _, _ in evaluator.visits] == [0, 1, 2] and evaluator.calls == 0
+    for pool, payload, evaluator in [
+        (["e0", "e1", "e2"], [], RecordingEvaluator()),
+        ([None] * 3, np.zeros((0, 2)), RecordingEvaluator()),
+        ([IDENTITY_PLUS_ONE] * 3, np.zeros((0, 2)), AffineEvaluator()),
+    ]:
+        with pytest.raises(ValueError, match="^task input payload holds no items$"):
+            execute(dag, Assignment.identity(3), pool, payload, evaluator)
+        assert getattr(evaluator, "visits", []) == [] and evaluator.calls == 0
 
 
 def test_predecessors_match_rebuilt_lists():
@@ -348,8 +345,8 @@ class ComposingEvaluator(NodeEvaluator):
     """Text outputs that spell out each node's role, expert and inputs, so a mixed-up item or node shows."""
 
     def evaluate(self, role, params, inputs, task_input, node):
-        prior = ",".join(m.payload for m in inputs)
-        return Message(f"{role}{node}/{params}({task_input.payload};{prior})", origin=node)
+        prior = ",".join(inputs.values())
+        return f"{role}{node}/{params}({task_input};{prior})"
 
 
 @pytest.mark.parametrize("jobs", [1, 3, 16])
@@ -359,10 +356,9 @@ def test_list_payload_equals_one_execute_per_item_in_order(jobs):
         pool = [f"e{k}" for k in range(dag.n)]
         evaluator = ComposingEvaluator()
         evaluator.jobs = jobs
-        batch = execute(dag, assignment, pool, Message(texts), evaluator)
-        alone = [execute(dag, assignment, pool, Message(text), ComposingEvaluator()).payload for text in texts]
-        assert batch.payload == alone
-        assert batch.origin == dag.end_node
+        batch = execute(dag, assignment, pool, texts, evaluator)
+        alone = [execute(dag, assignment, pool, text, ComposingEvaluator()) for text in texts]
+        assert batch == alone
         assert evaluator.calls == dag.n * len(texts)
 
 
@@ -377,7 +373,7 @@ class InFlightEvaluator(ComposingEvaluator):
         self.in_flight = self.high_water = 0
 
     def run(self, dag, assignment, pool, task_input):
-        if isinstance(task_input.payload, list):
+        if isinstance(task_input, list):
             return super().run(dag, assignment, pool, task_input)
         with self.lock:
             self.in_flight += 1
@@ -398,7 +394,7 @@ def test_jobs_bounds_the_items_in_flight_across_threads_sharing_an_evaluator():
 
     def one_execution(name):
         texts = [f"{name}{k}" for k in range(12)]
-        outputs[name] = execute(dag, Assignment.identity(2), pool, Message(texts), evaluator).payload
+        outputs[name] = execute(dag, Assignment.identity(2), pool, texts, evaluator)
 
     threads = [threading.Thread(target=one_execution, args=(name,)) for name in names]
     interval = sys.getswitchinterval()
@@ -413,7 +409,7 @@ def test_jobs_bounds_the_items_in_flight_across_threads_sharing_an_evaluator():
     assert not any(thread.is_alive() for thread in threads)
     assert 2 <= evaluator.high_water <= 3
     for name in names:
-        alone = [execute(dag, Assignment.identity(2), pool, Message(f"{name}{k}"), ComposingEvaluator()).payload
+        alone = [execute(dag, Assignment.identity(2), pool, f"{name}{k}", ComposingEvaluator())
                  for k in range(12)]
         assert outputs[name] == alone
     assert evaluator.calls == len(names) * 2 * 12
@@ -429,14 +425,14 @@ def test_close_joins_the_workers_and_a_later_list_payload_builds_a_new_pool():
     evaluator = ComposingEvaluator()
     evaluator.jobs = 3
     dag, pool, texts = chain_dag(2), ["e0", "e1"], [f"q{k}" for k in range(6)]
-    first = execute(dag, Assignment.identity(2), pool, Message(texts), evaluator).payload
+    first = execute(dag, Assignment.identity(2), pool, texts, evaluator)
     workers = worker_threads(evaluator)
     assert 1 <= len(workers) <= 3
     evaluator.close()
     for thread in workers:
         thread.join(timeout=5)
     assert not any(thread.is_alive() for thread in workers)
-    assert execute(dag, Assignment.identity(2), pool, Message(texts), evaluator).payload == first
+    assert execute(dag, Assignment.identity(2), pool, texts, evaluator) == first
     assert worker_threads(evaluator).isdisjoint(workers)
     evaluator.close()
     evaluator.close()  # a second close, and one before any list payload, does nothing
@@ -445,7 +441,7 @@ def test_close_joins_the_workers_and_a_later_list_payload_builds_a_new_pool():
 def test_an_evaluator_dropped_without_close_leaves_no_worker_thread():
     evaluator = ComposingEvaluator()
     evaluator.jobs = 2
-    execute(chain_dag(2), Assignment.identity(2), ["e0", "e1"], Message(["q0", "q1", "q2"]), evaluator)
+    execute(chain_dag(2), Assignment.identity(2), ["e0", "e1"], ["q0", "q1", "q2"], evaluator)
     workers = worker_threads(evaluator)
     assert workers
     del evaluator

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from dagswarm import DatasetUtility, Message, NodeEvaluator, RngFactory, build_utility, config_from_dict, optimize
+from dagswarm import DatasetUtility, NodeEvaluator, RngFactory, build_utility, config_from_dict, optimize
 
 GOLDEN = {
     "role_only_hidden_dag_threshold": (
@@ -100,7 +100,7 @@ class SumEvaluator(NodeEvaluator):
     count that depends on the DAG."""
 
     def evaluate(self, role, params, inputs, task_input, node):
-        return Message(str(int(task_input.payload) + sum(int(m.payload) for m in inputs)), origin=node)
+        return str(int(task_input) + sum(int(text) for text in inputs.values()))
 
 
 # Item x answers x * k: DAGs with different counts k match different items, and k = 8, which only the 4-node

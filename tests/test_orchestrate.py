@@ -618,18 +618,20 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     assert trace_resumed.to_jsonl().splitlines() == tail
 
 
-def test_checkpoint_with_removed_pool_settings_resumes_the_same_run(tmp_path):
-    # Older checkpoints store these keys in their config; a resume ignores keys the config does not have.
+@pytest.mark.parametrize("key, value", [("expert_dim", 6), ("expert_scale", 1.0), ("pool_distinct", None)])
+def test_checkpoint_with_removed_pool_settings_is_rejected_by_name(tmp_path, key, value):
+    # Only format-3 checkpoints stored these keys, and format 3 is rejected by its version; a config holding one
+    # is not this run's, even when its value is null.
     cfg = small_cfg(max_iterations=6, patience=6, seed=3)
-    system_full, trace_full = run(cfg)
     ck = tmp_path / "checkpoint.json"
     run(replace(cfg, max_iterations=2), checkpoint_path=ck)
     payload = json.loads(ck.read_text())
-    payload["config"].update(expert_dim=6, expert_scale=1.0, pool_distinct=None)
+    payload["config"][key] = value
     ck.write_text(json.dumps(payload, sort_keys=True))
-    system, trace = run(cfg, resume_from=ck)
-    assert system.to_json() == system_full.to_json()
-    assert trace.to_jsonl().splitlines() == trace_full.to_jsonl().splitlines()[2:]
+    utility = task_utility(cfg)
+    with pytest.raises(ValueError, match=re.escape(f"config field '{key}' is 'absent', but the checkpoint has {value!r}")):
+        optimize(cfg, None, utility, resume_from=ck)
+    assert utility.evaluator_calls == 0
 
 
 RESUME_VARIANTS = {
@@ -837,6 +839,13 @@ DAG1 = {"n": 1, "end_node": 0, "edges": [], "topo_order": [0]}
     ({"format_version": 4, "record": {}, **COUNTERS, "stall": True}, "field 'stall' cannot be read: True is a bool$"),
     ({"format_version": 4, "record": {}, **COUNTERS, "best_utility": "0.5"}, "field 'best_utility' cannot be read: '0.5' is a str$"),
     ({"format_version": 4, "record": {}, **COUNTERS, "best_utility": False}, "field 'best_utility' cannot be read: False is a bool$"),
+    # A field no format-4 checkpoint holds, at the root or in the record (format 3's record matrix), is named.
+    ({"format_version": 4, "record": {}, "bogus": 1}, "^checkpoint has an unknown field 'bogus'$"),
+    (
+        {"format_version": 4, "record": {"dag": DAG1, "utility": 0.5, "matrix": [[0.5]]}, **COUNTERS, "matrix_swarm": MATRICES,
+         "expert_swarm": EXPERTS},
+        r"field 'record' cannot be read: ValueError\(\"record has an unknown field 'matrix'\"\)$",
+    ),
 ])
 def test_run_state_rejects_a_checkpoint_it_cannot_resume(payload, message):
     cfg = small_cfg()

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from dagswarm import Message, RemoteEvaluator, build_prompt
+from dagswarm import RemoteEvaluator, build_prompt
 from conftest import no_leaked_sockets
 
 ENDPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "endpoint.py"
@@ -30,7 +30,7 @@ def test_benchmark_endpoint_echoes_and_counts_one_post():
             assert word == "ready"
             evaluator = RemoteEvaluator(url, timeout=5)
             try:
-                reply = evaluator.evaluate("entry", None, [], Message("q"), 0)
+                reply = evaluator.evaluate("entry", None, {}, "q", 0)
             finally:
                 evaluator.close()
             address = urlsplit(url)
@@ -44,6 +44,6 @@ def test_benchmark_endpoint_echoes_and_counts_one_post():
         finally:
             process.terminate()
             process.wait(timeout=10)
-    assert reply.payload == build_prompt("entry", "q", [])
+    assert reply == build_prompt("entry", "q", [])
     assert status == 200
     assert stats["posts"] == 1 and stats["connections"] == 1 and stats["distinct_pairs"] == 1

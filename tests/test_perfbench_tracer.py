@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
-from dagswarm import RngFactory, RunConfig, build_utility, optimize
+from dagswarm import DatasetUtility, RemoteEvaluator, RngFactory, RunConfig, build_utility, optimize
 from dagswarm import graph, orchestrate
+from conftest import no_leaked_sockets
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -25,6 +27,8 @@ SPANS = {
 }
 # decode_role's shape runs role steps only, and its edit-distance utility executes nothing.
 ROLE_SPANS = {"graph.decode_dag", "pso.pso_step", "rng.stream", "utilities.evaluate", "role_step", "orchestrate.checkpoint"}
+# remote_echo's shape runs role steps only, executing each candidate's items against the endpoint, with no checkpoint.
+REMOTE_SPANS = ROLE_SPANS - {"orchestrate.checkpoint"} | {"executor.execute", "remote.request"}
 AFFINE = {"n_experts": 3, "utility_spec": {"name": "affine_target", "n": 3, "points": 2}}
 
 
@@ -61,3 +65,32 @@ def test_traced_optimize_runs_and_matches_an_untraced_run(mode, task, spans, tmp
     assert system.to_json() == expected_system.to_json()
     assert trace.to_jsonl() == expected_trace.to_jsonl()
     assert orchestrate.decode_dag is graph.decode_dag  # the wrappers are gone again
+
+
+@no_leaked_sockets
+def test_traced_remote_run_counts_one_request_span_per_request(clean_stub, monkeypatch):
+    # remote_echo's shape: role_only over text items on a RemoteEvaluator with its default jobs, here at the stub.
+    cfg = RunConfig(n_experts=4, matrix_swarm_size=2, max_iterations=2, patience=2, mode="role_only",
+                    utility_spec={"name": "dataset"})
+    items = [{"input": f"What is {k} + {k}?", "answer": str(2 * k)} for k in range(3)]
+
+    def remote_run(tracer=None):
+        utility = DatasetUtility(items, RemoteEvaluator(clean_stub.endpoint))
+        try:
+            with tracer.installed(utility) if tracer else nullcontext():
+                system, trace = optimize(cfg, None, utility)
+            return system, trace, utility.evaluator_calls
+        finally:
+            utility.evaluator.close()
+
+    expected_system, expected_trace, _ = remote_run()
+    clean_stub.requests.clear()
+    tracer = load_tracer(monkeypatch).Tracer()
+    system, trace, calls = remote_run(tracer)
+    assert {span[0] for span in tracer.spans} == REMOTE_SPANS
+    assert tracer.span_count("remote.request") == len(clean_stub.requests) == calls
+    assert calls == cfg.n_experts * len(items) * cfg.matrix_swarm_size * cfg.max_iterations
+    assert tracer.span_count("utilities.evaluate") == cfg.matrix_swarm_size * len(trace.rows)  # N per row
+    assert system.to_json() == expected_system.to_json()
+    assert trace.to_jsonl() == expected_trace.to_jsonl()
+    assert orchestrate.decode_dag is graph.decode_dag

@@ -57,6 +57,15 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(load_pool(tmp_path / "pool"), pool)
 
 
+@pytest.mark.parametrize("pool", [
+    build_pool(2, 1, 0, RngFactory(0).stream("init_experts")), np.zeros((0, 3)), np.zeros(3), np.zeros((2, 3, 1)),
+], ids=["width-0", "no-rows", "1-d", "3-d"])
+def test_save_rejects_a_pool_load_cannot_read_before_writing_a_file(tmp_path, pool):
+    with pytest.raises(ValueError, match=re.escape(f"a saved pool must be an (n, d) array with n, d >= 1, got shape {pool.shape}")):
+        save_pool(pool, tmp_path / "pool")
+    assert not (tmp_path / "pool").exists()
+
+
 def test_load_rejects_bad_version(tmp_path):
     pool = build_pool(1, 1, 2, RngFactory(0).stream("init_experts"))
     save_pool(pool, tmp_path / "pool")

@@ -20,7 +20,6 @@ from dagswarm import (
     DagStructure,
     DatasetUtility,
     ExecutionError,
-    Message,
     PROMPT_PREAMBLES,
     RemoteEvaluator,
     RunConfig,
@@ -57,20 +56,20 @@ def test_echo_roundtrip_chain(clean_stub):
     dag = chain_dag(3)
     pool = [np.zeros(1)] * 3
     evaluator = RemoteEvaluator(clean_stub.endpoint)
-    out = execute(dag, Assignment.identity(3), pool, Message("What is 2+2?"), evaluator)
+    out = execute(dag, Assignment.identity(3), pool, "What is 2+2?", evaluator)
     assert evaluator.calls == 3
     assert len(clean_stub.requests) == 3
     roles = [r["role"] for r in clean_stub.requests]
     assert roles == ["entry", "middle", "end"]
     # the stub echoes the prompt, so the end output is the end prompt
-    assert str(out.payload).startswith(END)
-    assert "Question: What is 2+2?" in str(out.payload)
+    assert out.startswith(END)
+    assert "Question: What is 2+2?" in out
 
 
 def test_entry_request_has_no_prior(clean_stub):
     dag = chain_dag(2)
     evaluator = RemoteEvaluator(clean_stub.endpoint)
-    execute(dag, Assignment.identity(2), [np.zeros(1)] * 2, Message("q"), evaluator)
+    execute(dag, Assignment.identity(2), [np.zeros(1)] * 2, "q", evaluator)
     entry = clean_stub.requests[0]
     assert entry["role"] == "entry"
     assert entry["prior"] == []
@@ -83,7 +82,7 @@ def test_middle_node_lists_two_priors_in_topo_order(clean_stub):
     dag = DagStructure(4, 3, frozenset({(0, 2), (1, 2), (2, 3), (0, 3)}), (0, 1, 2, 3))
     dag.validate()
     evaluator = RemoteEvaluator(clean_stub.endpoint)
-    execute(dag, Assignment.identity(4), [np.zeros(1)] * 4, Message("q"), evaluator)
+    execute(dag, Assignment.identity(4), [np.zeros(1)] * 4, "q", evaluator)
     middle = next(r for r in clean_stub.requests if r["node"] == 2)
     assert middle["role"] == "middle"
     assert [p["node"] for p in middle["prior"]] == [0, 1]
@@ -94,7 +93,7 @@ def test_middle_node_lists_two_priors_in_topo_order(clean_stub):
 
 def test_request_schema_fields(clean_stub):
     dag = chain_dag(2)
-    execute(dag, Assignment.identity(2), [np.zeros(1)] * 2, Message("q"), RemoteEvaluator(clean_stub.endpoint))
+    execute(dag, Assignment.identity(2), [np.zeros(1)] * 2, "q", RemoteEvaluator(clean_stub.endpoint))
     for request in clean_stub.requests:
         assert set(request) == {"node", "role", "task_input", "prior", "prompt"}
         assert isinstance(request["node"], int)
@@ -106,7 +105,7 @@ def test_unreachable_endpoint_is_execution_error():
     dag = chain_dag(2)
     evaluator = RemoteEvaluator("http://127.0.0.1:9/", timeout=0.2)
     with pytest.raises(ExecutionError) as err:
-        execute(dag, Assignment.identity(2), [np.zeros(1)] * 2, Message("q"), evaluator)
+        execute(dag, Assignment.identity(2), [np.zeros(1)] * 2, "q", evaluator)
     assert err.value.node == 0
 
 
@@ -114,7 +113,7 @@ def test_non_text_payload_rejected(clean_stub):
     dag = chain_dag(2)
     evaluator = RemoteEvaluator(clean_stub.endpoint)
     with pytest.raises(ExecutionError):
-        execute(dag, Assignment.identity(2), [np.zeros(1)] * 2, Message(np.zeros(2)), evaluator)
+        execute(dag, Assignment.identity(2), [np.zeros(1)] * 2, np.zeros(2), evaluator)
 
 
 @pytest.mark.parametrize("mode", ["full", "weight_only"])
@@ -239,7 +238,7 @@ def scripted():
 def _ask(server, retries):
     host, port = server.server_address[:2]
     evaluator = RemoteEvaluator(f"http://{host}:{port}/", timeout=5, retries=retries)
-    return evaluator.evaluate("end", None, [], Message("q"), 0)
+    return evaluator.evaluate("end", None, {}, "q", 0)
 
 
 OK = (200, b'{"text": "ok"}')
@@ -248,7 +247,7 @@ OK = (200, b'{"text": "ok"}')
 @pytest.mark.parametrize("first", [(503, b""), (500, b'{"text": "x"}'), None], ids=["503", "500", "dropped"])
 def test_transport_errors_and_5xx_are_retried(scripted, first):
     scripted.replies = [first, OK]
-    assert _ask(scripted, retries=2).payload == "ok"
+    assert _ask(scripted, retries=2) == "ok"
     assert scripted.posts == 2
 
 
@@ -317,10 +316,10 @@ def test_stub_answers_a_post_of_unknown_length_at_once_and_closes(request, stub,
 @no_leaked_sockets
 def test_evaluator_reuses_its_connections_and_works_after_close(keepalive_stub):
     evaluator = RemoteEvaluator(keepalive_stub.endpoint)
-    execute(chain_dag(3), Assignment.identity(3), [None] * 3, Message("q"), evaluator)
+    execute(chain_dag(3), Assignment.identity(3), [None] * 3, "q", evaluator)
     assert len(keepalive_stub.peers) == 1
     evaluator.close()
-    execute(chain_dag(2), Assignment.identity(2), [None] * 2, Message("q"), evaluator)
+    execute(chain_dag(2), Assignment.identity(2), [None] * 2, "q", evaluator)
     evaluator.close()
     assert len(keepalive_stub.requests) == 5
     assert len(keepalive_stub.peers) == 2
@@ -335,7 +334,7 @@ def test_pool_hands_each_connection_to_one_thread_at_a_time(keepalive_stub):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        outputs = execute(chain_dag(2), Assignment.identity(2), [None] * 2, Message(questions), evaluator).payload
+        outputs = execute(chain_dag(2), Assignment.identity(2), [None] * 2, questions, evaluator)
         pooled = list(evaluator._idle)
     finally:
         sys.setswitchinterval(interval)
@@ -355,13 +354,13 @@ def test_list_payload_equals_one_execute_per_item_at_the_echo_stub(clean_stub, j
     alone = RemoteEvaluator(clean_stub.endpoint)
     evaluator = RemoteEvaluator(clean_stub.endpoint, jobs=jobs)
     try:
-        expected = [execute(dag, Assignment.identity(4), [None] * 4, Message(q), alone).payload for q in questions]
+        expected = [execute(dag, Assignment.identity(4), [None] * 4, q, alone) for q in questions]
         clean_stub.requests.clear()
-        batch = execute(dag, Assignment.identity(4), [None] * 4, Message(questions), evaluator)
+        batch = execute(dag, Assignment.identity(4), [None] * 4, questions, evaluator)
     finally:
         alone.close()
         evaluator.close()
-    assert batch.payload == expected
+    assert batch == expected
     assert evaluator.calls == len(clean_stub.requests) == dag.n * len(questions)
     assert sorted(r["task_input"] for r in clean_stub.requests) == sorted(questions * dag.n)
 
@@ -380,7 +379,7 @@ def test_a_stale_pooled_connection_costs_no_retry():
     evaluator = RemoteEvaluator(server.endpoint, retries=0)
     try:
         for _ in range(3):
-            assert evaluator.evaluate("end", None, [], Message("q"), 0).payload.startswith(PROMPT_PREAMBLES["end"])
+            assert evaluator.evaluate("end", None, {}, "q", 0).startswith(PROMPT_PREAMBLES["end"])
     finally:
         evaluator.close()
         server.stop()
@@ -476,7 +475,7 @@ def test_reply_framings_and_which_connections_are_pooled(raw, reply, close, pool
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=5)
     try:
         for _ in range(2):
-            assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == text
+            assert evaluator.evaluate("end", None, {}, "q", 0) == text
             assert len(evaluator._idle) == pooled
     finally:
         evaluator.close()
@@ -492,7 +491,7 @@ def test_timeout_bounds_each_socket_read_not_the_whole_reply(raw):
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=0.25)
     start = time.perf_counter()
     try:
-        assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == "x" * 20
+        assert evaluator.evaluate("end", None, {}, "q", 0) == "x" * 20
     finally:
         evaluator.close()
     assert time.perf_counter() - start >= 3 * DRIP > evaluator.timeout
@@ -505,8 +504,8 @@ def test_a_204_reply_has_no_body_and_keeps_the_connection(raw):
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=2)
     try:
         with pytest.raises(RuntimeError, match="not a JSON object"):
-            evaluator.evaluate("end", None, [], Message("q"), 0)
-        assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == "ok"
+            evaluator.evaluate("end", None, {}, "q", 0)
+        assert evaluator.evaluate("end", None, {}, "q", 0) == "ok"
     finally:
         evaluator.close()
     assert len(raw.received) == 2
@@ -521,7 +520,7 @@ def test_eof_before_the_status_line_of_a_pooled_connection_costs_no_retry(raw):
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=0)
     try:
         for _ in range(2):
-            assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == "ok"
+            assert evaluator.evaluate("end", None, {}, "q", 0) == "ok"
     finally:
         evaluator.close()
     assert len(raw.received) == raw.connections == 2
@@ -552,9 +551,9 @@ def test_malformed_replies_are_retried_transport_errors(raw, reply, reason):
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=2)
     try:
         with pytest.raises(RuntimeError, match=re.escape(f"remote evaluation failed at {_endpoint(raw)}: ") + ".*" + reason):
-            evaluator.evaluate("end", None, [], Message("q"), 0)
+            evaluator.evaluate("end", None, {}, "q", 0)
         assert len(raw.received) == raw.connections == 3
-        assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == "ok"
+        assert evaluator.evaluate("end", None, {}, "q", 0) == "ok"
     finally:
         evaluator.close()
     assert len(raw.received) == raw.connections == 5
@@ -582,7 +581,7 @@ def test_a_huge_declared_body_is_a_retried_transport_error_not_a_memory_error(ra
     evaluator = RemoteEvaluator(_endpoint(raw), timeout=5, retries=2)
     try:
         with pytest.raises(RuntimeError, match=re.escape(f"remote evaluation failed at {_endpoint(raw)}: reply body longer than {remote._MAX_BODY} bytes")):
-            evaluator.evaluate("end", None, [], Message("q"), 0)
+            evaluator.evaluate("end", None, {}, "q", 0)
     finally:
         evaluator.close()
     assert len(raw.received) == raw.connections == 3
@@ -596,10 +595,10 @@ def test_a_body_over_the_cap_is_a_retried_transport_error_and_one_at_the_cap_is_
     try:
         monkeypatch.setattr(remote, "_MAX_BODY", len(LONG_TEXT) - 1)
         with pytest.raises(RuntimeError, match=f"reply body longer than {len(LONG_TEXT) - 1} bytes"):
-            evaluator.evaluate("end", None, [], Message("q"), 0)
+            evaluator.evaluate("end", None, {}, "q", 0)
         assert len(raw.received) == raw.connections == 3
         monkeypatch.setattr(remote, "_MAX_BODY", len(LONG_TEXT))
-        assert evaluator.evaluate("end", None, [], Message("q"), 0).payload == "x" * 20
+        assert evaluator.evaluate("end", None, {}, "q", 0) == "x" * 20
     finally:
         evaluator.close()
     assert len(raw.received) == raw.connections == 4
@@ -647,7 +646,7 @@ def test_requests_are_the_bytes_of_http_client_in_one_sendall(raw, monkeypatch, 
     evaluator = RemoteEvaluator(endpoint, timeout=5)
     try:
         for text in ("q", "r"):
-            evaluator.evaluate("end", None, [], Message(text), 0)
+            evaluator.evaluate("end", None, {}, text, 0)
     finally:
         evaluator.close()
     assert sends == [("sendall", request) for request in raw.received]
@@ -675,7 +674,7 @@ def test_https_endpoint_on_a_plain_http_server_fails_its_handshake(clean_stub, m
     host, port = clean_stub.server_address[:2]
     evaluator = RemoteEvaluator(f"https://{host}:{port}/", timeout=0.5, retries=2)
     with pytest.raises(RuntimeError, match=r"remote evaluation failed at https://.*(SSL|handshake)"):
-        evaluator.evaluate("end", None, [], Message("q"), 0)
+        evaluator.evaluate("end", None, {}, "q", 0)
     evaluator.close()
     assert opened == [(host, port)] * 3
     assert clean_stub.requests == []

@@ -11,7 +11,6 @@ from dagswarm import (
     Assignment,
     ConstantUtility,
     DatasetUtility,
-    Message,
     NodeEvaluator,
     PsoHyperparams,
     RngFactory,
@@ -155,7 +154,7 @@ class EchoEvaluator(NodeEvaluator):
         self.jobs = jobs
 
     def evaluate(self, role, params, inputs, task_input, node):
-        return Message(f"{role}{node}({task_input.payload};{','.join(m.payload for m in inputs)})", origin=node)
+        return f"{role}{node}({task_input};{','.join(inputs.values())})"
 
 
 QUESTIONS = [f"q{k}" for k in range(6)]
@@ -173,7 +172,7 @@ class GatedEvaluator(EchoEvaluator):
 
     def run(self, dag, assignment, pool, task_input):
         first = dag is self.decoded[0]
-        if isinstance(task_input.payload, list):
+        if isinstance(task_input, list):
             output = super().run(dag, assignment, pool, task_input)
             if first:
                 self.first_returned.set()
@@ -181,7 +180,7 @@ class GatedEvaluator(EchoEvaluator):
         if not first:
             self.before_first_returned.append(not self.first_returned.is_set())
             self.other_started.set()
-        elif task_input.payload == QUESTIONS[0]:
+        elif task_input == QUESTIONS[0]:
             self.other_started.wait(timeout=2)
         return super().run(dag, assignment, pool, task_input)
 
@@ -189,7 +188,7 @@ class GatedEvaluator(EchoEvaluator):
 def test_role_step_starts_the_next_particle_before_a_slow_one_returns(decoded):
     star = star_dag(3)
     items = [
-        {"input": q, "answer": execute(star, Assignment.identity(3), [None] * 3, Message(q), EchoEvaluator()).payload
+        {"input": q, "answer": execute(star, Assignment.identity(3), [None] * 3, q, EchoEvaluator())
          if k % 2 == 0 else "x"}
         for k, q in enumerate(QUESTIONS)
     ]

@@ -15,7 +15,6 @@ from dagswarm import (
     DagStructure,
     DatasetUtility,
     ExecutionError,
-    Message,
     NodeEvaluator,
     RngFactory,
     build_utility,
@@ -99,8 +98,8 @@ def test_affine_score_matches_per_item_loop():
         pool = [gen.uniform(-1, 1, dim * dim + dim) for _ in range(n)]
         error = 0.0
         for x, y in zip(utility.inputs, utility.targets):
-            out = execute(dag, Assignment.identity(n), pool, Message(x), AffineEvaluator())
-            error += float(np.sum((out.payload - y) ** 2))
+            out = execute(dag, Assignment.identity(n), pool, x, AffineEvaluator())
+            error += float(np.sum((out - y) ** 2))
         calls = utility.evaluator_calls
         assert utility.evaluate(dag, Assignment.identity(n), pool) == -error / points
         assert utility.evaluator_calls - calls == n * points
@@ -114,7 +113,7 @@ class CannedEvaluator(NodeEvaluator):
         self.replies = replies
 
     def evaluate(self, role, params, inputs, task_input, node):
-        return Message(self.replies.get(str(task_input.payload), "dunno"), origin=node)
+        return self.replies.get(str(task_input), "dunno")
 
 
 def test_dataset_utility_exact_match(tmp_path):
@@ -144,7 +143,7 @@ def test_affine_item_results_are_per_item_outputs_and_negated_errors():
     outputs, scores = utility.item_results(diamond_dag(), Assignment.identity(4), pool)
     error = 0.0
     for output, score, x, y in zip(outputs, scores, utility.inputs, utility.targets, strict=True):
-        alone = execute(diamond_dag(), Assignment.identity(4), pool, Message(x), AffineEvaluator()).payload
+        alone = execute(diamond_dag(), Assignment.identity(4), pool, x, AffineEvaluator())
         assert output == alone.tolist()
         assert score == -float(np.sum((alone - y) ** 2))
         error += -score
@@ -164,7 +163,7 @@ def test_mean_of_negated_errors_keeps_the_bits_of_the_negated_mean_error():
 def test_affine_task_at_zero_error_scores_negative_zero():
     inputs = np.random.default_rng(1).uniform(-1, 1, (4, 2))
     pool = np.random.default_rng(2).uniform(-0.9, 0.9, (3, 6))
-    targets = execute(chain_dag(3), Assignment.identity(3), pool, Message(inputs), AffineEvaluator()).payload
+    targets = execute(chain_dag(3), Assignment.identity(3), pool, inputs, AffineEvaluator())
     exact = AffineTargetUtility(inputs, targets)
     assert exact.evaluate(chain_dag(3), Assignment.identity(3), pool).hex() == (-0.0).hex()
 
@@ -198,7 +197,7 @@ class SlowEvaluator(CannedEvaluator):
         self.started = []
 
     def evaluate(self, role, params, inputs, task_input, node):
-        text = str(task_input.payload)
+        text = str(task_input)
         self.threads.add(threading.get_ident())
         self.started.append(text)
         time.sleep(self.delays.get(text, 0.002))
@@ -262,7 +261,7 @@ class PropertyCountEvaluator(InstantEvaluator):
 @pytest.mark.parametrize("evaluator_type", [InstantEvaluator, PropertyCountEvaluator])
 def test_evaluator_calls_exact_under_threads(evaluator_type):
     evaluator = evaluator_type()
-    task, rounds, threads = Message("q"), 20_000, 8
+    task, rounds, threads = "q", 20_000, 8
     assignment, pool = Assignment.identity(1), [np.zeros(1)]
 
     def hammer():
