@@ -138,6 +138,7 @@ def cmd_evaluate(args) -> int:
 def cmd_analyze(args) -> int:
     data = json_object(read_json(args.correctness), "correctness file", "per_expert_correct", "system_correct")
     read = partial(json_field, data, "correctness file")  # booleans only: bucketize would read any value as one
+    read("per_expert_correct"), read("system_correct")  # both present before either is parsed
     table = bucketize(read("per_expert_correct", partial(json_array, name="per_expert_correct", ndim=2, kinds=(bool,))),
                       read("system_correct", partial(json_array, name="system_correct", ndim=1, kinds=(bool,))))
     ablation = json_object(read_json(args.ablation), "ablation file") if args.ablation else None

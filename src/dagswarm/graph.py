@@ -132,12 +132,14 @@ class DagStructure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DagStructure":
+        from .utilities import json_object  # utilities imports this module
         dag = cls(
             n=data["n"],
             end_node=data["end_node"],
             edges=frozenset((u, v) for u, v in data["edges"]),
             topo_order=tuple(data["topo_order"]),
         )
+        json_object(data, "dag", "n", "end_node", "edges", "topo_order")
         dag.validate()
         return dag
 

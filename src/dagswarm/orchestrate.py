@@ -157,8 +157,7 @@ class RunTrace:
         for number, record in json_lines(text.splitlines(), "trace", "a trace row"):
             where = f"trace line {number}"
             rows.append(TraceRow(**{name: json_field(record, where, name, kinds=cls._KINDS[name]) for name in cls.COLUMNS}))
-            if unknown := sorted(set(record) - set(cls.COLUMNS)):
-                raise ValueError(f"{where}: unknown field {unknown[0]!r}")
+            json_object(record, where, *cls.COLUMNS)
         return cls(rows)
 
     def to_csv(self) -> str:
@@ -199,8 +198,9 @@ class OptimizedSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizedSystem":
-        """Inverse of ``to_dict``; a non-object, an unknown ``format_version``, or a key that is missing or cannot be read raises ``ValueError``."""
-        read = partial(json_field, json_object(data, "system", version=SYSTEM_VERSION), "system")
+        """Inverse of ``to_dict``; a non-object, an unknown ``format_version``, or a key that is missing, unknown or cannot be read raises ``ValueError``."""
+        keys = ("format_version", "dag", "assignment", "experts", "best_utility", "best_role_utility")
+        read = partial(json_field, json_object(data, "system", *keys, version=SYSTEM_VERSION), "system")
         return cls(
             dag=read("dag", DagStructure.from_dict),
             assignment=read("assignment", lambda slots: Assignment(integers("assignment", slots))),
@@ -222,7 +222,8 @@ def _unpack(value, name: str, shape: tuple) -> np.ndarray:
     """Inverse of ``_pack``: a writable float array of ``shape``, else ``ValueError`` naming ``name``."""
     if not (isinstance(value, dict) and "f8" in value):
         raise ValueError(f"{name} is a {type(value).__name__}, not a packed array")
-    array = np.frombuffer(base64.b64decode(value["f8"]), dtype="<f8").reshape(value["shape"]).astype(float)
+    raw = json_field(json_object(value, name, "shape", "f8"), name, "f8", partial(base64.b64decode, validate=True), kinds=(str,))
+    array = np.frombuffer(raw, dtype="<f8").reshape(value["shape"]).astype(float)
     if array.shape != shape:
         raise ValueError(f"{name} has shape {array.shape}, not {shape}")
     return array
@@ -276,9 +277,7 @@ def _finite(value, low=-np.inf):
 
 
 def _unpack_record(record: dict, n: int) -> RoleRecord:
-    if unknown := sorted(set(record) - {"dag", "utility"}):
-        raise ValueError(f"record has an unknown field {unknown[0]!r}")
-    dag = DagStructure.from_dict(record["dag"])
+    dag = DagStructure.from_dict(json_object(record, "record", "dag", "utility")["dag"])
     utility = json_field(record, "record", "utility", lambda value: float(_finite(value)), kinds=(int, float))
     if dag.n != n:
         raise ValueError(f"dag has {dag.n} nodes, not n_experts {n}")
@@ -335,14 +334,13 @@ class RunState:
     def from_checkpoint(cls, payload, cfg: RunConfig, dim: int) -> "RunState":
         """Inverse of ``to_checkpoint``; raises ``ValueError`` unless the payload resumes ``cfg``'s run.
 
-        Each field is read and checked once, and one it does not know, at the root, in the record or in the config, is
-        rejected by name: counters >= 0, utilities finite, the record's DAG of ``n_experts`` nodes, arrays packed in the
+        Each field is read and checked once, and one it does not know, at the root, in the record, its DAG, a swarm, a
+        packed array or the config, is rejected by name: counters >= 0, utilities finite, the record's DAG of ``n_experts`` nodes, arrays packed in the
         shapes ``cfg`` and ``dim`` give, matrices in [0, 1], experts and velocities finite, swarm scores as
         ``_unpack_swarm`` says.
         """
-        read = partial(json_field, json_object(payload, "checkpoint", version=CHECKPOINT_VERSION), "checkpoint")
-        if unknown := sorted(set(payload) - {"format_version", "config", *(f.name for f in fields(cls))}):
-            raise ValueError(f"checkpoint has an unknown field {unknown[0]!r}")
+        keys = ("format_version", "config", *(f.name for f in fields(cls)))
+        read = partial(json_field, json_object(payload, "checkpoint", *keys, version=CHECKPOINT_VERSION), "checkpoint")
         stored, current = read("config", lambda config: {**config}), json.loads(json.dumps(asdict(cfg)))
         for name in {**current, **stored}:  # a field only one side has differs too
             if name not in ("max_iterations", "patience") and stored.get(name, ...) != current.get(name, ...):

@@ -58,7 +58,7 @@ def load_pool(directory: str | Path) -> np.ndarray:
     ``files`` may name only plain file names inside ``directory``.
     """
     directory = Path(directory)
-    manifest = json_object(read_json(directory / MANIFEST_NAME), "pool manifest", "format_version", version=FORMAT_VERSION)
+    manifest = json_object(read_json(directory / MANIFEST_NAME), "pool manifest", version=FORMAT_VERSION)  # open: legacy distinct/repeats keys load
     read = partial(json_field, manifest, "pool manifest")
     n_experts, dim, files = read("n_experts", kinds=(int,)), read("dim", kinds=(int,)), read("files", kinds=(list,))
     for name in files:

@@ -207,13 +207,14 @@ def read_json(path: str | Path, text: str | None = None):
 
 
 def json_object(data, name: str, *keys: str, version=None) -> dict:
-    """``data`` if it is a JSON object with ``keys`` (checked in order) and, given ``version``, that ``format_version``; else ``ValueError``."""
+    """``data`` if it is a JSON object with, given ``version``, that ``format_version`` and, given ``keys``, no key but those;
+    else ``ValueError``. ``keys`` are every key the object may hold; ``json_field`` checks each is present where it is read."""
     if not isinstance(data, dict):
         raise ValueError(f"{name} root must be a JSON object")
-    for key in keys:
-        json_field(data, name, key)
-    if version is not None and data.get("format_version") != version:
-        raise ValueError(f"unsupported {name} version: {data.get('format_version')}")
+    if version is not None and json_field(data, name, "format_version") != version:
+        raise ValueError(f"unsupported {name} version: {data['format_version']}")
+    if keys and (unknown := sorted(set(data) - set(keys))):
+        raise ValueError(f"{name} has an unknown field {unknown[0]!r}")
     return data
 
 
@@ -300,7 +301,8 @@ def build_utility(spec: dict, rng: np.random.Generator, evaluator: NodeEvaluator
     elif name == "dataset":
         if evaluator is None:
             raise ValueError("dataset utility needs a node evaluator (remote endpoint)")
-        utility = DatasetUtility(load_dataset(json_object(spec, "utility_spec", "path").pop("path")), evaluator)
+        json_field(spec, "utility_spec", "path")  # present; its type is checked above
+        utility = DatasetUtility(load_dataset(spec.pop("path")), evaluator)
     else:
         raise ValueError(f"unknown utility: {name!r}")
     if spec:

@@ -262,12 +262,17 @@ def test_analyze_takes_no_config_or_seed(flag, value, tmp_path, capsys):
             "ValueError('per_expert_correct element [1][0] is 0, a int, not bool')",
         ),
         (
+            "--correctness",
+            {"per_expert_correct": [[True]], "system_correct": [True], "note": "x"},
+            "correctness file has an unknown field 'note'",
+        ),
+        (
             "--ablation",
             {"wo_role": 0.1, "role_baseline_avg": 0.5, "weight_baseline_avg": 0.4},
             "ablation file has no 'wo_weight' field",
         ),
     ],
-    ids=["list-root", "no-system_correct", "system_correct-str", "per_expert_correct-int", "no-wo_weight"],
+    ids=["list-root", "no-system_correct", "system_correct-str", "per_expert_correct-int", "unknown-field", "no-wo_weight"],
 )
 def test_analyze_names_the_root_or_missing_field_of_a_malformed_file(flag, content, message, tmp_path, capsys):
     files = {"--correctness": {"per_expert_correct": [[True]], "system_correct": [True]}, flag: content}
@@ -307,7 +312,7 @@ def test_analyze_names_an_ablation_value_it_cannot_read(value, error, tmp_path, 
                 "iteration": 0, "ran_role": True, "ran_weight": True, "best_role_utility": 0.5,
                 "best_utility": 0.5, "best_contribution": None, "evaluator_calls": 8, "note": "x",
             }) + "\n",
-            "trace line 1: unknown field 'note'",
+            "trace line 1 has an unknown field 'note'",
         ),
     ],
     ids=["list", "missing-field", "unknown-field"],

@@ -431,7 +431,7 @@ GOOD_RECORD = json.loads(GOOD_LINE)
             json.dumps({key: value for key, value in GOOD_RECORD.items() if key != "evaluator_calls"}),
             "trace line 3 has no 'evaluator_calls' field",
         ),
-        (json.dumps({**GOOD_RECORD, "wall_time_s": 0.5}), "trace line 3: unknown field 'wall_time_s'"),
+        (json.dumps({**GOOD_RECORD, "wall_time_s": 0.5}), "trace line 3 has an unknown field 'wall_time_s'"),
     ],
     ids=["list", "not-json", "missing-field", "unknown-field"],
 )
@@ -564,6 +564,22 @@ def test_system_from_dict_reads_the_dag_and_assignment_integers_exactly(path, co
         OptimizedSystem.from_dict(data)
     inner = ValueError(f"{name} holds {value!r}, a {type(value).__name__}, not an integer")
     assert str(caught.value) == f"system field {path[0]!r} cannot be read: {inner!r}"
+
+
+@pytest.mark.parametrize("path,message", [
+    (("bogus",), "system has an unknown field 'bogus'"),
+    (("dag", "extra"), "system field 'dag' cannot be read: ValueError(\"dag has an unknown field 'extra'\")"),
+])
+def test_system_from_dict_names_an_unknown_field(path, message):
+    data = run(small_cfg(max_iterations=1))[0].to_dict()
+    *parents, last = path
+    target = data
+    for step in parents:
+        target = target[step]
+    target[last] = 2
+    with pytest.raises(ValueError) as caught:
+        OptimizedSystem.from_dict(data)
+    assert str(caught.value) == message
 
 
 def test_system_from_dict_validates_the_dag():
@@ -846,6 +862,26 @@ DAG1 = {"n": 1, "end_node": 0, "edges": [], "topo_order": [0]}
          "expert_swarm": EXPERTS},
         r"field 'record' cannot be read: ValueError\(\"record has an unknown field 'matrix'\"\)$",
     ),
+    (
+        {"format_version": 4, "record": {"dag": {**DAG1, "extra": 2}, "utility": 0.5}, **COUNTERS, "matrix_swarm": MATRICES,
+         "expert_swarm": EXPERTS},
+        r"field 'record' cannot be read: ValueError\(\"dag has an unknown field 'extra'\"\)$",
+    ),
+    (
+        {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": {**MATRICES, "positions": {**MATRICES["positions"], "bogus": 1}}},
+        r"field 'matrix_swarm' cannot be read: ValueError\(\"positions has an unknown field 'bogus'\"\)$",
+    ),
+    (
+        {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": MATRICES,
+         "expert_swarm": {**EXPERTS, "velocities": {**EXPERTS["velocities"], "bogus": 1}}},
+        r"field 'expert_swarm' cannot be read: ValueError\(\"velocities has an unknown field 'bogus'\"\)$",
+    ),
+    # A decoder that drops characters outside the base64 alphabet would read these bytes as the zeros they came from.
+    (
+        {"format_version": 4, "record": {}, **COUNTERS,
+         "matrix_swarm": {**MATRICES, "velocities": {**MATRICES["velocities"], "f8": "AAAA!!" + MATRICES["velocities"]["f8"][4:]}}},
+        r"field 'matrix_swarm' cannot be read: ValueError\(\"velocities field 'f8' cannot be read: Error\('Only base64 data is allowed'\)\"\)$",
+    ),
 ])
 def test_run_state_rejects_a_checkpoint_it_cannot_resume(payload, message):
     cfg = small_cfg()
@@ -853,6 +889,24 @@ def test_run_state_rejects_a_checkpoint_it_cannot_resume(payload, message):
         payload = {"config": json.loads(json.dumps(asdict(cfg))), **payload}
     with pytest.raises(ValueError, match=message):
         RunState.from_checkpoint(payload, cfg, task_utility(cfg).expert_dim)
+
+
+@pytest.mark.parametrize("path", [
+    ("bogus",), ("record", "bogus"), ("record", "dag", "bogus"), ("matrix_swarm", "positions", "bogus"),
+    ("expert_swarm", "global_best", "bogus"),
+])
+def test_resume_names_an_unknown_field_before_any_evaluation(tmp_path, path):
+    cfg = small_cfg(max_iterations=2, patience=2)
+    ck = tmp_path / "checkpoint.json"
+    run(cfg, checkpoint_path=ck)
+    payload = json.loads(ck.read_text())
+    _set(path, 1)(payload)
+    ck.write_text(json.dumps(payload))
+    utility = task_utility(cfg)
+    owner = ("checkpoint", *path)[-2]  # the object that holds the extra key
+    with pytest.raises(ValueError, match=f"{owner} has an unknown field 'bogus'"):
+        optimize(replace(cfg, max_iterations=4), None, utility, resume_from=ck)
+    assert utility.evaluator_calls == 0
 
 
 @pytest.mark.parametrize("damage", ["shape", "bytes"])
