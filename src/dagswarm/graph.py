@@ -106,11 +106,13 @@ class DagStructure:
         for name, values in (("n", [self.n]), ("end_node", [self.end_node]), ("topo_order", self.topo_order),
                              ("edges", [node for edge in self.edges for node in edge])):
             integers(name, values)
-        if sorted(self.topo_order) != list(range(self.n)):
+        if self.n < 1:
+            raise ValueError(f"n is {self.n}, but a DAG has at least one node")
+        if len(self.topo_order) != self.n or sorted(self.topo_order) != list(range(self.n)):
             raise ValueError("topo_order is not a permutation of nodes")
         pos = {node: k for k, node in enumerate(self.topo_order)}
         for u, v in self.edges:
-            if pos[u] >= pos[v]:
+            if pos.get(u, self.n) >= pos.get(v, -1):  # a node outside 0..n-1 has no place in topo_order
                 raise ValueError(f"edge {u}->{v} violates topo_order")
         sources = {u for u, _ in self.edges}
         if self.end_node in sources:
@@ -141,6 +143,8 @@ class DagStructure:
         )
         json_object(data, "dag", "n", "end_node", "edges", "topo_order")
         dag.validate()
+        if len(dag.edges) != len(data["edges"]):
+            raise ValueError("edges holds an edge twice")
         return dag
 
 

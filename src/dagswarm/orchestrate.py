@@ -218,14 +218,22 @@ def _pack(value):
     return value
 
 
-def _unpack(value, name: str, shape: tuple) -> np.ndarray:
-    """Inverse of ``_pack``: a writable float array of ``shape``, else ``ValueError`` naming ``name``."""
+# Value rules for ``_unpack``: a test every value of an array must pass, and what a value that fails is.
+_UNIT = (lambda values: (0.0 <= values) & (values <= 1.0), "a value outside [0, 1]")
+_FINITE = (np.isfinite, "a value that is not finite")
+_NOT_NAN = (lambda values: ~np.isnan(values), "a NaN")
+
+
+def _unpack(value, name: str, shape: tuple, rule=None) -> np.ndarray:
+    """Inverse of ``_pack``: a writable float array of ``shape`` whose values pass ``rule``, else ``ValueError`` naming ``name``."""
     if not (isinstance(value, dict) and "f8" in value):
         raise ValueError(f"{name} is a {type(value).__name__}, not a packed array")
-    raw = json_field(json_object(value, name, "shape", "f8"), name, "f8", partial(base64.b64decode, validate=True), kinds=(str,))
-    array = np.frombuffer(raw, dtype="<f8").reshape(value["shape"]).astype(float)
-    if array.shape != shape:
-        raise ValueError(f"{name} has shape {array.shape}, not {shape}")
+    read = partial(json_field, json_object(value, name, "shape", "f8"), name)
+    if (stored := read("shape", partial(integers, "shape"), kinds=(list,))) != shape:
+        raise ValueError(f"{name} has shape {stored}, not {shape}")
+    array = read("f8", lambda text: np.frombuffer(base64.b64decode(text, validate=True), "<f8").reshape(shape).astype(float), kinds=(str,))
+    if rule is not None and not rule[0](array).all():
+        raise ValueError(f"{name} holds {rule[1]}")
     return array
 
 
@@ -233,40 +241,22 @@ def _pack_swarm(swarm: Swarm) -> dict:
     return {name: _pack(value) for name, value in vars(swarm).items()}
 
 
-def _unpack_swarm(data: dict, size: int, particle: tuple) -> Swarm:
+def _unpack_swarm(data: dict, size: int, particle: tuple, point=_FINITE) -> Swarm:
     """Inverse of ``_pack_swarm``: ``size`` particles of shape ``particle``, or ``ValueError`` naming the field that is not.
 
-    Scores are ones ``pso_step`` writes: no personal score NaN, a null global best (worst) at exactly -inf (+inf), a set
-    best finite, a set worst < +inf.
+    Points pass ``point`` (finite by default), velocities are finite and no personal score is NaN; a null global best
+    (worst) scores exactly -inf (+inf), a set best is finite and a set worst < +inf, as ``pso_step`` writes them.
     """
-    swarm = Swarm(**data)  # a missing or unknown field raises TypeError
-    for name in ("positions", "velocities", "personal_best"):
-        setattr(swarm, name, _unpack(data[name], name, (size, *particle)))
-    swarm.personal_best_scores = _unpack(data["personal_best_scores"], "personal_best_scores", (size,))
-    if np.isnan(swarm.personal_best_scores).any():
-        raise ValueError("personal_best_scores holds a NaN")
+    read = partial(json_field, json_object(data, "swarm", *(f.name for f in fields(Swarm))), "swarm")
+    rules = {"positions": point, "velocities": _FINITE, "personal_best": point}
+    unpacked = {name: _unpack(read(name), name, (size, *particle), rule) for name, rule in rules.items()}
+    unpacked["personal_best_scores"] = _unpack(read("personal_best_scores"), "personal_best_scores", (size,), _NOT_NAN)
     for name, unset in (("global_best", -np.inf), ("global_worst", np.inf)):
-        score = json_field(data, "swarm", f"{name}_score", kinds=(int, float))
-        if data[name] is not None:
-            setattr(swarm, name, _unpack(data[name], name, particle))
-        if not (score == unset if data[name] is None else score < np.inf and score != unset):
-            raise ValueError(f"{name}_score is {score!r}, which a {'null' if data[name] is None else 'set'} {name} cannot have")
-    return swarm
-
-
-def _finite_experts(swarm: Swarm) -> Swarm:
-    if bad := [k for k, row in enumerate(swarm.positions) if not np.isfinite(row).all()]:
-        raise ValueError(f"pool expert {bad[0]} holds a value that is not finite")
-    return swarm
-
-
-def _in_range(swarm: Swarm, unit: bool) -> Swarm:
-    """``swarm``, unless a velocity is not finite or a point is not: in [0, 1] if ``unit``, where a run clips matrices."""
-    for name in ("positions", "velocities", "personal_best", "global_best", "global_worst"):
-        values, bounded = getattr(swarm, name), unit and name != "velocities"
-        if values is not None and not (((0.0 <= values) & (values <= 1.0)) if bounded else np.isfinite(values)).all():
-            raise ValueError(f"{name} holds a value {'outside [0, 1]' if bounded else 'that is not finite'}")
-    return swarm
+        score, value = read(f"{name}_score", kinds=(int, float)), read(name)
+        if not (score == unset if value is None else score < np.inf and score != unset):
+            raise ValueError(f"{name}_score is {score!r}, which a {'null' if value is None else 'set'} {name} cannot have")
+        unpacked[name], unpacked[f"{name}_score"] = None if value is None else _unpack(value, name, particle, point), score
+    return Swarm(**unpacked)
 
 
 def _finite(value, low=-np.inf):
@@ -315,7 +305,9 @@ class RunState:
             raise ValueError(f"pool size {len(experts)} != n_experts {n}")
         if experts.positions.shape[1:] != (dim,):
             raise ValueError(f"pool experts have shape {experts.positions.shape[1:]}, but the task reads length {dim}")
-        return cls(0, 0, -np.inf, matrices, _finite_experts(experts), None)
+        if bad := [k for k, row in enumerate(experts.positions) if not np.isfinite(row).all()]:
+            raise ValueError(f"pool expert {bad[0]} holds a value that is not finite")
+        return cls(0, 0, -np.inf, matrices, experts, None)
 
     def to_checkpoint(self, config: dict) -> dict:
         """The state after an iteration, which always holds a record, as a JSON-ready dict; ``config`` is ``asdict(cfg)``."""
@@ -334,10 +326,9 @@ class RunState:
     def from_checkpoint(cls, payload, cfg: RunConfig, dim: int) -> "RunState":
         """Inverse of ``to_checkpoint``; raises ``ValueError`` unless the payload resumes ``cfg``'s run.
 
-        Each field is read and checked once, and one it does not know, at the root, in the record, its DAG, a swarm, a
-        packed array or the config, is rejected by name: counters >= 0, utilities finite, the record's DAG of ``n_experts`` nodes, arrays packed in the
-        shapes ``cfg`` and ``dim`` give, matrices in [0, 1], experts and velocities finite, swarm scores as
-        ``_unpack_swarm`` says.
+        Each field is read and checked once, where it is unpacked, and one it does not know, at the root, in the record, its
+        DAG, a swarm, a packed array or the config, is rejected by name: counters >= 0, utilities finite, the record's DAG
+        of ``n_experts`` nodes, swarms as ``_unpack_swarm`` says, with matrices in [0, 1].
         """
         keys = ("format_version", "config", *(f.name for f in fields(cls)))
         read = partial(json_field, json_object(payload, "checkpoint", *keys, version=CHECKPOINT_VERSION), "checkpoint")
@@ -350,8 +341,8 @@ class RunState:
             iteration=read("iteration", partial(_finite, low=0), kinds=(int,)),
             stall=read("stall", partial(_finite, low=0), kinds=(int,)),
             best_utility=read("best_utility", _finite, kinds=(int, float)),
-            matrix_swarm=read("matrix_swarm", lambda data: _in_range(_unpack_swarm(data, cfg.matrix_swarm_size, (n, n)), unit=True)),
-            expert_swarm=read("expert_swarm", lambda data: _in_range(_finite_experts(_unpack_swarm(data, n, (dim,))), unit=False)),
+            matrix_swarm=read("matrix_swarm", lambda data: _unpack_swarm(data, cfg.matrix_swarm_size, (n, n), _UNIT)),
+            expert_swarm=read("expert_swarm", lambda data: _unpack_swarm(data, n, (dim,))),
             record=read("record", partial(_unpack_record, n=n), kinds=(dict,)),
         )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -226,8 +227,10 @@ def json_field(data: dict, name: str, key: str, parse=lambda value: value, kinds
     if kinds is not None and type(value) not in kinds:
         raise ValueError(f"{name} field {key!r} cannot be read: {value!r} is a {type(value).__name__}")
     try:
+        if kinds and float in kinds and type(value) is int:
+            float(value)  # an int past any float is a parse error too: OverflowError
         return parse(value)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{name} field {key!r} cannot be read: {exc!r}") from exc
 
 
@@ -242,6 +245,8 @@ def json_array(value, name: str, ndim: int, kinds: tuple = (int, float)) -> np.n
         if depth == ndim:
             if type(value) not in kinds:
                 raise ValueError(f"{where} is {value!r}, a {type(value).__name__}, not {' or '.join(k.__name__ for k in kinds)}")
+            if float in kinds and type(value) is int and abs(value) > sys.float_info.max:
+                raise ValueError(f"{where} is an integer larger than any float")
             return
         if type(value) is not list or not value and not 0 < depth == ndim - 1:
             raise ValueError(f"{where} must be a non-empty list, not {'[]' if value == [] else 'a ' + type(value).__name__}")

@@ -36,6 +36,10 @@ def write(path, data):
     return str(path)
 
 
+BIG = 10**400  # a JSON integer no float can hold
+OVERFLOW = "OverflowError('int too large to convert to float')"
+
+
 def test_parse_config_empty_file_is_defaults(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("")
@@ -96,7 +100,8 @@ def test_decode_names_a_matrix_file_without_its_matrix_field(tmp_path, capsys):
     ([[0.5, True], [0.1, 0.2]], "matrix element [0][1] is True, a bool, not int or float"),
     ([[0.5, 0.1], [0.2]], "matrix element [1] has 1 entries, not 2 as the rows before it"),
     ({"matrix": 0.5}, "matrix must be a non-empty list, not a float"),
-], ids=["wrapped-str", "bare-bool", "ragged", "wrapped-number"])
+    ([[0, 0], [-BIG, 0]], "matrix element [1][0] is an integer larger than any float"),
+], ids=["wrapped-str", "bare-bool", "ragged", "wrapped-number", "integer-past-any-float"])
 def test_decode_names_a_matrix_entry_that_is_no_json_number(content, message, tmp_path, capsys):
     matrix = write(tmp_path / "m.json", content)
     assert run_cli(["decode", "--matrix", matrix]) == 1
@@ -289,6 +294,7 @@ def test_analyze_names_the_root_or_missing_field_of_a_malformed_file(flag, conte
 
 @pytest.mark.parametrize("value,error", [
     (None, "None is a NoneType"), ("x", "'x' is a str"), ("0.5", "'0.5' is a str"), (True, "True is a bool"),
+    pytest.param(BIG, OVERFLOW, id="integer-past-any-float"),
 ])
 def test_analyze_names_an_ablation_value_it_cannot_read(value, error, tmp_path, capsys):
     correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[True]], "system_correct": [True]})
@@ -314,8 +320,15 @@ def test_analyze_names_an_ablation_value_it_cannot_read(value, error, tmp_path, 
             }) + "\n",
             "trace line 1 has an unknown field 'note'",
         ),
+        (
+            json.dumps({
+                "iteration": 0, "ran_role": True, "ran_weight": True, "best_role_utility": 0.5,
+                "best_utility": BIG, "best_contribution": None, "evaluator_calls": 8,
+            }) + "\n",
+            f"trace line 1 field 'best_utility' cannot be read: {OVERFLOW}",
+        ),
     ],
-    ids=["list", "missing-field", "unknown-field"],
+    ids=["list", "missing-field", "unknown-field", "integer-past-any-float"],
 )
 def test_analyze_reads_a_malformed_trace_before_writing_anything(trace, message, tmp_path, capsys):
     correctness = write(tmp_path / "corr.json", {"per_expert_correct": [[True]], "system_correct": [True]})
@@ -899,3 +912,37 @@ def test_readme_cli_lines_parse():
     assert [words[0] for words in commands] == ["optimize", "decode", "evaluate", "analyze", "sweep", "serve-stub"]
     for words in commands:
         cli.build_parser().parse_args(words)
+
+
+def _pool_holding(tmp_path, row):
+    save_pool(np.zeros((4, 6)), tmp_path / "pool")
+    write(tmp_path / "pool" / "expert_001.json", row)
+    return str(tmp_path / "pool")
+
+
+def _system_holding(tmp_path, **fields):
+    system = Path(write_system(tmp_path / "sys.json", diamond_dag(), np.zeros((4, 6))))
+    return write(system, {**json.loads(system.read_text()), **fields})
+
+
+@pytest.mark.parametrize("argv,message", [
+    (lambda tmp: ["optimize", "--config", affine_config(tmp, utility_spec={"name": "affine_target", "n": 4, "scale": BIG})],
+     f"utility_spec field 'scale' cannot be read: {OVERFLOW}"),
+    (lambda tmp: ["optimize", "--config", affine_config(tmp, utility_spec={"name": "constant", "value": -BIG})],
+     f"utility_spec field 'value' cannot be read: {OVERFLOW}"),
+    (lambda tmp: ["optimize", "--config", affine_config(tmp), "--pool", _pool_holding(tmp, [0, BIG, 0, 0, 0, 0])],
+     "expert file expert_001.json element [1] is an integer larger than any float"),
+    (lambda tmp: ["evaluate", "--config", affine_config(tmp), "--system", _system_holding(tmp, best_utility=BIG)],
+     f"system field 'best_utility' cannot be read: {OVERFLOW}"),
+    (lambda tmp: ["evaluate", "--config", affine_config(tmp), "--system", _system_holding(tmp, best_role_utility=BIG)],
+     f"system field 'best_role_utility' cannot be read: {OVERFLOW}"),
+    (lambda tmp: ["evaluate", "--config", affine_config(tmp), "--system", _system_holding(tmp, experts=[[0] * 6] * 3 + [[0] * 5 + [BIG]])],
+     "system field 'experts' cannot be read: ValueError('experts element [3][5] is an integer larger than any float')"),
+    (lambda tmp: ["evaluate", "--config", affine_config(tmp), "--system", _system_holding(tmp, dag={**diamond_dag().to_dict(), "n": BIG})],
+     "system field 'dag' cannot be read: ValueError('topo_order is not a permutation of nodes')"),
+])
+def test_an_integer_no_float_holds_is_rejected_by_name_before_anything_runs(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+    assert run_cli(argv(tmp_path) + ["--out", str(tmp_path / "out")]) == 1
+    assert cli_error(capsys) == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()

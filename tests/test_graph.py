@@ -203,6 +203,20 @@ def test_dag_validation_rejects_broken_structures():
         DagStructure.from_dict({"n": 2, "end_node": 1, "edges": [], "topo_order": [1, 0]})
 
 
+@pytest.mark.parametrize("data,message", [
+    ({"n": 0, "end_node": 0, "edges": [], "topo_order": []}, r"^n is 0, but a DAG has at least one node$"),
+    ({"n": -1, "end_node": 0, "edges": [], "topo_order": []}, r"^n is -1, but a DAG has at least one node$"),
+    ({"n": 10**400, "end_node": 0, "edges": [], "topo_order": [0]}, r"^topo_order is not a permutation of nodes$"),
+    ({"n": 3, "end_node": 2, "edges": [[0, 2], [1, 5]], "topo_order": [0, 1, 2]}, r"^edge 1->5 violates topo_order$"),
+    ({"n": 3, "end_node": 2, "edges": [[0, 2], [-1, 2]], "topo_order": [0, 1, 2]}, r"^edge -1->2 violates topo_order$"),
+    ({"n": 2, "end_node": 1, "edges": [[0, 1], [0, 1]], "topo_order": [0, 1]}, r"^edges holds an edge twice$"),
+    ({"n": 2, "end_node": 1, "edges": [[0, 1], [0, 1.0]], "topo_order": [0, 1]}, r"^edges holds an edge twice$"),
+])
+def test_from_dict_names_a_dag_without_nodes_an_edge_outside_them_or_an_edge_twice(data, message):
+    with pytest.raises(ValueError, match=message):
+        DagStructure.from_dict(data)
+
+
 # Reference decode: the numpy implementation the list-based one replaced.
 # The fast path must reproduce its DAGs and its generator state exactly.
 

@@ -98,8 +98,12 @@ def test_config_rejects_non_object_nested_values_by_name(key, value):
     ({"mode": 1}, "config field 'mode' cannot be read: 1 is a int"),
     ({"role_hp": {"inertia": None}}, "role_hp field 'inertia' cannot be read: None is a NoneType"),
     ({"sparsity": {"mode": ["l1"]}}, "sparsity field 'mode' cannot be read: ['l1'] is a list"),
+    # An integer no float holds is no number, though it passes a range check such as l1_coeff's.
+    ({"role_hp": {"inertia": 10**400}}, "role_hp field 'inertia' cannot be read: OverflowError('int too large to convert to float')"),
+    ({"weight_hp": {"step_length": -10**400}}, "weight_hp field 'step_length' cannot be read: OverflowError('int too large to convert to float')"),
+    ({"sparsity": {"l1_coeff": 10**400}}, "sparsity field 'l1_coeff' cannot be read: OverflowError('int too large to convert to float')"),
 ], ids=["iterations-float", "iterations-1e3", "seed-float", "experts-str", "experts-float", "experts-bool",
-        "top_p-str", "dropout-bool", "mode-int", "role_hp-null", "sparsity-list"])
+        "top_p-str", "dropout-bool", "mode-int", "role_hp-null", "sparsity-list", "role_hp-huge", "weight_hp-huge", "l1-huge"])
 def test_config_rejects_a_value_of_the_wrong_json_type_by_name(data, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         config_from_dict(data)
@@ -747,8 +751,7 @@ def test_weight_only_checkpoint_round_trips_a_matrix_swarm_moved_once(tmp_path):
 def test_matrix_swarm_round_trips_bit_for_bit():
     stream = RngFactory(8).stream("task")
     positions = stream.uniform(0, 1, (5, 4, 4))
-    positions[0, :, 0] = [-0.0, np.inf, -np.inf, 5e-324]
-    positions[1, 1, 1] = np.nan
+    positions[0, :, 0] = [-0.0, 0.0, 1.0, 5e-324]
     swarm = Swarm(
         positions, stream.normal(size=(5, 4, 4)), stream.uniform(0, 1, (5, 4, 4)),
         np.array([0.1, -np.inf, np.inf, -0.0, 1 / 3]),
@@ -762,6 +765,12 @@ def test_matrix_swarm_round_trips_bit_for_bit():
             assert restored.flags.writeable, name
         else:
             assert restored == value, name
+
+
+def test_a_packed_array_without_a_value_rule_round_trips_any_bit_pattern():
+    values = np.array([[-0.0, np.inf, -np.inf, 5e-324], [np.nan, -np.nan, 1 / 3, -1e308]])
+    back = _unpack(json.loads(json.dumps(_pack(values))), "values", (2, 4))
+    assert back.tobytes() == values.tobytes() and back.flags.writeable
 
 
 def test_resume_from_format_2_checkpoint_names_the_version(tmp_path):
@@ -816,11 +825,17 @@ DAG1 = {"n": 1, "end_node": 0, "edges": [], "topo_order": [0]}
     ({"format_version": 4, "record": {}, **COUNTERS}, "no 'matrix_swarm' field"),
     ({"format_version": 4, "config": 5, "record": {}}, "field 'config' cannot be read: TypeError"),
     ({"format_version": 4, "config": [], "record": {}}, "field 'config' cannot be read: TypeError"),
-    ({"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": {}}, "field 'matrix_swarm' cannot be read: TypeError"),
-    ({"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": 5}, "field 'matrix_swarm' cannot be read: TypeError"),
+    (
+        {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": {}},
+        r"field 'matrix_swarm' cannot be read: ValueError\(\"swarm has no 'positions' field\"\)$",
+    ),
+    (
+        {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": 5},
+        r"field 'matrix_swarm' cannot be read: ValueError\('swarm root must be a JSON object'\)$",
+    ),
     (
         {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": {**EXPERTS, "extra": 1}},
-        "field 'expert_swarm' cannot be read: TypeError",
+        r"field 'expert_swarm' cannot be read: ValueError\(\"swarm has an unknown field 'extra'\"\)$",
     ),
     (
         {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": EXPERTS},
@@ -881,6 +896,21 @@ DAG1 = {"n": 1, "end_node": 0, "edges": [], "topo_order": [0]}
         {"format_version": 4, "record": {}, **COUNTERS,
          "matrix_swarm": {**MATRICES, "velocities": {**MATRICES["velocities"], "f8": "AAAA!!" + MATRICES["velocities"]["f8"][4:]}}},
         r"field 'matrix_swarm' cannot be read: ValueError\(\"velocities field 'f8' cannot be read: Error\('Only base64 data is allowed'\)\"\)$",
+    ),
+    # A stored shape is read as a list of integers and must be the expected one before any byte is decoded.
+    *(
+        (
+            {"format_version": 4, "record": {}, **COUNTERS, "matrix_swarm": MATRICES, "expert_swarm": {**EXPERTS, "positions": positions}},
+            r"field 'expert_swarm' cannot be read: ValueError\(" + message + r"\)$",
+        )
+        for positions, message in [
+            ({"f8": EXPERTS["positions"]["f8"]}, r"\"positions has no 'shape' field\""),
+            ({**EXPERTS["positions"], "shape": [4.0, 6]},
+             r"\"positions field 'shape' cannot be read: ValueError\('shape holds 4.0, a float, not an integer'\)\""),
+            ({**EXPERTS["positions"], "shape": "46"}, r"\"positions field 'shape' cannot be read: '46' is a str\""),
+            ({**EXPERTS["positions"], "shape": True}, r"\"positions field 'shape' cannot be read: True is a bool\""),
+            ({**EXPERTS["positions"], "shape": [-1, 6]}, r"'positions has shape \(-1, 6\), not \(4, 6\)'"),
+        ]
     ),
 ])
 def test_run_state_rejects_a_checkpoint_it_cannot_resume(payload, message):
@@ -976,7 +1006,7 @@ def _put(swarm, name, shape, index, value=np.nan):
     ),
     (
         "full", _put("expert_swarm", "positions", (3, 6), (1, 0)),
-        r"'expert_swarm' cannot be read: ValueError\('pool expert 1 holds a value that is not finite'\)$",
+        r"'expert_swarm' cannot be read: ValueError\('positions holds a value that is not finite'\)$",
     ),
     # Swarm scores pso_step cannot write: each would pin its record for the rest of the run.
     (
@@ -1048,6 +1078,65 @@ def test_resume_rejects_a_checkpoint_that_does_not_fit_the_config(tmp_path, mode
     with pytest.raises(ValueError, match="^checkpoint field " + message):
         optimize(replace(cfg, max_iterations=4), None, utility, resume_from=ck)
     assert utility.evaluator_calls == 0
+
+
+# What a damaged file may hold where a value was: every JSON type, an integer past any float, empty and nested
+# containers, and a shape no array has. DELETE removes the key or element instead.
+DAMAGES = (None, True, 0, -1, 10**400, 1.5, "x", [], {}, [[]], [-1, 6])
+DELETE = object()
+
+
+def _damaged(document):
+    """``(path, value, copy)``: a copy of ``document`` whose key, or one of a list's first two elements, at ``path`` is ``value``."""
+    def paths(value, path=()):
+        slots = value.items() if isinstance(value, dict) else enumerate(value[:2]) if isinstance(value, list) else ()
+        for key, item in slots:
+            yield (*path, key)
+            yield from paths(item, (*path, key))
+
+    text = json.dumps(document)
+    for path in paths(document):
+        for value in (DELETE, *DAMAGES):
+            copy = owner = json.loads(text)
+            *parents, key = path
+            for name in parents:
+                owner = owner[name]
+            if value is DELETE:
+                del owner[key]
+            else:
+                owner[key] = value
+            yield path, value, copy
+
+
+def test_every_reader_rejects_a_damaged_field_with_a_value_error(tmp_path, monkeypatch):
+    cfg = small_cfg(n_experts=3, matrix_swarm_size=2, assignments_per_step=2, max_iterations=1, patience=2,
+                    utility_spec={"name": "affine_target", "n": 3, "points": 2})
+    ck = tmp_path / "checkpoint.json"
+    system, trace = run(cfg, checkpoint_path=ck)
+    utility, resumed = task_utility(cfg), replace(cfg, max_iterations=2)  # a checkpoint that loads runs one iteration
+    stored = [None]
+    monkeypatch.setattr("dagswarm.orchestrate.read_json", lambda path: stored[0])  # the damaged copy, not a file
+
+    def resume(payload):
+        stored[0] = payload
+        optimize(resumed, None, utility, resume_from=ck)
+
+    readers = [
+        (json.loads(ck.read_text()), resume),
+        (json.loads(system.to_json()), OptimizedSystem.from_dict),
+        (json.loads(trace.to_jsonl()), lambda row: RunTrace.from_jsonl(json.dumps(row))),
+    ]
+    rejected = 0
+    for document, read in readers:
+        for path, value, copy in _damaged(document):
+            calls = utility.evaluator_calls
+            try:
+                read(copy)
+            except Exception as exc:  # noqa: BLE001 - any other type fails below, naming the damage
+                assert isinstance(exc, ValueError), f"{path} = {'deleted' if value is DELETE else repr(value)[:20]}: {exc!r}"
+                assert utility.evaluator_calls == calls, f"{path}: {utility.evaluator_calls - calls} evaluator calls"
+                rejected += 1
+    assert rejected > 1000
 
 
 @pytest.mark.parametrize("mode", ["full", "role_only"])
